@@ -7,15 +7,19 @@ linear/quadratic coefficients blended into flat-plate laws), propeller
 slipstream from disk-actuator theory immersing downstream segments, and a
 quadratic-form fuselage drag.
 
-All public operations are pure functions. `total_wrench` runs a vectorized
-evaluation over all segments; the single-element operations
-(`propeller_wrench`, `segment_wrench`, ...) implement the identical math
-and are cross-checked against the vector path in the test suite.
+All public operations are pure functions. `body_wrench` (and
+`total_wrench`, its rigid-body-state front end) runs one vectorized
+evaluation over all segments and returns one result shape: the net wrench
+and the `FlowTables` of the evaluation, which also hold the force and moment
+of every propeller and segment and the fuselage force. The single-element
+operations (`propeller_wrench`, `segment_wrench`, ...) implement the
+identical math and are cross-checked against the vector path in the test
+suite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,35 +35,13 @@ if TYPE_CHECKING:
 # is defined as zero.
 ETA_MIN = 1.0  # rev/s
 
-BREAKDOWN_RTOL = 1e-9
-
-
-@dataclass
-class SourceWrench:
-    """Wrench contribution of one model component, body frame."""
-
-    name: str
-    force: np.ndarray
-    moment: np.ndarray
-    stalled: bool = False
-
 
 @dataclass
 class ForceMoment:
-    """Net body-frame force [N] and moment [N m] with per-source breakdown."""
+    """Body-frame force [N] and moment [N m] about the CG."""
 
     force: np.ndarray
     moment: np.ndarray
-    breakdown: list[SourceWrench] = field(default_factory=list)
-
-    @classmethod
-    def from_breakdown(cls, entries: list[SourceWrench]) -> "ForceMoment":
-        force = np.zeros(3)
-        moment = np.zeros(3)
-        for e in entries:
-            force = force + e.force
-            moment = moment + e.moment
-        return cls(force=force, moment=moment, breakdown=entries)
 
 
 @dataclass
@@ -190,13 +172,6 @@ def advance_ratio(prop: PropellerParams, eta: float, v_axial: float) -> float:
     return float(np.clip(v_axial / (eta * prop.diameter), 0.0, prop.advance_ratio_max))
 
 
-def propeller_thrust(prop: PropellerParams, eta: float, v_axial: float,
-                     rho: float) -> float:
-    """Thrust magnitude rho eta^2 D^4 C_T(J) [N]."""
-    J = advance_ratio(prop, eta, v_axial)
-    return rho * eta ** 2 * prop.diameter ** 4 * (prop.ct0 + prop.ct1 * J)
-
-
 def propeller_wrench(prop: PropellerParams, eta: float, flow: LocalFlow,
                      rho: float) -> ForceMoment:
     """Thrust + normal-force wrench of one propeller about the CG.
@@ -214,7 +189,7 @@ def propeller_wrench(prop: PropellerParams, eta: float, flow: LocalFlow,
     force = thrust * axis - normal * flow.radial
     torque = -rho * eta ** 2 * D ** 5 * (prop.cq0 + prop.cq1 * J) * prop.handedness * axis
     moment = torque + np.cross(flow.position, force)
-    return ForceMoment.from_breakdown([SourceWrench(prop.name, force, moment)])
+    return ForceMoment(force, moment)
 
 
 def induced_velocity(prop: PropellerParams, thrust: float, v_axial: float,
@@ -294,8 +269,7 @@ def segment_wrench(seg: AirfoilSegmentParams, flow: LocalFlow, zeta_cs: float,
     force = q_area * (cl * flow.e_lift + cd * flow.e_drag)
     moment = (cm * 0.5 * rho * V ** 2 * seg.chord ** 2 * seg.span) * flow.e_span \
         + np.cross(flow.position, force)
-    stalled = not (seg.alpha_stall_neg < flow.alpha < seg.alpha_stall_pos)
-    return ForceMoment.from_breakdown([SourceWrench(seg.name, force, moment, stalled)])
+    return ForceMoment(force, moment)
 
 
 def fuselage_wrench(v_a_body: np.ndarray, fus: FuselageParams,
@@ -307,7 +281,7 @@ def fuselage_wrench(v_a_body: np.ndarray, fus: FuselageParams,
         fus.cd_y * v * abs(v),
         fus.cd_z * w * abs(w),
     ])
-    return ForceMoment.from_breakdown([SourceWrench("fuselage", force, np.zeros(3))])
+    return ForceMoment(force, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +294,6 @@ class _SegmentArrays:
     def __init__(self, vp: VehicleParams):
         segs = vp.segments
         n = len(segs)
-        self.names = [s.name for s in segs]
         self.is_wing = np.array([s.kind == "wing" for s in segs])
         self.wing_rows = np.flatnonzero(self.is_wing)
         self.cp = np.stack([s.cp for s in segs]).astype(float)
@@ -379,10 +352,14 @@ def _coefficients_arrays(t: _SegmentArrays, alpha: np.ndarray,
 
 @dataclass
 class FlowTables:
-    """Intermediate flow state of a full-vehicle evaluation.
+    """Intermediate flow state and per-source wrenches of a full-vehicle
+    evaluation, body frame.
 
-    Used by the controllers to build local actuator models at the current
-    operating point without re-deriving geometry.
+    The controllers read it to build local actuator models at the current
+    operating point without re-deriving geometry; the run log and the
+    cruise linearization read the per-source forces. The net wrench is the
+    sum of the propeller and segment rows and the fuselage force (the
+    fuselage has no moment).
     """
 
     # propellers, in vp.propellers order
@@ -393,7 +370,9 @@ class FlowTables:
     prop_v_radial: np.ndarray
     prop_radial: np.ndarray   # (3,3), zero vector when no radial inflow
     prop_thrust: np.ndarray
-    # segments
+    prop_force: np.ndarray    # (3,3)
+    prop_moment: np.ndarray   # (3,3) about the CG, reactive torque included
+    # segments, in vp.segments order
     seg_r: np.ndarray         # (n,3)
     seg_ey: np.ndarray
     seg_e_lift: np.ndarray
@@ -402,12 +381,15 @@ class FlowTables:
     seg_alpha: np.ndarray
     seg_lam: np.ndarray       # pre-stall weight
     seg_stalled: np.ndarray
+    seg_force: np.ndarray     # (n,3)
+    seg_moment: np.ndarray    # (n,3) about the CG
+    fus_force: np.ndarray     # (3,)
 
 
 def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
-                vp: VehicleParams, want_tables: bool = False,
-                want_breakdown: bool = True):
-    """Net wrench in body axes from body-frame airspeed and angular rate.
+                vp: VehicleParams) -> tuple[ForceMoment, FlowTables]:
+    """Net wrench in body axes from body-frame airspeed and angular rate,
+    and the flow tables of the evaluation.
 
     Propellers are evaluated first; their thrusts drive the slipstream
     added to bound segments; segment and fuselage wrenches follow.
@@ -416,11 +398,10 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     """
     # non-finite inputs surface as the explicit fault below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return _body_wrench(v_a_body, omega, act, vp, want_tables,
-                            want_breakdown)
+        return _body_wrench(v_a_body, omega, act, vp)
 
 
-def _body_wrench(v_a_body, omega, act, vp, want_tables, want_breakdown):
+def _body_wrench(v_a_body, omega, act, vp):
     t = _segment_arrays(vp)
     rho = vp.rho
     vbx, vby, vbz = float(v_a_body[0]), float(v_a_body[1]), float(v_a_body[2])
@@ -428,19 +409,11 @@ def _body_wrench(v_a_body, omega, act, vp, want_tables, want_breakdown):
     px, py, pz = vp.wing.pivot
     cw, sw = math.cos(act.zeta_w), math.sin(act.zeta_w)
 
-    n_props = len(vp.propellers)
-    prop_r = np.empty((n_props, 3))
-    prop_axis = np.empty((n_props, 3))
-    prop_eta = np.empty(n_props)
-    prop_vax = np.empty(n_props)
-    prop_vrad = np.empty(n_props)
-    prop_radial = np.zeros((n_props, 3))
-    thrusts = np.empty(n_props)
-    slip_w = np.zeros((n_props, 3))
+    # one row of scalars per propeller, stacked into an array after the loop
+    prop_rows = []
     fx = fy = fz = mx = my = mz = 0.0
-    entries: list[SourceWrench] = [] if want_breakdown else None
 
-    for i, prop in enumerate(vp.propellers):
+    for prop in vp.propellers:
         hx, hy, hz = prop.hub_offset
         if prop.mount == "wing":
             rx = px + cw * hx + sw * hz
@@ -481,24 +454,20 @@ def _body_wrench(v_a_body, omega, act, vp, want_tables, want_breakdown):
         mx += pmx
         my += pmy
         mz += pmz
+        wx = wy = wz = 0.0
         if eta >= ETA_MIN and (thrust > 0.0 or v_ax < 0.0):
             radicand = v_ax * v_ax + 2.0 * max(thrust, 0.0) / (rho * prop.disk_area)
             w_mag = 0.5 * (-v_ax + math.sqrt(radicand)) if radicand > 0.0 else 0.5 * -v_ax
-            slip_w[i, 0] = ax * w_mag
-            slip_w[i, 1] = ay * w_mag
-            slip_w[i, 2] = az * w_mag
-        prop_r[i] = rx, ry, rz
-        prop_axis[i] = ax, ay, az
-        prop_eta[i] = eta
-        prop_vax[i] = v_ax
-        prop_vrad[i] = v_rad
-        thrusts[i] = thrust
+            wx, wy, wz = ax * w_mag, ay * w_mag, az * w_mag
         if v_rad > 1e-12:
-            prop_radial[i] = urx / v_rad, ury / v_rad, urz / v_rad
-        if want_breakdown:
-            entries.append(SourceWrench(prop.name,
-                                        np.array([pfx, pfy, pfz]),
-                                        np.array([pmx, pmy, pmz])))
+            nx, ny, nz = urx / v_rad, ury / v_rad, urz / v_rad
+        else:
+            nx = ny = nz = 0.0
+        prop_rows.append((rx, ry, rz, ax, ay, az, nx, ny, nz,
+                          pfx, pfy, pfz, pmx, pmy, pmz, wx, wy, wz,
+                          eta, v_ax, v_rad, thrust))
+    pt = np.array(prop_rows)
+    slip_w = pt[:, 15:18]
 
     # segment frames at the current wing tilt; base wing frames are the
     # identity, so tilted wing rows take the rotation columns directly
@@ -564,27 +533,20 @@ def _body_wrench(v_a_body, omega, act, vp, want_tables, want_breakdown):
     if not np.isfinite(force.sum()) or not np.isfinite(moment.sum()):
         raise FloatingPointError("non-finite aerodynamic wrench")
 
-    if want_breakdown:
-        for i, name in enumerate(t.names):
-            entries.append(SourceWrench(name, forces[i], moments[i], bool(stalled[i])))
-        entries.append(SourceWrench("fuselage", f_fus, np.zeros(3)))
-    fm = ForceMoment(force=force, moment=moment, breakdown=entries or [])
-
-    if not want_tables:
-        return fm
     tables = FlowTables(
-        prop_r=prop_r, prop_axis=prop_axis, prop_eta=prop_eta,
-        prop_v_axial=prop_vax, prop_v_radial=prop_vrad, prop_radial=prop_radial,
-        prop_thrust=thrusts,
+        prop_r=pt[:, 0:3], prop_axis=pt[:, 3:6], prop_radial=pt[:, 6:9],
+        prop_force=pt[:, 9:12], prop_moment=pt[:, 12:15], prop_eta=pt[:, 18],
+        prop_v_axial=pt[:, 19], prop_v_radial=pt[:, 20], prop_thrust=pt[:, 21],
         seg_r=r_cp, seg_ey=ey, seg_e_lift=e_lift, seg_e_drag=e_drag,
         seg_speed=V, seg_alpha=alpha, seg_lam=lam, seg_stalled=stalled,
+        seg_force=forces, seg_moment=moments, fus_force=f_fus,
     )
-    return fm, tables
+    return ForceMoment(force=force, moment=moment), tables
 
 
 def total_wrench(state: "RigidBodyState", act: ActuatorSet, vp: VehicleParams,
-                 wind: np.ndarray | None = None) -> ForceMoment:
-    """Net aerodynamic wrench for a rigid-body state and actuator state."""
+                 wind: np.ndarray | None = None) -> tuple[ForceMoment, FlowTables]:
+    """`body_wrench` for a rigid-body state and actuator state."""
     v_air = state.v if wind is None else state.v - np.asarray(wind, dtype=float)
     v_a_body = state.R_IB.T @ v_air
     return body_wrench(v_a_body, state.omega, act, vp)

@@ -110,9 +110,7 @@ def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
 def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
                             wind: np.ndarray | None = None) -> np.ndarray:
     """Aerodynamic moment with nominal actuation (attitude effectors zero)."""
-    v_air = state.v if wind is None else state.v - np.asarray(wind, dtype=float)
-    fm = aero.body_wrench(state.R_IB.T @ v_air, state.omega, u_n, vp,
-                          want_breakdown=False)
+    fm, _ = aero.total_wrench(state, u_n, vp, wind)
     return fm.moment
 
 
@@ -307,8 +305,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     omega = state.omega
 
     act = u_n.copy()
-    fm, tab = aero.body_wrench(v_a_body, omega, act, vp,
-                               want_tables=True, want_breakdown=False)
+    fm, tab = aero.body_wrench(v_a_body, omega, act, vp)
     M_cur = fm.moment
     target = M_cur + np.asarray(M_act, dtype=float)
     blocks = {"elevator": np.zeros(3), "rudder": np.zeros(3),
@@ -316,8 +313,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
 
     def book(name: str) -> None:
         nonlocal M_cur, tab
-        fm_new, tab = aero.body_wrench(v_a_body, omega, act, vp,
-                                       want_tables=True, want_breakdown=False)
+        fm_new, tab = aero.body_wrench(v_a_body, omega, act, vp)
         blocks[name] += fm_new.moment - M_cur
         M_cur = fm_new.moment
 

@@ -48,16 +48,20 @@ def cmd_model_eval(args) -> int:
     vp = _load_vehicle(args.vehicle)
     state = _state_from_file(args.state)
     araw = yaml.safe_load(Path(args.actuators).read_text(encoding="utf-8")) or {}
+    wind = araw.pop("wind", None)
     act = actuation_from_commands(vp, **{f"delta_{k}": float(v)
                                          for k, v in araw.items()})
-    wind = np.asarray(araw.pop("wind", [0.0, 0.0, 0.0]), dtype=float) \
-        if isinstance(araw, dict) and "wind" in araw else None
-    fm = aero.total_wrench(state, act, vp, wind)
+    fm, tab = aero.total_wrench(state, act, vp, wind)
+    rows = [(p.name, f, m, False) for p, f, m in
+            zip(vp.propellers, tab.prop_force, tab.prop_moment)]
+    rows += zip((s.name for s in vp.segments), tab.seg_force, tab.seg_moment,
+                tab.seg_stalled)
+    rows.append(("fuselage", tab.fus_force, np.zeros(3), False))
+    rows.append(("TOTAL", fm.force, fm.moment, False))
     print("source,fx,fy,fz,mx,my,mz,stalled")
-    for e in fm.breakdown:
-        print(f"{e.name}," + ",".join(repr(float(v)) for v in (*e.force, *e.moment))
-              + f",{int(e.stalled)}")
-    print("TOTAL," + ",".join(repr(float(v)) for v in (*fm.force, *fm.moment)) + ",0")
+    for name, force, moment, stalled in rows:
+        print(f"{name}," + ",".join(repr(float(v)) for v in (*force, *moment))
+              + f",{int(stalled)}")
     return 0
 
 
@@ -202,8 +206,8 @@ def _check_mirror(vp, n=100) -> tuple[bool, str]:
         act.delta_al, act.delta_ar = a, -a
         act.zeta_al = a * vp.actuators["al"].travel
         act.zeta_ar = -a * vp.actuators["ar"].travel
-        fm = aero.body_wrench(v, omega, act, vp)
-        fm_m = aero.body_wrench(v, omega, act, twin)
+        fm, _ = aero.body_wrench(v, omega, act, vp)
+        fm_m, _ = aero.body_wrench(v, omega, act, twin)
         asym = max(np.abs(fm_m.force - reflect * fm.force).max(),
                    np.abs(fm_m.moment + reflect * fm.moment).max())
         worst = max(worst, asym)

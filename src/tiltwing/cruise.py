@@ -121,6 +121,11 @@ def _projected_force(R: np.ndarray, heading: np.ndarray,
     return np.array([f_inertial @ heading, f_inertial[2]])
 
 
+def _source_forces(tab: aero.FlowTables, live: np.ndarray) -> list[np.ndarray]:
+    """Body forces of the propellers, the live segments and the fuselage."""
+    return [*tab.prop_force, *tab.seg_force[live], tab.fus_force]
+
+
 def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
                         wind: np.ndarray | None = None,
                         cfg: CruiseConfig | None = None) -> np.ndarray:
@@ -138,21 +143,20 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
 
     def eval_at(theta: float, act_eval: ActuatorSet):
         R = euler_zyx_to_matrix(roll, theta, yaw)
-        fm = aero.body_wrench(R.T @ (state.v - w), state.omega, act_eval, vp)
-        return R, fm
+        fm, tab = aero.body_wrench(R.T @ (state.v - w), state.omega, act_eval, vp)
+        return R, fm, tab
 
     J = np.empty((2, 2))
 
-    # pitch column, per-source so stalled segments can be excluded
+    # pitch column, source by source so stalled segments can be excluded
     h = cfg.fd_theta
-    R_p, fm_p = eval_at(pitch + h, act)
-    R_m, fm_m = eval_at(pitch - h, act)
+    R_p, _, tab_p = eval_at(pitch + h, act)
+    R_m, _, tab_m = eval_at(pitch - h, act)
+    live = ~(tab_p.seg_stalled | tab_m.seg_stalled)
     col = np.zeros(2)
-    for e_p, e_m in zip(fm_p.breakdown, fm_m.breakdown):
-        if e_p.stalled or e_m.stalled:
-            continue
-        col += (_projected_force(R_p, heading, e_p.force)
-                - _projected_force(R_m, heading, e_m.force))
+    for f_p, f_m in zip(_source_forces(tab_p, live), _source_forces(tab_m, live)):
+        col += (_projected_force(R_p, heading, f_p)
+                - _projected_force(R_m, heading, f_m))
     J[:, 0] = col / (2.0 * h)
 
     # throttle column (both mains together)
@@ -165,8 +169,8 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
         a.delta_pr += sign * s
         a.eta_pl = a.delta_pl * travel
         a.eta_pr = a.delta_pr * travel
-    R0, fm_tp = eval_at(pitch, act_p)
-    _, fm_tm = eval_at(pitch, act_m)
+    R0, fm_tp, _ = eval_at(pitch, act_p)
+    _, fm_tm, _ = eval_at(pitch, act_m)
     J[:, 1] = (_projected_force(R0, heading, fm_tp.force)
                - _projected_force(R0, heading, fm_tm.force)) / (2.0 * s)
     return J

@@ -7,6 +7,7 @@ matrix re-orthonormalized (polar projection) after every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ class RigidBodyState:
                     and np.all(np.isfinite(self.omega)))
 
 
-@dataclass
-class StateDerivative:
+class StateDerivative(NamedTuple):
     x_dot: np.ndarray
     v_dot: np.ndarray
     R_dot: np.ndarray
@@ -64,11 +64,8 @@ def state_derivative(s: RigidBodyState, fm: ForceMoment,
 
 
 def _deriv(x, v, R, omega, act, vp, wind):
-    v_a_body = R.T @ (v - wind)
-    fm = body_wrench(v_a_body, omega, act, vp)
-    v_dot = vp.gravity + R @ fm.force / vp.mass
-    omega_dot = vp.inertia_inv @ (fm.moment - np.cross(omega, vp.inertia @ omega))
-    return v, v_dot, R @ skew(omega), omega_dot
+    fm, _ = body_wrench(R.T @ (v - wind), omega, act, vp)
+    return state_derivative(RigidBodyState(x, v, R, omega), fm, vp)
 
 
 def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,

@@ -304,17 +304,10 @@ def run_scenario(sc: Scenario, vp: VehicleParams, tmap: TrimMap | None = None,
 
         act = apply_actuator_rates(act, cmd, dt, vp)
 
-        fm = aero.total_wrench(state, act, vp, wind)
-        groups = {"props": np.zeros(3), "segments": np.zeros(3),
-                  "fuselage": np.zeros(3)}
-        prop_names = {p.name for p in vp.propellers}
-        for e in fm.breakdown:
-            if e.name in prop_names:
-                groups["props"] += e.force
-            elif e.name == "fuselage":
-                groups["fuselage"] += e.force
-            else:
-                groups["segments"] += e.force
+        fm, tab = aero.total_wrench(state, act, vp, wind)
+        # z force per source group; +0.0 turns a signed zero into +0.0
+        group_fz = [0.0 + tab.prop_force.sum(axis=0)[2],
+                    0.0 + tab.seg_force.sum(axis=0)[2], 0.0 + tab.fus_force[2]]
 
         roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
         co = cruise_out if sc.mode == "cruise" else None
@@ -330,8 +323,7 @@ def run_scenario(sc: Scenario, vp: VehicleParams, tmap: TrimMap | None = None,
                 co.trim_u[0], co.trim_u[1], co.trim_theta,
                 float(co.lookup_clamped)] if co is not None
                else [np.nan] * 9 + [0.0])
-            + [*fm.force, *fm.moment, groups["props"][2],
-               groups["segments"][2], groups["fuselage"][2]]
+            + [*fm.force, *fm.moment, *group_fz]
             + [0.0]
         )
         n_logged = k + 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +102,7 @@ def trim_accelerations(u: np.ndarray, theta: float, v_a: float, gamma: float,
     # body airspeed = R_y(theta)^T (v_a cos(g), 0, -v_a sin(g))
     v_a_body = np.array([v_a * (ct * cg + st * sg), 0.0,
                          v_a * (st * cg - ct * sg)])
-    fm = body_wrench(v_a_body, _ZERO3, act, vp, want_breakdown=False)
+    fm, _ = body_wrench(v_a_body, _ZERO3, act, vp)
     f = fm.force
     v_dot = vp.gravity + np.array([ct * f[0] + st * f[2], f[1],
                                    -st * f[0] + ct * f[2]]) / vp.mass
@@ -139,12 +139,13 @@ def _cost_terms(u: np.ndarray, theta: float, th_star: float,
     return power, sat, pitch
 
 
-def trim_cost(u: np.ndarray, theta: float, neighbors: list[np.ndarray],
-              th_star: float, vp: VehicleParams,
-              w: TrimWeights | None = None) -> float:
+def trim_cost(u: np.ndarray, theta: float,
+              neighbors: list[np.ndarray] | None, th_star: float,
+              vp: VehicleParams, w: TrimWeights | None = None) -> float:
     """Secondary cost q >= 0: net power, control-surface saturation
     barriers, pitch-target deviation, and deviation from the mean of the
-    neighboring solutions.
+    neighboring solutions. Without neighbors (None or empty) the cost is
+    comparable across map sweeps; `TrimPoint.cost` stores that form.
 
     The saturation barrier on the aileron pair and the elevator is
     w_sat * s * (max(0, |delta| - thr) / s)^3 with thr = sat_threshold and
@@ -158,13 +159,6 @@ def trim_cost(u: np.ndarray, theta: float, neighbors: list[np.ndarray],
         z = np.concatenate([u, [theta]])
         q += w.w_neighbor * float(np.sum((z - np.mean(neighbors, axis=0)) ** 2))
     return q
-
-
-def trim_cost_base(u: np.ndarray, theta: float, th_star: float,
-                   vp: VehicleParams, w: TrimWeights) -> float:
-    """Cost without the neighbor coupling; comparable across map sweeps."""
-    power, sat, pitch = _cost_terms(u, theta, th_star, vp, w)
-    return power + sum(sat) + pitch
 
 
 def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
@@ -213,7 +207,7 @@ def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
     feasible = res_v < w.eps_v and res_th < w.eps_theta
     return TrimPoint(v_a=v_a, gamma=gamma, u=u, theta=theta,
                      res_v=res_v, res_theta=res_th,
-                     cost=trim_cost_base(u, theta, th_star, vp, w),
+                     cost=trim_cost(u, theta, None, th_star, vp, w),
                      feasible=feasible)
 
 
@@ -442,10 +436,7 @@ def save_trim_map(tmap: TrimMap, path: str | Path) -> None:
     w = tmap.weights
     lines = [
         "# tiltwing trim map",
-        f"# eps_v={w.eps_v!r} eps_theta={w.eps_theta!r}",
-        f"# q_v={w.q_v!r} q_theta={w.q_theta!r} w_power={w.w_power!r} "
-        f"w_sat={w.w_sat!r} w_pitch={w.w_pitch!r} w_neighbor={w.w_neighbor!r}",
-        f"# theta_star_ramp={w.theta_star_ramp!r}",
+        "# " + " ".join(f"{f.name}={getattr(w, f.name)!r}" for f in fields(w)),
         CSV_HEADER,
     ]
     for i, va in enumerate(tmap.va_axis):
@@ -499,13 +490,7 @@ def load_trim_map(path: str | Path) -> TrimMap:
             if points[i][j] is None:
                 raise TrimError("trim map grid is incomplete")
 
-    weights = TrimWeights()
-    for key, attr in (("eps_v", "eps_v"), ("eps_theta", "eps_theta"),
-                      ("q_v", "q_v"), ("q_theta", "q_theta"),
-                      ("w_power", "w_power"), ("w_sat", "w_sat"),
-                      ("w_pitch", "w_pitch"), ("w_neighbor", "w_neighbor"),
-                      ("theta_star_ramp", "theta_star_ramp")):
-        if key in meta:
-            setattr(weights, attr, meta[key])
+    weights = TrimWeights(**{f.name: meta[f.name] for f in fields(TrimWeights)
+                             if f.name in meta})
     return TrimMap(va_axis=va_axis, gamma_axis=gamma_axis, points=points,
                    weights=weights)

@@ -281,7 +281,7 @@ def test_fuselage_hand_evaluated():
 def test_total_wrench_all_zero(vp):
     state = RigidBodyState()
     act = actuation_from_commands(vp)
-    fm = total_wrench(state, act, vp)
+    fm, _ = total_wrench(state, act, vp)
     assert np.allclose(fm.force, 0.0)
     assert np.allclose(fm.moment, 0.0)
 
@@ -291,7 +291,7 @@ def test_total_wrench_symmetric_state(vp):
     # so a mirror-invariant actuation keeps it off
     state = RigidBodyState(v=np.array([12.0, 0.0, 0.5]))
     act = actuation_from_commands(vp, delta_w=0.1, delta_plr=0.6, delta_e=0.1)
-    fm = total_wrench(state, act, vp)
+    fm, _ = total_wrench(state, act, vp)
     assert abs(fm.force[1]) < 1e-9
     assert abs(fm.moment[0]) < 1e-9
     assert abs(fm.moment[2]) < 1e-9
@@ -303,7 +303,7 @@ def test_total_wrench_hover_thrust_balance(vp):
     eta = math.sqrt(vp.weight / (2.0 * vp.rho * main.diameter ** 4 * main.ct0))
     state = RigidBodyState()
     act = actuation_from_commands(vp, delta_w=1.0, delta_plr=eta / main.max_speed)
-    fm = total_wrench(state, act, vp)
+    fm, _ = total_wrench(state, act, vp)
     # inertial z force balances weight to within the (small) downloads
     assert abs(fm.force[2] + vp.weight) < 0.05 * vp.weight
 
@@ -320,10 +320,11 @@ def test_breakdown_sums_to_totals(vp):
             delta_pt=rng.uniform(0, 1), delta_al=rng.uniform(-1, 1),
             delta_ar=rng.uniform(-1, 1), delta_e=rng.uniform(-1, 1),
             delta_r=rng.uniform(-1, 1), delta_tt=rng.uniform(-1, 1))
-        fm = total_wrench(state, act, vp)
+        fm, tab = total_wrench(state, act, vp)
         scale = max(np.abs(fm.force).max(), np.abs(fm.moment).max(), 1.0)
-        f_sum = sum(e.force for e in fm.breakdown)
-        m_sum = sum(e.moment for e in fm.breakdown)
+        f_sum = (tab.prop_force.sum(axis=0) + tab.seg_force.sum(axis=0)
+                 + tab.fus_force)
+        m_sum = tab.prop_moment.sum(axis=0) + tab.seg_moment.sum(axis=0)
         assert np.abs(f_sum - fm.force).max() < 1e-9 * scale
         assert np.abs(m_sum - fm.moment).max() < 1e-9 * scale
 
@@ -340,8 +341,7 @@ def test_single_element_ops_match_vector_path(vp):
                                   delta_pt=0.3, delta_al=0.2, delta_ar=-0.1,
                                   delta_e=0.25, delta_r=-0.2, delta_tt=0.15)
     v_a_body = state.R_IB.T @ state.v
-    fm, tab = body_wrench(v_a_body, state.omega, act, vp, want_tables=True)
-    by_name = {e.name: e for e in fm.breakdown}
+    _, tab = body_wrench(v_a_body, state.omega, act, vp)
 
     # propellers
     for i, prop in enumerate(vp.propellers):
@@ -349,12 +349,12 @@ def test_single_element_ops_match_vector_path(vp):
         flow = decompose_at_propeller(
             local_airspeed(r_p, v_a_body, state.omega), axis)
         ref = propeller_wrench(prop, act.eta(prop.name), flow, vp.rho)
-        assert np.allclose(ref.force, by_name[prop.name].force, atol=1e-12)
-        assert np.allclose(ref.moment, by_name[prop.name].moment, atol=1e-12)
+        assert np.allclose(ref.force, tab.prop_force[i], atol=1e-12)
+        assert np.allclose(ref.moment, tab.prop_moment[i], atol=1e-12)
 
     # segments, including slipstream immersion
     prop_index = {p.name: i for i, p in enumerate(vp.propellers)}
-    for seg in vp.segments:
+    for k, seg in enumerate(vp.segments):
         r_cp, ex, ey, ez = aero.segment_frame(vp, seg, act)
         slip = None
         if seg.slipstream != "none":
@@ -368,11 +368,11 @@ def test_single_element_ops_match_vector_path(vp):
             local_airspeed(r_cp, v_a_body, state.omega, slipstream=slip),
             ex, ey, ez)
         ref = segment_wrench(seg, flow, aero.segment_deflection(seg, act), vp.rho)
-        assert np.allclose(ref.force, by_name[seg.name].force, atol=1e-10)
-        assert np.allclose(ref.moment, by_name[seg.name].moment, atol=1e-10)
+        assert np.allclose(ref.force, tab.seg_force[k], atol=1e-10)
+        assert np.allclose(ref.moment, tab.seg_moment[k], atol=1e-10)
 
     ref = fuselage_wrench(v_a_body, vp.fuselage, vp.rho)
-    assert np.allclose(ref.force, by_name["fuselage"].force, atol=1e-12)
+    assert np.allclose(ref.force, tab.fus_force, atol=1e-12)
 
 
 def test_mirror_symmetry_property(vp):
@@ -400,8 +400,8 @@ def test_mirror_symmetry_property(vp):
                                         delta_r=-dr, delta_tt=-dtt, **kw)
         v_m = np.array([v[0], -v[1], v[2]])
         om_m = np.array([-om[0], om[1], -om[2]])
-        fm = body_wrench(v, om, act, vp)
-        fm_m = body_wrench(v_m, om_m, act_m, vp_m)
+        fm, _ = body_wrench(v, om, act, vp)
+        fm_m, _ = body_wrench(v_m, om_m, act_m, vp_m)
         scale = max(np.abs(fm.force).max(), np.abs(fm.moment).max(), 1.0)
         assert np.allclose(fm_m.force, [fm.force[0], -fm.force[1], fm.force[2]],
                            atol=1e-9 * scale)
@@ -417,12 +417,12 @@ def test_unbinding_slipstream_reproduces_free_stream(vp):
 
     act_kw = dict(delta_w=0.8, delta_plr=0.7)
     state = RigidBodyState(v=np.array([4.0, 0.0, 0.0]))
-    fm1 = total_wrench(state, actuation_from_commands(vp, **act_kw), vp)
-    fm2 = total_wrench(state, actuation_from_commands(vp2, **act_kw), vp2)
-    e1 = next(e for e in fm1.breakdown if e.name == "wing_l_in")
-    e2 = next(e for e in fm2.breakdown if e.name == "wing_l_in")
+    _, tab1 = total_wrench(state, actuation_from_commands(vp, **act_kw), vp)
+    _, tab2 = total_wrench(state, actuation_from_commands(vp2, **act_kw), vp2)
+    k = next(k for k, s in enumerate(vp.segments) if s.name == "wing_l_in")
+    f1, f2 = tab1.seg_force[k], tab2.seg_force[k]
     # bound segment feels the slipstream...
-    assert not np.allclose(e1.force, e2.force)
+    assert not np.allclose(f1, f2)
     # ...and the unbound result equals a free-stream evaluation
     seg = next(s for s in vp.segments if s.name == "wing_l_in")
     act = actuation_from_commands(vp, **act_kw)
@@ -430,7 +430,7 @@ def test_unbinding_slipstream_reproduces_free_stream(vp):
     flow = decompose_at_segment(local_airspeed(r_cp, state.v, np.zeros(3)),
                                 ex, ey, ez)
     ref = segment_wrench(seg, flow, 0.0, vp.rho)
-    assert np.allclose(ref.force, e2.force, atol=1e-12)
+    assert np.allclose(ref.force, f2, atol=1e-12)
 
 
 def test_thrust_nonnegative_along_axis(vp):
@@ -440,5 +440,5 @@ def test_thrust_nonnegative_along_axis(vp):
         act = actuation_from_commands(vp, delta_w=rng.uniform(0, 1),
                                       delta_plr=rng.uniform(0, 1),
                                       delta_pt=rng.uniform(0, 1))
-        _, tab = body_wrench(v, np.zeros(3), act, vp, want_tables=True)
+        _, tab = body_wrench(v, np.zeros(3), act, vp)
         assert np.all(tab.prop_thrust >= -1e-12)

@@ -272,7 +272,7 @@ def test_closed_loop_linearization_sample(vp):
         res = daisy_chain_allocate(M_des - m_hat, state, u_n, vp)
         if np.abs(res.residual).max() > 1e-5:
             continue  # authority-limited case
-        fm = total_wrench(state, res.commanded, vp)
+        fm, _ = total_wrench(state, res.commanded, vp)
         omega_dot = vp.inertia_inv @ (fm.moment
                                       - np.cross(state.omega,
                                                  vp.inertia @ state.omega))

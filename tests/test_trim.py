@@ -1,11 +1,13 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
 from tiltwing.aero import body_wrench
-from tiltwing.trim import (TrimError, TrimWeights, build_trim_map,
+from tiltwing.trim import (TrimError, TrimMap, TrimPoint, TrimWeights, build_trim_map,
                            hover_initial_guess, load_trim_map, lookup_trim,
                            save_trim_map, solve_trim_point, theta_star,
                            trim_accelerations, trim_actuation, trim_cost,
@@ -128,7 +130,7 @@ def test_hover_trim_identity(vp):
     tp = solve_trim_point(0.0, 0.0, hover_initial_guess(vp), vp)
     assert tp.feasible
     act = trim_actuation(vp, tp.u)
-    _, tab = body_wrench(np.zeros(3), np.zeros(3), act, vp, want_tables=True)
+    _, tab = body_wrench(np.zeros(3), np.zeros(3), act, vp)
     assert tab.prop_thrust.sum() == pytest.approx(vp.weight, rel=0.01)
     zeta_w_deg = math.degrees(tp.u[0] * math.pi / 2.0)
     assert zeta_w_deg + math.degrees(tp.theta) == pytest.approx(90.0, abs=2.0)
@@ -292,3 +294,43 @@ def test_csv_roundtrip_bit_exact(coarse_map, tmp_path):
             assert a.res_v == b.res_v
             assert a.feasible == b.feasible
     assert m2.weights.eps_v == coarse_map.weights.eps_v
+
+
+def _same_points(a: TrimMap, b: TrimMap) -> bool:
+    pa = [p for row in a.points for p in row]
+    pb = [p for row in b.points for p in row]
+    return (np.array_equal(a.va_axis, b.va_axis)
+            and np.array_equal(a.gamma_axis, b.gamma_axis)
+            and all(np.array_equal(p.u, q.u) and p.theta == q.theta
+                    and p.cost == q.cost and p.res_v == q.res_v
+                    and p.res_theta == q.res_theta and p.feasible == q.feasible
+                    for p, q in zip(pa, pb)))
+
+
+def test_csv_roundtrip_keeps_every_weight(tmp_path):
+    defaults = TrimWeights()
+    w = TrimWeights(**{f.name: 1.5 * getattr(defaults, f.name) + 0.01
+                       for f in dataclasses.fields(TrimWeights)})
+    w.sat_threshold, w.sat_scale = 0.8, 0.1
+    pts = [[TrimPoint(v_a=va, gamma=ga, u=np.array([1.0, 0.7, 0.01, 0.0, 0.1]),
+                      theta=0.02 * va, res_v=1e-3, res_theta=1e-4, cost=0.3,
+                      feasible=True) for ga in (-0.1, 0.1)] for va in (0.0, 4.0)]
+    tmap = TrimMap(va_axis=np.array([0.0, 4.0]), gamma_axis=np.array([-0.1, 0.1]),
+                   points=pts, weights=w)
+    path = tmp_path / "map.csv"
+    save_trim_map(tmap, path)
+    m2 = load_trim_map(path)
+    assert m2.weights == w
+    assert _same_points(m2, tmap)
+
+
+def test_committed_map_with_old_header_loads(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "coarse_map.csv"
+    m = load_trim_map(path)
+    assert (m.va_axis.size, m.gamma_axis.size) == (6, 5)
+    assert m.weights == TrimWeights()
+    assert m.points[0][2].u[0] == 1.0
+    save_trim_map(m, tmp_path / "map.csv")
+    m2 = load_trim_map(tmp_path / "map.csv")
+    assert m2.weights == m.weights
+    assert _same_points(m2, m)
