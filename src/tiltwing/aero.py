@@ -129,8 +129,9 @@ def propeller_geometry(vp: VehicleParams, prop: PropellerParams,
     if prop.mount == "wing":
         Rw = wing_tilt_rotation(act.zeta_w)
         return vp.wing.pivot + Rw @ prop.hub_offset, Rw @ np.array([1.0, 0.0, 0.0])
-    # tail rotor: thrust up, tilting about body x by zeta_tt
-    return prop.hub_offset.astype(float), rot_x(act.zeta_tt) @ np.array([0.0, 0.0, -1.0])
+    # tail rotor: thrust up, tilting about body x by the tail tilt angle
+    return (prop.hub_offset.astype(float),
+            rot_x(act.position("tt", vp)) @ np.array([0.0, 0.0, -1.0]))
 
 
 _SEG_FRAMES = {
@@ -154,11 +155,12 @@ def segment_frame(vp: VehicleParams, seg: AirfoilSegmentParams,
     return r_cp, frame[:, 0], frame[:, 1], frame[:, 2]
 
 
-def segment_deflection(seg: AirfoilSegmentParams, act: ActuatorSet) -> float:
+def segment_deflection(vp: VehicleParams, seg: AirfoilSegmentParams,
+                       act: ActuatorSet) -> float:
     """Local control-surface deflection seen by a segment [rad]."""
     if seg.control == "none":
         return 0.0
-    return seg.control_gain * act.surface_deflection(BINDING_TO_ACTUATOR[seg.control])
+    return seg.control_gain * act.position(BINDING_TO_ACTUATOR[seg.control], vp)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +320,9 @@ class _SegmentArrays:
         self.slip = np.array([prop_index.get(s.slipstream, -1) for s in segs])
         self.bound_rows = np.flatnonzero(self.slip >= 0)
         self.bound_prop = self.slip[self.bound_rows]
-        self.ctrl = [BINDING_TO_ACTUATOR.get(s.control) for s in segs]
-        self.gain = np.array([s.control_gain for s in segs])
-        self.ctrl_rows = [(i, f"zeta_{a}", float(self.gain[i]))
-                          for i, a in enumerate(self.ctrl) if a is not None]
+        # (row, actuator name, gain) of every segment bound to a surface
+        self.ctrl_rows = [(i, BINDING_TO_ACTUATOR[s.control], s.control_gain)
+                          for i, s in enumerate(segs) if s.control != "none"]
         self.n = n
 
 
@@ -422,9 +423,10 @@ def _body_wrench(v_a_body, omega, act, vp):
             ax, ay, az = cw, 0.0, -sw
         else:
             rx, ry, rz = hx, hy, hz
-            ctt, stt = math.cos(act.zeta_tt), math.sin(act.zeta_tt)
+            zeta_tt = act.position("tt", vp)
+            ctt, stt = math.cos(zeta_tt), math.sin(zeta_tt)
             ax, ay, az = 0.0, stt, -ctt
-        eta = act.eta(prop.name)
+        eta = act.position(prop.name, vp)
         ux = vbx + oy * rz - oz * ry
         uy = vby + oz * rx - ox * rz
         uz = vbz + ox * ry - oy * rx
@@ -502,8 +504,8 @@ def _body_wrench(v_a_body, omega, act, vp):
         u_ldp[:, 0] * ex[:, 0] + u_ldp[:, 1] * ex[:, 1] + u_ldp[:, 2] * ex[:, 2])
 
     zeta_cs = np.zeros(t.n)
-    for row, attr, gain in t.ctrl_rows:
-        zeta_cs[row] = gain * getattr(act, attr)
+    for row, name, gain in t.ctrl_rows:
+        zeta_cs[row] = gain * act.position(name, vp)
 
     cl, cd, cm, lam = _coefficients_arrays(t, alpha, zeta_cs)
     q_area = (0.5 * rho) * V2 * t.area

@@ -123,11 +123,10 @@ def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
     """d(moment)/d(command) of one aerodynamic surface [N m per unit]."""
     t = aero._segment_arrays(vp)
     travel = vp.actuators[actuator].travel
-    attr = f"zeta_{actuator}"
-    zeta_now = getattr(act, attr)
+    zeta_now = act.position(actuator, vp)
     g = np.zeros(3)
-    for row, seg_attr, gain in t.ctrl_rows:
-        if seg_attr != attr:
+    for row, name, gain in t.ctrl_rows:
+        if name != actuator:
             continue
         lam = tab.seg_lam[row]
         if lam <= 0.0:
@@ -284,10 +283,10 @@ class AllocationResult:
 
 def _apply_surface(act: ActuatorSet, vp: VehicleParams, name: str,
                    increment: float) -> None:
+    """Step one command by ``increment``, clamped to its range."""
     lim = vp.actuators[name]
-    new = min(max(getattr(act, f"delta_{name}") + increment, lim.lo), lim.hi)
-    setattr(act, f"delta_{name}", new)
-    setattr(act, f"zeta_{name}", new * lim.travel)
+    key = f"delta_{name}"
+    setattr(act, key, min(max(getattr(act, key) + increment, lim.lo), lim.hi))
 
 
 def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
@@ -317,11 +316,9 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
         blocks[name] += fm_new.moment - M_cur
         M_cur = fm_new.moment
 
-    i_pt = next(i for i, p in enumerate(vp.propellers) if p.mount == "tail")
-    i_pl = next(i for i, p in enumerate(vp.propellers)
-                if p.mount == "wing" and p.hub_offset[1] < 0.0)
-    i_pr = next(i for i, p in enumerate(vp.propellers)
-                if p.mount == "wing" and p.hub_offset[1] >= 0.0)
+    # propeller rows of the tables, by the name of the command driving each
+    names = [p.name for p in vp.propellers]
+    i_pl, i_pr, i_pt = (names.index(n) for n in ("pl", "pr", "pt"))
     pt = vp.propellers[i_pt]
 
     demand_scale = max(float(np.abs(M_act).max()), 1e-3)
@@ -349,9 +346,13 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
         if abs(resid[0]) > _EPS_DEMAND or abs(resid[2]) > _EPS_DEMAND:
             gain_ail = _surface_moment_gain(vp, tab, act, "al") \
                 + _surface_moment_gain(vp, tab, act, "ar")
+            # d steps the left main's command by +d and the right one's by
+            # -d, each scaled by its own travel; with alike mains the ratio
+            # is 1 and this is (gain_pl - gain_pr) * travel
             travel = vp.actuators["pl"].travel
             gain_thr = (_prop_moment_eta_gain(vp, tab, i_pl)
-                        - _prop_moment_eta_gain(vp, tab, i_pr)) * travel
+                        - _prop_moment_eta_gain(vp, tab, i_pr)
+                        * (vp.actuators["pr"].travel / travel)) * travel
             lim_al, lim_ar = vp.actuators["al"], vp.actuators["ar"]
             a_box = (max(lim_al.lo - act.delta_al, lim_ar.lo - act.delta_ar),
                      min(lim_al.hi - act.delta_al, lim_ar.hi - act.delta_ar))
@@ -364,10 +365,8 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
                 if abs(a) > 0.0 or abs(d) > 0.0:
                     _apply_surface(act, vp, "al", a)
                     _apply_surface(act, vp, "ar", a)
-                    act.delta_pl = min(max(act.delta_pl + d, 0.0), 1.0)
-                    act.delta_pr = min(max(act.delta_pr - d, 0.0), 1.0)
-                    act.eta_pl = act.delta_pl * travel
-                    act.eta_pr = act.delta_pr * travel
+                    _apply_surface(act, vp, "pl", d)
+                    _apply_surface(act, vp, "pr", -d)
                     book("wing_group")
 
         # block 4: tail throttle + tail tilt, pitch strictly before yaw
@@ -394,16 +393,12 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
                 thrust = cos_part / math.cos(zeta)
                 eta = _solve_prop_speed(pt, thrust, tab.prop_v_axial[i_pt], vp.rho)
                 act.delta_tt = zeta / lim_tt.travel
-                act.zeta_tt = zeta
                 act.delta_pt = min(max(eta / pt.max_speed, 0.0), 1.0)
-                act.eta_pt = act.delta_pt * pt.max_speed
                 book("tail_group")
             elif act.delta_pt > 0.0:
                 # demand reversed past zero tail thrust: disengage
                 act.delta_pt = 0.0
-                act.eta_pt = 0.0
                 act.delta_tt = 0.0
-                act.zeta_tt = 0.0
                 book("tail_group")
 
     residual = target - M_cur

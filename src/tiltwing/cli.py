@@ -99,7 +99,7 @@ def cmd_sim_run(args) -> int:
     tmap = trim.load_trim_map(args.map) if args.map else None
     log = sim.run_scenario(sc, vp, tmap)
     log.save(args.out)
-    status = f"FAULT at t={log.rows[-1, 0]:.3f}: {log.fault}" if log.fault else "ok"
+    status = f"FAULT at {log.fault}" if log.fault else "ok"
     print(f"{sc.name}: {log.rows.shape[0]} ticks -> {args.out} ({status})")
     return 1 if log.fault else 0
 
@@ -178,14 +178,16 @@ def _check_allocation(vp, n=100) -> tuple[bool, str]:
 
 
 def _check_continuity(vp) -> tuple[bool, str]:
+    # the array path the model evaluates, all segments at once
+    t = aero._segment_arrays(vp)
+    zeta_cs = np.full(t.n, 0.1)
+    hw = t.blend_halfwidth
     worst = 0.0
-    for seg in vp.segments:
-        hw = seg.blend_halfwidth
-        for edge in (seg.alpha_stall_pos - hw, seg.alpha_stall_pos + hw,
-                     seg.alpha_stall_neg - hw, seg.alpha_stall_neg + hw):
-            lo = aero.airfoil_coefficients(seg, edge - 1e-9, 0.1)
-            hi = aero.airfoil_coefficients(seg, edge + 1e-9, 0.1)
-            worst = max(worst, max(abs(a - b) for a, b in zip(lo, hi)))
+    for edge in (t.alpha_stall_pos - hw, t.alpha_stall_pos + hw,
+                 t.alpha_stall_neg - hw, t.alpha_stall_neg + hw):
+        lo = aero._coefficients_arrays(t, edge - 1e-9, zeta_cs)[:3]
+        hi = aero._coefficients_arrays(t, edge + 1e-9, zeta_cs)[:3]
+        worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(lo, hi)))
     return worst < 1e-7, f"coefficient jump across blend edges {worst:.2e}"
 
 
@@ -204,8 +206,6 @@ def _check_mirror(vp, n=100) -> tuple[bool, str]:
             delta_pt=rng.uniform(0, 1), delta_e=rng.uniform(-1, 1))
         a = rng.uniform(-1, 1)
         act.delta_al, act.delta_ar = a, -a
-        act.zeta_al = a * vp.actuators["al"].travel
-        act.zeta_ar = -a * vp.actuators["ar"].travel
         fm, _ = aero.body_wrench(v, omega, act, vp)
         fm_m, _ = aero.body_wrench(v, omega, act, twin)
         asym = max(np.abs(fm_m.force - reflect * fm.force).max(),

@@ -163,12 +163,9 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     s = cfg.fd_throttle
     act_p = act.copy()
     act_m = act.copy()
-    travel = vp.actuators["pl"].travel
     for a, sign in ((act_p, 1.0), (act_m, -1.0)):
         a.delta_pl += sign * s
         a.delta_pr += sign * s
-        a.eta_pl = a.delta_pl * travel
-        a.eta_pr = a.delta_pr * travel
     R0, fm_tp, _ = eval_at(pitch, act_p)
     _, fm_tm, _ = eval_at(pitch, act_m)
     J[:, 1] = (_projected_force(R0, heading, fm_tp.force)

@@ -253,7 +253,11 @@ class RunLog:
 def run_scenario(sc: Scenario, vp: VehicleParams, tmap: TrimMap | None = None,
                  att_gains: AttitudeGains | None = None,
                  cruise_cfg: CruiseConfig | None = None) -> RunLog:
-    """Deterministic fixed-rate closed-loop run; one log row per tick."""
+    """Deterministic fixed-rate closed-loop run; one log row per tick.
+
+    A non-finite wrench or state anywhere in a tick ends the run; the log
+    keeps the rows before it and a fault text with the tick time and cause.
+    """
     if sc.mode == "cruise" and tmap is None:
         raise ScenarioError("cruise mode requires a trim map")
     dt = 1.0 / SIM_RATE
@@ -270,69 +274,74 @@ def run_scenario(sc: Scenario, vp: VehicleParams, tmap: TrimMap | None = None,
 
     for k in range(n_ticks):
         t = k * dt
-        wind = sc.wind_at(t)
-        sp = sc.setpoint_at(t)
-
-        m_des = np.zeros(3)
-        m_hat = np.zeros(3)
-        alloc_res = np.zeros(3)
-        att_sp = AttitudeSetpoint()
-        if sc.mode == "open_loop":
-            cmd = hold_cmd
-        else:
-            if sc.mode == "cruise":
-                if k % CRUISE_DIVIDER == 0:
-                    csp = CruiseSetpoint(v_ax=sp["vax"], v_az=sp["vaz"],
-                                         roll=math.radians(sp["roll_deg"]))
-                    cruise_out = cc.step(state, csp, tmap, vp, act,
-                                         dt * CRUISE_DIVIDER, wind)
-                att_sp = cruise_out.setpoint
-                delta_w, delta_plr = cruise_out.delta_w, cruise_out.delta_plr
-            else:
-                att_sp = AttitudeSetpoint(
-                    roll=math.radians(sp["roll_deg"]),
-                    pitch=math.radians(sp["pitch_deg"]),
-                    yaw_rate=math.radians(sp["yaw_rate_deg_s"]))
-                delta_w, delta_plr = sp["wing_tilt"], sp["main_throttle"]
-            u_n = nominal_actuation(vp, act, delta_plr=delta_plr, delta_w=delta_w)
-            omega_dot_des = att.attitude_error_control(state, att_sp, act.zeta_w, dt)
-            m_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
-            m_hat = nominal_moment_estimate(state, u_n, vp, wind)
-            alloc = daisy_chain_allocate(m_des - m_hat, state, u_n, vp, wind)
-            cmd = alloc.commanded
-            alloc_res = alloc.residual
-
-        act = apply_actuator_rates(act, cmd, dt, vp)
-
-        fm, tab = aero.total_wrench(state, act, vp, wind)
-        # z force per source group; +0.0 turns a signed zero into +0.0
-        group_fz = [0.0 + tab.prop_force.sum(axis=0)[2],
-                    0.0 + tab.seg_force.sum(axis=0)[2], 0.0 + tab.fus_force[2]]
-
-        roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
-        co = cruise_out if sc.mode == "cruise" else None
-        rows[k] = (
-            [t, *state.x, *state.v, roll, pitch, yaw, *state.omega]
-            + [getattr(act, f"delta_{n}") for n in ACTUATOR_ORDER]
-            + [act.zeta_w, act.eta_pl, act.eta_pr, act.eta_pt, act.zeta_al,
-               act.zeta_ar, act.zeta_e, act.zeta_r, act.zeta_tt]
-            + [att_sp.roll, att_sp.pitch, att_sp.yaw_rate,
-               sp.get("vax", np.nan), sp.get("vaz", np.nan)]
-            + [*m_des, *m_hat, *alloc_res]
-            + ([*co.force_correction, *co.u_correction, *co.v_lookup,
-                co.trim_u[0], co.trim_u[1], co.trim_theta,
-                float(co.lookup_clamped)] if co is not None
-               else [np.nan] * 9 + [0.0])
-            + [*fm.force, *fm.moment, *group_fz]
-            + [0.0]
-        )
-        n_logged = k + 1
-
         try:
+            wind = sc.wind_at(t)
+            sp = sc.setpoint_at(t)
+
+            m_des = np.zeros(3)
+            m_hat = np.zeros(3)
+            alloc_res = np.zeros(3)
+            att_sp = AttitudeSetpoint()
+            if sc.mode == "open_loop":
+                cmd = hold_cmd
+            else:
+                if sc.mode == "cruise":
+                    if k % CRUISE_DIVIDER == 0:
+                        csp = CruiseSetpoint(v_ax=sp["vax"], v_az=sp["vaz"],
+                                             roll=math.radians(sp["roll_deg"]))
+                        cruise_out = cc.step(state, csp, tmap, vp, act,
+                                             dt * CRUISE_DIVIDER, wind)
+                    att_sp = cruise_out.setpoint
+                    delta_w = cruise_out.delta_w
+                    delta_plr = cruise_out.delta_plr
+                else:
+                    att_sp = AttitudeSetpoint(
+                        roll=math.radians(sp["roll_deg"]),
+                        pitch=math.radians(sp["pitch_deg"]),
+                        yaw_rate=math.radians(sp["yaw_rate_deg_s"]))
+                    delta_w, delta_plr = sp["wing_tilt"], sp["main_throttle"]
+                u_n = nominal_actuation(vp, act, delta_plr=delta_plr,
+                                        delta_w=delta_w)
+                omega_dot_des = att.attitude_error_control(state, att_sp,
+                                                           act.zeta_w, dt)
+                m_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
+                m_hat = nominal_moment_estimate(state, u_n, vp, wind)
+                alloc = daisy_chain_allocate(m_des - m_hat, state, u_n, vp, wind)
+                cmd = alloc.commanded
+                alloc_res = alloc.residual
+
+            act = apply_actuator_rates(act, cmd, dt, vp)
+
+            fm, tab = aero.total_wrench(state, act, vp, wind)
+            # z force per source group; +0.0 turns a signed zero into +0.0
+            group_fz = [0.0 + tab.prop_force.sum(axis=0)[2],
+                        0.0 + tab.seg_force.sum(axis=0)[2],
+                        0.0 + tab.fus_force[2]]
+
+            roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
+            co = cruise_out if sc.mode == "cruise" else None
+            rows[k] = (
+                [t, *state.x, *state.v, roll, pitch, yaw, *state.omega]
+                + [getattr(act, f"delta_{n}") for n in ACTUATOR_ORDER]
+                + [act.position(n, vp) for n in ACTUATOR_ORDER]
+                + [att_sp.roll, att_sp.pitch, att_sp.yaw_rate,
+                   sp.get("vax", np.nan), sp.get("vaz", np.nan)]
+                + [*m_des, *m_hat, *alloc_res]
+                + ([*co.force_correction, *co.u_correction, *co.v_lookup,
+                    co.trim_u[0], co.trim_u[1], co.trim_theta,
+                    float(co.lookup_clamped)] if co is not None
+                   else [np.nan] * 9 + [0.0])
+                + [*fm.force, *fm.moment, *group_fz]
+                + [0.0]
+            )
+            n_logged = k + 1
             state = integrate_step(state, act, vp, wind, dt)
         except (IntegrationFault, FloatingPointError) as exc:
-            fault = str(exc)
-            rows[k, -1] = 1.0
+            # a fault anywhere in the tick ends the run; the tick's row
+            # carries the flag if it was logged before the fault
+            fault = f"t={t:.3f} s: {exc}"
+            if n_logged > k:
+                rows[k, -1] = 1.0
             break
 
     return RunLog(columns=list(LOG_COLUMNS), rows=rows[:n_logged],

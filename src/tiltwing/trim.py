@@ -76,18 +76,13 @@ class TrimPoint:
 
 def trim_actuation(vp: VehicleParams, u: np.ndarray) -> ActuatorSet:
     """Longitudinally symmetric actuation: equal main throttles and the
-    aileron pair deflected in flap mode (delta_al = -delta_ar)."""
-    act = ActuatorSet(
+    aileron pair deflected in flap mode (delta_al = -delta_ar), with the
+    wing settled at its commanded tilt. The commands are not clamped, which
+    keeps the model smooth for the solver's probes across the bounds."""
+    return ActuatorSet(
         delta_w=u[0], delta_pl=u[1], delta_pr=u[1],
-        delta_al=u[2], delta_ar=-u[2], delta_e=u[3], delta_pt=u[4])
-    a = vp.actuators
-    act.zeta_w = u[0] * a["w"].travel
-    act.eta_pl = act.eta_pr = u[1] * a["pl"].travel
-    act.zeta_al = u[2] * a["al"].travel
-    act.zeta_ar = -u[2] * a["ar"].travel
-    act.zeta_e = u[3] * a["e"].travel
-    act.eta_pt = u[4] * a["pt"].travel
-    return act
+        delta_al=u[2], delta_ar=-u[2], delta_e=u[3], delta_pt=u[4],
+        zeta_w=u[0] * vp.actuators["w"].travel)
 
 
 _ZERO3 = np.zeros(3)
@@ -120,11 +115,10 @@ def shaft_power(vp: VehicleParams, u: np.ndarray) -> float:
 
     |eta| keeps the proxy nonnegative when a finite-difference probe steps
     a throttle command marginally below zero."""
-    eta_plr = u[1] * vp.actuators["pl"].travel
-    eta_pt = u[4] * vp.actuators["pt"].travel
+    act = trim_actuation(vp, u)
     total = 0.0
     for prop in vp.propellers:
-        eta = eta_pt if prop.mount == "tail" else eta_plr
+        eta = act.position(prop.name, vp)
         total += vp.rho * abs(eta) ** 3 * prop.diameter ** 5 * prop.cq0
     return total
 

@@ -4,6 +4,11 @@ All angles are stored in radians and all quantities in SI units internally.
 The YAML config format accepts angle keys with a ``_deg`` suffix for
 readability; serialization always emits ``_rad`` keys so that a
 load/serialize/load cycle reproduces every numeric field bit-exact.
+
+The actuator state is the nine normalized commands plus one physical
+position, the wing tilt angle: the wing is the only actuator slow enough
+to lag its command. ``ActuatorSet.position`` derives every other physical
+actuator value from its command.
 """
 from __future__ import annotations
 
@@ -118,8 +123,6 @@ class ActuatorLimits:
     lo: float
     hi: float
     travel: float              # physical value per unit command (rad or rev/s)
-    rate_up: float | None = None    # physical rate limits; None = immediate
-    rate_down: float | None = None
 
 
 ACTUATOR_ORDER = ("w", "pl", "pr", "pt", "al", "ar", "e", "r", "tt")
@@ -227,13 +230,16 @@ def validate_vehicle(vp: VehicleParams) -> None:
 
 @dataclass
 class ActuatorSet:
-    """Normalized commands (delta_*) and physical positions/speeds.
+    """Actuator state: the nine normalized commands (delta_*) and the wing
+    tilt angle.
 
-    Value-semantic; use :func:`apply_actuator_rates` to advance the physical
-    state toward new commands.
+    The commands are the state. Every actuator but the wing follows its
+    command at once, so its physical value is derived, never stored:
+    :meth:`position` maps a command through the actuator's travel. The wing
+    tilt is slow; its angle ``zeta_w`` is the one stored position, and
+    :func:`apply_actuator_rates` slews it toward the command. Value-semantic.
     """
 
-    # normalized commands
     delta_w: float = 0.0    # [0, 1] wing tilt, 1 = fully up (hover)
     delta_pl: float = 0.0   # [0, 1] left main throttle
     delta_pr: float = 0.0
@@ -243,43 +249,25 @@ class ActuatorSet:
     delta_e: float = 0.0
     delta_r: float = 0.0
     delta_tt: float = 0.0
-    # physical state
     zeta_w: float = 0.0     # rad, 0 = cruise, pi/2 = hover
-    eta_pl: float = 0.0     # rev/s
-    eta_pr: float = 0.0
-    eta_pt: float = 0.0
-    zeta_al: float = 0.0    # rad
-    zeta_ar: float = 0.0
-    zeta_e: float = 0.0
-    zeta_r: float = 0.0
-    zeta_tt: float = 0.0
 
     def copy(self) -> "ActuatorSet":
         return ActuatorSet(**self.__dict__)
 
-    def eta(self, prop_name: str) -> float:
-        return getattr(self, f"eta_{prop_name}")
-
-    def surface_deflection(self, actuator: str) -> float:
-        return getattr(self, f"zeta_{actuator}")
-
-    def command_dict(self) -> dict[str, float]:
-        return {n: getattr(self, f"delta_{n}") for n in ACTUATOR_ORDER}
+    def position(self, name: str, vp: VehicleParams) -> float:
+        """Physical value of one actuator: the wing tilt angle for ``"w"``,
+        otherwise command x travel (rad, or rev/s for a propeller)."""
+        if name == "w":
+            return self.zeta_w
+        return getattr(self, f"delta_{name}") * vp.actuators[name].travel
 
 
-_PHYSICAL_FIELD = {
-    "w": "zeta_w", "pl": "eta_pl", "pr": "eta_pr", "pt": "eta_pt",
-    "al": "zeta_al", "ar": "zeta_ar", "e": "zeta_e", "r": "zeta_r", "tt": "zeta_tt",
-}
-
-
-def actuation_from_commands(vp: VehicleParams, clamp: bool = True,
-                            **deltas: float) -> ActuatorSet:
-    """ActuatorSet with physical state mapped instantaneously from commands.
+def actuation_from_commands(vp: VehicleParams, **deltas: float) -> ActuatorSet:
+    """ActuatorSet from commands clamped to their ranges, with the wing tilt
+    settled at its commanded angle.
 
     ``delta_plr`` may be passed as shorthand for equal left/right main
-    throttle. With ``clamp=False`` commands are mapped as-is, which the trim
-    solver uses to keep the model smooth across actuator bounds.
+    throttle.
     """
     if "delta_plr" in deltas:
         v = deltas.pop("delta_plr")
@@ -289,14 +277,9 @@ def actuation_from_commands(vp: VehicleParams, clamp: bool = True,
     for key, v in deltas.items():
         if not key.startswith("delta_") or key[6:] not in ACTUATOR_ORDER:
             raise TypeError(f"unknown actuator command {key!r}")
-        setattr(act, key, float(v))
-    for name in ACTUATOR_ORDER:
-        lim = vp.actuators[name]
-        cmd = getattr(act, f"delta_{name}")
-        if clamp:
-            cmd = min(max(cmd, lim.lo), lim.hi)
-            setattr(act, f"delta_{name}", cmd)
-        setattr(act, _PHYSICAL_FIELD[name], cmd * lim.travel)
+        lim = vp.actuators[key[6:]]
+        setattr(act, key, min(max(float(v), lim.lo), lim.hi))
+    act.zeta_w = act.delta_w * vp.actuators["w"].travel
     return act
 
 
@@ -312,28 +295,27 @@ def nominal_actuation(vp: VehicleParams, current: ActuatorSet,
 
 def apply_actuator_rates(current: ActuatorSet, command: ActuatorSet, dt: float,
                          vp: VehicleParams) -> ActuatorSet:
-    """Advance physical actuator state toward ``command`` over ``dt``.
+    """Actuator state ``dt`` after ``command`` was given in ``current``.
 
-    Wing tilt slews at its up/down rate limits and never overshoots; all
-    other actuators are immediate. Commands are clamped to their ranges.
+    Every command is clamped to its range and takes effect at once. The
+    wing tilt angle slews toward its commanded angle at the rates set by
+    ``vp.wing.tilt_up_time`` and ``tilt_down_time``, and never overshoots.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     out = ActuatorSet()
     for name in ACTUATOR_ORDER:
         lim = vp.actuators[name]
-        cmd = min(max(getattr(command, f"delta_{name}"), lim.lo), lim.hi)
-        setattr(out, f"delta_{name}", cmd)
-        target = cmd * lim.travel
-        if lim.rate_up is None and lim.rate_down is None:
-            setattr(out, _PHYSICAL_FIELD[name], target)
-            continue
-        pos = getattr(current, _PHYSICAL_FIELD[name])
-        if target > pos:
-            pos = min(pos + (lim.rate_up or math.inf) * dt, target)
-        else:
-            pos = max(pos - (lim.rate_down or math.inf) * dt, target)
-        setattr(out, _PHYSICAL_FIELD[name], pos)
+        key = f"delta_{name}"
+        setattr(out, key, min(max(getattr(command, key), lim.lo), lim.hi))
+    travel = vp.actuators["w"].travel   # the full tilt, swept in tilt_*_time
+    target = out.delta_w * travel
+    pos = current.zeta_w
+    if target > pos:
+        pos = min(pos + travel / vp.wing.tilt_up_time * dt, target)
+    else:
+        pos = max(pos - travel / vp.wing.tilt_down_time * dt, target)
+    out.zeta_w = pos
     return out
 
 
@@ -457,9 +439,7 @@ def vehicle_from_dict(raw: dict) -> VehicleParams:
     araw = _require(raw, "actuators", "")
     prop_by_name = {p.name: p for p in props}
     acts: dict[str, ActuatorLimits] = {
-        "w": ActuatorLimits("w", 0.0, 1.0, WING_TILT_MAX,
-                            rate_up=WING_TILT_MAX / wing.tilt_up_time,
-                            rate_down=WING_TILT_MAX / wing.tilt_down_time),
+        "w": ActuatorLimits("w", 0.0, 1.0, WING_TILT_MAX),
     }
     for pname in PROPELLER_NAMES:
         if pname in prop_by_name:

@@ -348,7 +348,7 @@ def test_single_element_ops_match_vector_path(vp):
         r_p, axis = aero.propeller_geometry(vp, prop, act)
         flow = decompose_at_propeller(
             local_airspeed(r_p, v_a_body, state.omega), axis)
-        ref = propeller_wrench(prop, act.eta(prop.name), flow, vp.rho)
+        ref = propeller_wrench(prop, act.position(prop.name, vp), flow, vp.rho)
         assert np.allclose(ref.force, tab.prop_force[i], atol=1e-12)
         assert np.allclose(ref.moment, tab.prop_moment[i], atol=1e-12)
 
@@ -367,7 +367,7 @@ def test_single_element_ops_match_vector_path(vp):
         flow = decompose_at_segment(
             local_airspeed(r_cp, v_a_body, state.omega, slipstream=slip),
             ex, ey, ez)
-        ref = segment_wrench(seg, flow, aero.segment_deflection(seg, act), vp.rho)
+        ref = segment_wrench(seg, flow, aero.segment_deflection(vp, seg, act), vp.rho)
         assert np.allclose(ref.force, tab.seg_force[k], atol=1e-10)
         assert np.allclose(ref.moment, tab.seg_moment[k], atol=1e-10)
 

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from tiltwing.aero import total_wrench
+from tiltwing.aero import body_wrench, total_wrench
 from tiltwing.attitude import (AttitudeController, AttitudeSetpoint,
                                block3_objective, daisy_chain_allocate,
                                dynamic_inversion, nominal_moment_estimate,
                                solve_block3)
 from tiltwing.dynamics import RigidBodyState
 from tiltwing.rotations import euler_zyx_to_matrix
-from tiltwing.vehicle import actuation_from_commands, nominal_actuation
+from tiltwing.vehicle import (actuation_from_commands, apply_actuator_rates,
+                              nominal_actuation)
 
 
 def hover_state():
@@ -191,6 +192,26 @@ def test_accounting_random_demands(vp):
         M_act = rng.uniform(-0.6, 0.6, 3)
         res = daisy_chain_allocate(M_act, state, u_n, vp)
         assert np.abs(res.allocated + res.residual - M_act).max() < 1e-9
+
+
+def test_accounting_holds_against_applied_actuation(vp_uneven_mains):
+    """What the allocator books is what the applied commands produce, also
+    when the two main propellers have different top speeds."""
+    vp2 = vp_uneven_mains
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        state = RigidBodyState(
+            v=np.array([rng.uniform(0, 18), rng.uniform(-1, 1), rng.uniform(-2, 2)]),
+            R_IB=euler_zyx_to_matrix(*rng.uniform(-0.3, 0.3, 3)),
+            omega=rng.uniform(-0.5, 0.5, 3))
+        u_n = actuation_from_commands(vp2, delta_w=rng.uniform(0, 1),
+                                      delta_plr=rng.uniform(0.2, 0.9))
+        res = daisy_chain_allocate(rng.uniform(-0.6, 0.6, 3), state, u_n, vp2)
+        applied = apply_actuator_rates(res.commanded, res.commanded, 0.004, vp2)
+        v_a_body = state.R_IB.T @ state.v
+        m_n = body_wrench(v_a_body, state.omega, u_n, vp2)[0].moment
+        m_applied = body_wrench(v_a_body, state.omega, applied, vp2)[0].moment
+        assert np.abs(m_applied - (m_n + res.allocated)).max() < 1e-9
 
 
 def test_allocation_respects_ranges(vp):

@@ -1,6 +1,9 @@
 import numpy as np
+import yaml
 
 from tiltwing import cli
+from tiltwing.trim import load_trim_map
+from tiltwing.vehicle import DEFAULT_CONFIG, vehicle_to_dict
 
 
 def test_check_all_pass(capsys):
@@ -41,3 +44,69 @@ def test_model_eval_accepts_wind(capsys, tmp_path):
     calm = _model_eval(capsys, tmp_path, cmds)["TOTAL"]
     windy = _model_eval(capsys, tmp_path, cmds + "wind: [1, 0, 0]\n")["TOTAL"]
     assert not np.allclose(calm, windy)
+
+
+def test_config_validate(capsys, tmp_path, vp):
+    assert cli.main(["config", "validate", str(DEFAULT_CONFIG)]) == 0
+    assert capsys.readouterr().out.startswith("OK: ")
+    raw = vehicle_to_dict(vp)
+    raw["mass"] = -1.0
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(yaml.safe_dump(raw))
+    assert cli.main(["config", "validate", str(broken)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: mass must be > 0")
+
+
+def test_trim_query_inside_and_outside_hull(capsys, committed_map_path):
+    assert cli.main(["trim", "query", "--map", str(committed_map_path),
+                     "--va", "6.0", "--gamma", "0.02"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line.split()[0] for line in out.splitlines()[1:]] == [
+        "delta_w", "delta_plr", "delta_al", "delta_e", "delta_pt", "theta_t"]
+    assert cli.main(["trim", "query", "--map", str(committed_map_path),
+                     "--va", "40.0", "--gamma", "0.0"]) == 0
+    assert "WARNING: query outside grid hull" in capsys.readouterr().err
+
+
+def test_trim_build_one_cell(capsys, tmp_path):
+    out = tmp_path / "map.csv"
+    assert cli.main(["trim", "build", "--out", str(out), "--va-max", "0",
+                     "--gamma-max-deg", "0"]) == 0
+    assert "built 1x1 map: 1/1 feasible" in capsys.readouterr().out
+    tmap = load_trim_map(out)
+    assert tmap.points[0][0].feasible
+
+
+def _scenario_file(tmp_path, initial: str) -> str:
+    path = tmp_path / "scenario.yaml"
+    path.write_text("name: short\nmode: open_loop\nduration: 0.1\n"
+                    f"initial: {initial}\n")
+    return str(path)
+
+
+def test_sim_run_then_report(capsys, tmp_path):
+    scenario = _scenario_file(
+        tmp_path, "{position: [0, 0, -20], wing_tilt: 1.0, main_throttle: 0.78}")
+    log = tmp_path / "log.csv"
+    assert cli.main(["sim", "run", "--scenario", scenario,
+                     "--out", str(log)]) == 0
+    assert capsys.readouterr().out.endswith("25 ticks -> " + str(log) + " (ok)\n")
+    prefix = tmp_path / "report"
+    assert cli.main(["report", "--log", str(log), "--scenario", scenario,
+                     "--out", str(prefix)]) == 0
+    metrics = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(metrics["rows"]) == 25.0
+    assert float(metrics["fault"]) == 0.0
+    assert prefix.with_suffix(".csv").read_text().startswith("metric,value\n")
+    assert prefix.with_suffix(".txt").read_text().startswith("scenario: short\n")
+
+
+def test_sim_run_fault_exits_1(capsys, tmp_path):
+    scenario = _scenario_file(tmp_path, "{velocity: [1.0e160, 0, 0]}")
+    assert cli.main(["sim", "run", "--scenario", scenario,
+                     "--out", str(tmp_path / "log.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert "0 ticks" in out
+    assert "FAULT at t=0.000 s: non-finite aerodynamic wrench" in out
+    assert "Traceback" not in err

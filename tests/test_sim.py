@@ -1,6 +1,13 @@
 import numpy as np
+import pytest
 
-from tiltwing.sim import SIM_RATE, run_scenario, scenario_from_dict
+from tiltwing.sim import (SIM_RATE, initial_state_and_actuation, run_scenario,
+                          scenario_from_dict)
+from tiltwing.trim import load_trim_map
+from tiltwing.vehicle import ACTUATOR_ORDER
+
+POSITION_COLUMNS = ("zeta_w", "eta_pl", "eta_pr", "eta_pt", "zeta_al",
+                    "zeta_ar", "zeta_e", "zeta_r", "zeta_tt")
 
 
 def test_attitude_run_with_wind_step_logs_source_groups(vp):
@@ -21,3 +28,56 @@ def test_attitude_run_with_wind_step_logs_source_groups(vp):
               + log.column("f_fuselage_z"))
     scale = max(np.abs(f_z).max(), 1.0)
     assert np.abs(groups - f_z).max() < 1e-9 * scale
+
+
+def test_open_loop_holds_initial_actuation(vp):
+    sc = scenario_from_dict({
+        "name": "hold", "mode": "open_loop", "duration": 0.1,
+        "initial": {"position": [0.0, 0.0, -20.0], "wing_tilt": 0.6,
+                    "main_throttle": 0.7, "tail_throttle": 0.2,
+                    "aileron_left": 0.1, "aileron_right": -0.1,
+                    "elevator": 0.3, "rudder": -0.2, "tail_tilt": 0.15},
+    })
+    log = run_scenario(sc, vp)
+    assert log.fault is None
+    assert log.rows.shape[0] == round(sc.duration * SIM_RATE)
+    _, act0 = initial_state_and_actuation(sc, vp)
+    for name, col in zip(ACTUATOR_ORDER, POSITION_COLUMNS):
+        assert np.all(log.column(f"cmd_{name}") == getattr(act0, f"delta_{name}"))
+        assert np.all(log.column(col) == act0.position(name, vp))
+    # the vehicle is not trimmed, so the held actuation moves it
+    assert np.abs(log.column("vx")[-1]) > 0.0
+
+
+def test_cruise_run_on_committed_map(vp, committed_map_path):
+    tmap = load_trim_map(committed_map_path)
+    sc = scenario_from_dict({
+        "name": "cruise_start", "mode": "cruise", "duration": 0.2,
+        "initial": {"position": [0.0, 0.0, -30.0], "wing_tilt": 1.0,
+                    "main_throttle": 0.78},
+        "timeline": [{"t": 0.0, "vax": 2.0, "vaz": 0.0}],
+    })
+    log = run_scenario(sc, vp, tmap)
+    assert log.fault is None
+    assert log.rows.shape[0] == round(sc.duration * SIM_RATE)
+    # the lookup velocity is the setpoint, well inside the band around hover
+    assert np.allclose(log.column("vlu_x"), 2.0, atol=1e-12)
+    # the feed-forward wing tilt is the commanded one
+    assert np.array_equal(log.column("cmd_w"), log.column("trim_dw"))
+    # cruise updates at 50 Hz: its outputs hold for 5 ticks
+    fc = log.column("fc_x").reshape(-1, 5)
+    assert np.all(fc == fc[:, :1])
+
+
+@pytest.mark.parametrize("mode", ["open_loop", "attitude"])
+def test_fault_outside_integrator_is_recorded(vp, mode):
+    """A wrench that overflows at t = 0 ends the run with a recorded fault:
+    in the log wrench (open loop) or the nominal moment (attitude)."""
+    sc = scenario_from_dict({
+        "name": "overflow", "mode": mode, "duration": 0.1,
+        "initial": {"velocity": [1.0e160, 0.0, 0.0], "wing_tilt": 1.0,
+                    "main_throttle": 0.5},
+    })
+    log = run_scenario(sc, vp)
+    assert log.fault == "t=0.000 s: non-finite aerodynamic wrench"
+    assert log.rows.shape[0] == 0

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from scipy.optimize import fsolve
 from tiltwing.aero import body_wrench
 from tiltwing.trim import (TrimError, TrimMap, TrimPoint, TrimWeights, build_trim_map,
                            hover_initial_guess, load_trim_map, lookup_trim,
-                           save_trim_map, solve_trim_point, theta_star,
-                           trim_accelerations, trim_actuation, trim_cost,
-                           trim_residual)
+                           save_trim_map, shaft_power, solve_trim_point,
+                           theta_star, trim_accelerations, trim_actuation,
+                           trim_cost, trim_residual)
 
 
 def exact_hover_trim(vp):
@@ -324,9 +323,8 @@ def test_csv_roundtrip_keeps_every_weight(tmp_path):
     assert _same_points(m2, tmap)
 
 
-def test_committed_map_with_old_header_loads(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "coarse_map.csv"
-    m = load_trim_map(path)
+def test_committed_map_with_old_header_loads(tmp_path, committed_map_path):
+    m = load_trim_map(committed_map_path)
     assert (m.va_axis.size, m.gamma_axis.size) == (6, 5)
     assert m.weights == TrimWeights()
     assert m.points[0][2].u[0] == 1.0
@@ -334,3 +332,17 @@ def test_committed_map_with_old_header_loads(tmp_path):
     m2 = load_trim_map(tmp_path / "map.csv")
     assert m2.weights == m.weights
     assert _same_points(m2, m)
+
+
+def test_trim_positions_use_each_main_travel(vp_uneven_mains):
+    """Both mains take the same throttle command; each turns at that
+    fraction of its own top speed, and the power proxy sees those speeds."""
+    vp2 = vp_uneven_mains
+    u = np.array([1.0, 0.6, 0.0, 0.0, 0.1])
+    act = trim_actuation(vp2, u)
+    speeds = {"pl": 0.6 * 220.0, "pr": 0.6 * 200.0, "pt": 0.1 * 200.0}
+    for name, eta in speeds.items():
+        assert act.position(name, vp2) == pytest.approx(eta, rel=1e-15)
+    power = sum(vp2.rho * speeds[p.name] ** 3 * p.diameter ** 5 * p.cq0
+                for p in vp2.propellers)
+    assert shaft_power(vp2, u) == pytest.approx(power, rel=1e-12)

@@ -111,9 +111,10 @@ def test_other_actuators_immediate(vp):
     cur = actuation_from_commands(vp)
     cmd = actuation_from_commands(vp, delta_plr=0.5, delta_e=0.3, delta_tt=-0.7)
     out = apply_actuator_rates(cur, cmd, 1e-4, vp)
-    assert out.eta_pl == 0.5 * vp.actuators["pl"].travel
-    assert out.zeta_e == 0.3 * vp.actuators["e"].travel
-    assert out.zeta_tt == -0.7 * vp.actuators["tt"].travel
+    assert out.position("pl", vp) == 0.5 * vp.actuators["pl"].travel
+    assert out.position("pr", vp) == 0.5 * vp.actuators["pr"].travel
+    assert out.position("e", vp) == 0.3 * vp.actuators["e"].travel
+    assert out.position("tt", vp) == -0.7 * vp.actuators["tt"].travel
 
 
 def test_commands_clamped(vp):
