@@ -34,6 +34,8 @@ from .vehicle import ActuatorSet, VehicleParams
 _EPS_GAIN = 1e-9        # minimum actuator authority worth engaging [N m / unit]
 _EPS_DEMAND = 1e-9      # moment demand treated as already met [N m]
 _EPS_TAIL_THRUST = 1e-7  # minimum tail thrust demand worth engaging [N]
+PASSES = 6              # chain passes over the remaining full-model residual
+W_ROLL, W_YAW = 2.0, 1.0  # wing-group QP weights on roll and yaw error
 
 
 @dataclass
@@ -58,11 +60,8 @@ class AttitudeGains:
 class AttitudeController:
     """Holds the rate-loop integrator; one instance per simulated vehicle."""
 
-    def __init__(self, gains: AttitudeGains | None = None):
-        self.gains = gains or AttitudeGains()
-        self.reset()
-
-    def reset(self) -> None:
+    def __init__(self):
+        self.gains = AttitudeGains()
         self._integral = np.zeros(3)
         self._prev_rate_err = None
 
@@ -220,8 +219,7 @@ def block3_objective(a: float, d: float, l_target: float, n_target: float,
 
 def solve_block3(l_target: float, n_target: float, gain_ail: np.ndarray,
                  gain_thr: np.ndarray, a_box: tuple[float, float],
-                 d_box: tuple[float, float], w_roll: float = 2.0,
-                 w_yaw: float = 1.0) -> tuple[float, float]:
+                 d_box: tuple[float, float]) -> tuple[float, float]:
     """Exact minimizer of the wing-group QP over its box constraints.
 
     Enumerates the unconstrained stationary point, the four edges (1-D
@@ -230,7 +228,7 @@ def solve_block3(l_target: float, n_target: float, gain_ail: np.ndarray,
     global box-constrained minimum.
     """
     G = np.array([[gain_ail[0], gain_thr[0]], [gain_ail[2], gain_thr[2]]])
-    W = np.diag([w_roll, w_yaw])
+    W = np.diag([W_ROLL, W_YAW])
     H = G.T @ W @ G
     rhs = G.T @ W @ np.array([l_target, n_target])
     (a_lo, a_hi), (d_lo, d_hi) = a_box, d_box
@@ -260,7 +258,7 @@ def solve_block3(l_target: float, n_target: float, gain_ail: np.ndarray,
         a = min(max(a, a_lo), a_hi)
         d = min(max(d, d_lo), d_hi)
         val = block3_objective(a, d, l_target, n_target, gain_ail, gain_thr,
-                               w_roll, w_yaw)
+                               W_ROLL, W_YAW)
         if val < best_val - 1e-15:
             best, best_val = (a, d), val
     return best
@@ -290,14 +288,15 @@ def _apply_surface(act: ActuatorSet, vp: VehicleParams, name: str,
 
 
 def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
-                         vp: VehicleParams, wind: np.ndarray | None = None,
-                         passes: int = 6) -> AllocationResult:
+                         vp: VehicleParams,
+                         wind: np.ndarray | None = None) -> AllocationResult:
     """Distribute M_act over the redundant effectors.
 
     Chain order: pitch via elevator, yaw via rudder, then the wing group
     (roll/yaw QP), then the tail group (pitch strictly before yaw). The
-    chain is re-run on the remaining full-model residual for a few passes
-    so that unsaturated demands converge on the exact model.
+    chain is re-run on the remaining full-model residual for up to
+    ``PASSES`` passes so that unsaturated demands converge on the exact
+    model.
     """
     v_air = state.v if wind is None else state.v - np.asarray(wind, dtype=float)
     v_a_body = state.R_IB.T @ v_air
@@ -322,7 +321,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     pt = vp.propellers[i_pt]
 
     demand_scale = max(float(np.abs(M_act).max()), 1e-3)
-    for _ in range(passes):
+    for _ in range(PASSES):
         if np.abs(target - M_cur).max() < 1e-9 * demand_scale:
             break
         # block 1: elevator takes the pitch demand

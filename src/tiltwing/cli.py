@@ -33,20 +33,10 @@ def cmd_config_validate(args) -> int:
     return 0
 
 
-def _state_from_file(path: str) -> RigidBodyState:
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    att = [math.radians(a) for a in raw.get("attitude_deg", [0.0, 0.0, 0.0])]
-    return RigidBodyState(
-        x=np.asarray(raw.get("position", [0.0, 0.0, 0.0]), dtype=float),
-        v=np.asarray(raw.get("velocity", [0.0, 0.0, 0.0]), dtype=float),
-        R_IB=euler_zyx_to_matrix(*att),
-        omega=np.asarray(raw.get("omega", [0.0, 0.0, 0.0]), dtype=float),
-    )
-
-
 def cmd_model_eval(args) -> int:
     vp = _load_vehicle(args.vehicle)
-    state = _state_from_file(args.state)
+    state = sim.state_from_dict(
+        yaml.safe_load(Path(args.state).read_text(encoding="utf-8")) or {})
     araw = yaml.safe_load(Path(args.actuators).read_text(encoding="utf-8")) or {}
     wind = araw.pop("wind", None)
     act = actuation_from_commands(vp, **{f"delta_{k}": float(v)
@@ -66,6 +56,10 @@ def cmd_model_eval(args) -> int:
 
 
 def cmd_trim_build(args) -> int:
+    if not (args.va_step > 0.0 and args.gamma_step_deg > 0.0):
+        raise trim.TrimError("grid steps must be > 0")
+    if not (args.va_max >= 0.0 and args.gamma_max_deg >= 0.0):
+        raise trim.TrimError("grid maxima must be >= 0")
     vp = _load_vehicle(args.vehicle)
     va_axis = np.arange(0.0, args.va_max + 1e-9, args.va_step)
     gamma_axis = np.radians(np.arange(-args.gamma_max_deg,

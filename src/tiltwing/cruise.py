@@ -191,9 +191,6 @@ class CruiseController:
 
     def __init__(self, cfg: CruiseConfig | None = None):
         self.cfg = cfg or CruiseConfig()
-        self.reset()
-
-    def reset(self) -> None:
         self._integral = np.zeros(2)
         self._prev_err = None
 

@@ -1,30 +1,22 @@
 """Bound-constrained Levenberg-Marquardt for small dense problems.
 
 Minimizes 0.5 * ||r(x)||^2 subject to box bounds. Jacobians are numerical
-(central differences). Steps are damped Gauss-Newton solves projected onto
-the box; the damping parameter adapts on the gain ratio between actual and
-predicted reduction.
-
-Parameters
-----------
-fun : callable
-    Residual vector function r(x) -> (m,) array.
-x0 : array_like
-    Start point, projected into the bounds.
-lb, ub : array_like
-    Lower/upper bounds (may be +-inf).
-rel_step : float
-    Relative central-difference step (default 1e-6).
-step_tol : float
-    Convergence on the step norm.
-grad_tol : float
-    Convergence on the inf-norm of the projected gradient.
+(central differences with relative step ``REL_STEP``). Steps are damped
+Gauss-Newton solves projected onto the box; the damping parameter adapts on
+the gain ratio between actual and predicted reduction. The solve stops as
+converged when the projected gradient's inf-norm falls below ``GRAD_TOL``
+or the step norm below ``STEP_TOL``, and unconverged after ``max_iter``
+iterations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+REL_STEP = 1e-6      # relative central-difference step
+STEP_TOL = 1e-10     # convergence on the step norm
+GRAD_TOL = 1e-8      # convergence on the projected gradient's inf-norm
 
 
 @dataclass
@@ -39,7 +31,7 @@ class LeastSquaresResult:
     message: str
 
 
-def numerical_jacobian(fun, x: np.ndarray, rel_step: float = 1e-6,
+def numerical_jacobian(fun, x: np.ndarray,
                        r0: np.ndarray | None = None) -> np.ndarray:
     """Central-difference Jacobian of a residual function."""
     x = np.asarray(x, dtype=float)
@@ -48,7 +40,7 @@ def numerical_jacobian(fun, x: np.ndarray, rel_step: float = 1e-6,
     m, n = r0.size, x.size
     J = np.empty((m, n))
     for j in range(n):
-        h = rel_step * max(abs(x[j]), 1.0)
+        h = REL_STEP * max(abs(x[j]), 1.0)
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -58,18 +50,17 @@ def numerical_jacobian(fun, x: np.ndarray, rel_step: float = 1e-6,
 
 
 def projected_gradient(g: np.ndarray, x: np.ndarray, lb: np.ndarray,
-                       ub: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+                       ub: np.ndarray) -> np.ndarray:
     """Gradient with components pointing out of active bounds zeroed."""
     pg = g.copy()
-    at_lo = x <= lb + tol
-    at_hi = x >= ub - tol
+    at_lo = x <= lb + 1e-12
+    at_hi = x >= ub - 1e-12
     pg[at_lo & (g > 0.0)] = 0.0
     pg[at_hi & (g < 0.0)] = 0.0
     return pg
 
 
-def least_squares_lm(fun, x0, lb=None, ub=None, rel_step: float = 1e-6,
-                     step_tol: float = 1e-10, grad_tol: float = 1e-8,
+def least_squares_lm(fun, x0, lb=None, ub=None,
                      max_iter: int = 100) -> LeastSquaresResult:
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -88,7 +79,7 @@ def least_squares_lm(fun, x0, lb=None, ub=None, rel_step: float = 1e-6,
 
     r = evaluate(x)
     cost = 0.5 * float(r @ r)
-    J = numerical_jacobian(fun, x, rel_step, r)
+    J = numerical_jacobian(fun, x, r)
     n_fev += 2 * n
     g = J.T @ r
     mu = 1e-3 * max(float(np.max(np.sum(J * J, axis=0))), 1e-12)
@@ -98,7 +89,7 @@ def least_squares_lm(fun, x0, lb=None, ub=None, rel_step: float = 1e-6,
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         pg = projected_gradient(g, x, lb, ub)
-        if np.max(np.abs(pg)) < grad_tol:
+        if np.max(np.abs(pg)) < GRAD_TOL:
             converged, message = True, "projected gradient below tolerance"
             break
 
@@ -121,7 +112,7 @@ def least_squares_lm(fun, x0, lb=None, ub=None, rel_step: float = 1e-6,
 
         x_new = np.clip(x + step, lb, ub)
         actual_step = x_new - x
-        if np.linalg.norm(actual_step) < step_tol:
+        if np.linalg.norm(actual_step) < STEP_TOL:
             converged, message = True, "step below tolerance"
             break
 
@@ -133,7 +124,7 @@ def least_squares_lm(fun, x0, lb=None, ub=None, rel_step: float = 1e-6,
 
         if cost_new < cost:
             x, r, cost = x_new, r_new, cost_new
-            J = numerical_jacobian(fun, x, rel_step, r)
+            J = numerical_jacobian(fun, x, r)
             n_fev += 2 * n
             g = J.T @ r
             mu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) if rho > 0 \

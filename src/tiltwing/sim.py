@@ -16,10 +16,10 @@ import numpy as np
 import yaml
 
 from . import aero
-from .attitude import (AttitudeController, AttitudeGains, AttitudeSetpoint,
+from .attitude import (AttitudeController, AttitudeSetpoint,
                        daisy_chain_allocate, dynamic_inversion,
                        nominal_moment_estimate)
-from .cruise import CruiseConfig, CruiseController, CruiseSetpoint
+from .cruise import CruiseController, CruiseSetpoint
 from .dynamics import IntegrationFault, RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap
@@ -29,6 +29,7 @@ from .vehicle import (ACTUATOR_ORDER, ActuatorSet, VehicleParams,
 
 SIM_RATE = 250.0           # Hz, dynamics and attitude
 CRUISE_DIVIDER = 5         # cruise runs every 5th tick (50 Hz)
+STEADY_AFTER = 3.0         # s after a setpoint change before a sample is steady
 
 SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
 
@@ -158,16 +159,22 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def state_from_dict(raw: dict) -> RigidBodyState:
+    """Rigid-body state from the keys ``position``, ``velocity``,
+    ``attitude_deg`` (roll, pitch, yaw) and ``omega``; missing keys are 0."""
+    att = [math.radians(a) for a in raw.get("attitude_deg", [0.0, 0.0, 0.0])]
+    return RigidBodyState(
+        x=np.asarray(raw.get("position", [0.0, 0.0, 0.0]), dtype=float),
+        v=np.asarray(raw.get("velocity", [0.0, 0.0, 0.0]), dtype=float),
+        R_IB=euler_zyx_to_matrix(*att),
+        omega=np.asarray(raw.get("omega", [0.0, 0.0, 0.0]), dtype=float),
+    )
+
+
 def initial_state_and_actuation(sc: Scenario,
                                 vp: VehicleParams) -> tuple[RigidBodyState, ActuatorSet]:
     init = sc.initial
-    att = [math.radians(a) for a in init.get("attitude_deg", [0.0, 0.0, 0.0])]
-    state = RigidBodyState(
-        x=np.asarray(init.get("position", [0.0, 0.0, 0.0]), dtype=float),
-        v=np.asarray(init.get("velocity", [0.0, 0.0, 0.0]), dtype=float),
-        R_IB=euler_zyx_to_matrix(*att),
-        omega=np.asarray(init.get("omega", [0.0, 0.0, 0.0]), dtype=float),
-    )
+    state = state_from_dict(init)
     act = actuation_from_commands(
         vp,
         delta_w=float(init.get("wing_tilt", 0.0)),
@@ -242,17 +249,17 @@ class RunLog:
                 rows.append([float(tok) for tok in line.split(",")])
         if columns is None:
             raise ScenarioError(f"no header in log {path}")
-        return cls(columns=columns, rows=np.asarray(rows, dtype=float),
-                   scenario=scenario, fault=fault)
+        arr = np.array(rows, dtype=float) if rows \
+            else np.empty((0, len(columns)))
+        return cls(columns=columns, rows=arr, scenario=scenario, fault=fault)
 
 
 # ---------------------------------------------------------------------------
 # Scenario execution
 # ---------------------------------------------------------------------------
 
-def run_scenario(sc: Scenario, vp: VehicleParams, tmap: TrimMap | None = None,
-                 att_gains: AttitudeGains | None = None,
-                 cruise_cfg: CruiseConfig | None = None) -> RunLog:
+def run_scenario(sc: Scenario, vp: VehicleParams,
+                 tmap: TrimMap | None = None) -> RunLog:
     """Deterministic fixed-rate closed-loop run; one log row per tick.
 
     A non-finite wrench or state anywhere in a tick ends the run; the log
@@ -263,8 +270,8 @@ def run_scenario(sc: Scenario, vp: VehicleParams, tmap: TrimMap | None = None,
     dt = 1.0 / SIM_RATE
     n_ticks = int(round(sc.duration * SIM_RATE))
     state, act = initial_state_and_actuation(sc, vp)
-    att = AttitudeController(att_gains)
-    cc = CruiseController(cruise_cfg)
+    att = AttitudeController()
+    cc = CruiseController()
     hold_cmd = act.copy()
 
     cruise_out = None
@@ -357,18 +364,18 @@ def _percentile(values: np.ndarray, q: float) -> float:
 
 
 def _settling(t: np.ndarray, err: np.ndarray, band: float) -> float:
-    """Time after which |err| stays within the band (nan if never)."""
+    """Time after t[0] from which |err| stays within the band (nan if
+    never)."""
     outside = np.abs(err) > band
     if not outside.any():
-        return float(t[0])
+        return 0.0
     last_out = np.flatnonzero(outside)[-1]
     if last_out == len(t) - 1:
         return math.nan
     return float(t[last_out + 1] - t[0])
 
 
-def compute_metrics(log: RunLog, sc: Scenario | None = None,
-                    steady_after: float = 3.0) -> dict[str, float]:
+def compute_metrics(log: RunLog, sc: Scenario | None = None) -> dict[str, float]:
     """Tracking, altitude, settling, and feed-forward share metrics."""
     t = log.column("t")
     metrics: dict[str, float] = {
@@ -398,7 +405,7 @@ def compute_metrics(log: RunLog, sc: Scenario | None = None,
 
     if sc is not None and sc.mode != "open_loop":
         since_change = np.array([tt - sc.last_setpoint_change_before(tt) for tt in t])
-        steady = since_change >= steady_after
+        steady = since_change >= STEADY_AFTER
         cmd = log.column("cmd_pl")
         trim = log.column("trim_dplr")
         mask = steady & np.isfinite(trim) & (cmd > 0.05)
@@ -414,7 +421,6 @@ def compute_metrics(log: RunLog, sc: Scenario | None = None,
             err = log.column("roll")[k0:] - sp_roll[k0:]
             metrics["roll_step_settle_s"] = _settling(
                 t[k0:], err, 0.1 * abs(step) + math.radians(0.5))
-            overshoot = np.max(np.sign(step) * -err) if step else 0.0
             peak = np.max(np.sign(step) * (log.column("roll")[k0:] - sp_roll[changes[-1]]))
             metrics["roll_step_overshoot_frac"] = float(
                 max(peak - abs(step), 0.0) / abs(step)) if step else 0.0

@@ -33,6 +33,9 @@ U_HI = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
 # LM iteration cap shared by point solves and map builds, so that a map
 # cell and the point solve from the same guess stop at the same iterate.
 MAX_ITER = 60
+COST_TOL = 1e-9      # cost drop that counts as a map-cell improvement
+MAX_SWEEPS = 20      # map sweeps before the build stops
+REVISIT_TOL = 1e-4   # neighbour move that triggers a re-solve from it
 
 CSV_HEADER = "va,gamma,feasible,theta_t,delta_w,delta_plr,delta_al,delta_e,delta_pt,cost,res_v,res_th"
 
@@ -180,8 +183,7 @@ def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
 
 def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
                      vp: VehicleParams, w: TrimWeights | None = None,
-                     neighbors: list[np.ndarray] | None = None,
-                     max_iter: int = MAX_ITER) -> TrimPoint:
+                     neighbors: list[np.ndarray] | None = None) -> TrimPoint:
     """Solve one operating point from an initial guess z = (u, theta)."""
     w = w or TrimWeights()
     th_star = theta_star(v_a, gamma, w)
@@ -193,7 +195,7 @@ def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
                              neighbors=neighbors, th_star=th_star)
 
     res = least_squares_lm(residual, np.asarray(ig, dtype=float), lb, ub,
-                           max_iter=max_iter)
+                           max_iter=MAX_ITER)
     u, theta = res.x[:5], float(res.x[5])
     v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp)
     res_v = float(np.linalg.norm(v_dot))
@@ -218,21 +220,12 @@ def hover_initial_guess(vp: VehicleParams) -> np.ndarray:
 # Trim map
 # ---------------------------------------------------------------------------
 
-def default_grid() -> tuple[np.ndarray, np.ndarray]:
-    va = np.arange(0.0, 25.0 + 1e-9, 1.0)
-    gamma = np.radians(np.arange(-30.0, 30.0 + 1e-9, 5.0))
-    return va, gamma
-
-
 @dataclass
 class TrimMap:
     va_axis: np.ndarray
     gamma_axis: np.ndarray
     points: list[list[TrimPoint]]        # indexed [i_va][j_gamma]
     weights: TrimWeights = field(default_factory=TrimWeights)
-
-    def point(self, i: int, j: int) -> TrimPoint:
-        return self.points[i][j]
 
     @property
     def n_feasible(self) -> int:
@@ -256,42 +249,39 @@ def _neighbor_cells(i: int, j: int, nv: int, ng: int):
                 yield ni, nj
 
 
-def _better(new: TrimPoint, old: TrimPoint | None, tol: float) -> bool:
+def _better(new: TrimPoint, old: TrimPoint | None) -> bool:
     if old is None:
         return True
     if new.feasible != old.feasible:
         return new.feasible
     if new.feasible:
-        return new.cost < old.cost - tol
+        return new.cost < old.cost - COST_TOL
     return math.hypot(new.res_v, new.res_theta) \
-        < math.hypot(old.res_v, old.res_theta) - tol
+        < math.hypot(old.res_v, old.res_theta) - COST_TOL
 
 
-def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None,
-                   va_axis: np.ndarray | None = None,
-                   gamma_axis: np.ndarray | None = None,
-                   seed: tuple[float, float, np.ndarray] | None = None,
-                   cost_tol: float = 1e-9, max_sweeps: int = 20,
-                   max_iter: int = MAX_ITER,
-                   revisit_tol: float = 1e-4) -> TrimMap:
+def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None, *,
+                   va_axis: np.ndarray, gamma_axis: np.ndarray,
+                   seed: tuple[float, float, np.ndarray] | None = None) -> TrimMap:
     """Sweep the grid until a fixed point of the neighbor-seeded solves.
 
     Every cell is solved once per available feasible neighbor solution used
-    as initial guess; the lowest-cost feasible solution is kept and
-    improvements trigger revisits of the neighbors. A neighbor triggers a
-    revisit only when its solution has moved by more than ``revisit_tol``
-    in some actuation component since it was last tried; the weak neighbor
-    coupling in the cost otherwise keeps circulating improvements far below
-    any useful resolution and the sweep would take unbounded time to reach
-    the ``cost_tol`` fixed point.
+    as initial guess (each solve capped at ``MAX_ITER`` LM iterations); the
+    lowest-cost feasible solution is kept, a cell counts as improved when
+    it turns feasible or its cost (its residual norm, while infeasible)
+    drops by more than ``COST_TOL``, and improvements trigger revisits of
+    the neighbors. A neighbor triggers a revisit only when its
+    solution has moved by more than ``REVISIT_TOL`` in some actuation
+    component since it was last tried; the weak neighbor coupling in the
+    cost otherwise keeps circulating improvements far below any useful
+    resolution. The build stops after a sweep that improves no cell, or
+    after ``MAX_SWEEPS`` sweeps.
     """
     w = w or TrimWeights()
-    if va_axis is None or gamma_axis is None:
-        dva, dga = default_grid()
-        va_axis = dva if va_axis is None else np.asarray(va_axis, dtype=float)
-        gamma_axis = dga if gamma_axis is None else np.asarray(gamma_axis, dtype=float)
     va_axis = np.asarray(va_axis, dtype=float)
     gamma_axis = np.asarray(gamma_axis, dtype=float)
+    if va_axis.size == 0 or gamma_axis.size == 0:
+        raise TrimError("grid axes must not be empty")
     if np.any(np.diff(va_axis) <= 0.0) or np.any(np.diff(gamma_axis) <= 0.0):
         raise TrimError("grid axes must be strictly increasing")
     nv, ng = va_axis.size, gamma_axis.size
@@ -330,7 +320,7 @@ def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None,
         ctx = [points[ni][nj].z for ni, nj in _neighbor_cells(i, j, nv, ng)
                if points[ni][nj] is not None and points[ni][nj].feasible]
         return solve_trim_point(float(va_axis[i]), float(gamma_axis[j]), ig,
-                                vp, w, neighbors=ctx or None, max_iter=max_iter)
+                                vp, w, neighbors=ctx or None)
 
     first = solve_cell(si, sj, np.asarray(seed_ig, dtype=float))
     if not first.feasible:
@@ -340,7 +330,7 @@ def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None,
     points[si][sj] = first
     mirror_hover()
 
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         changed = 0
         solves = 0
         for i in range(nv):
@@ -354,12 +344,12 @@ def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None,
                     key = (i, j, ni, nj)
                     last = tried.get(key)
                     if last is not None \
-                            and np.abs(src.z - last).max() <= revisit_tol:
+                            and np.abs(src.z - last).max() <= REVISIT_TOL:
                         continue
                     tried[key] = src.z
                     cand = solve_cell(i, j, src.z)
                     solves += 1
-                    if _better(cand, points[i][j], cost_tol):
+                    if _better(cand, points[i][j]):
                         points[i][j] = cand
                         changed += 1
                         if i == hover_col and j == hover_j:
@@ -379,6 +369,15 @@ def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None,
                    points=points, weights=w)
 
 
+def _bracket(ax: np.ndarray, q: float) -> tuple[int, int, float]:
+    """Lower and upper node of the interval holding q, and the weight of
+    the upper one; a one-node axis gives its missing neighbour weight 0."""
+    if ax.size == 1:
+        return 0, 0, 0.0
+    i = int(np.clip(np.searchsorted(ax, q) - 1, 0, ax.size - 2))
+    return i, i + 1, (q - ax[i]) / (ax[i + 1] - ax[i])
+
+
 def lookup_trim(tmap: TrimMap, v_a: float, gamma: float) -> TrimLookup:
     """Bilinear interpolation over the four enclosing cells.
 
@@ -390,13 +389,10 @@ def lookup_trim(tmap: TrimMap, v_a: float, gamma: float) -> TrimLookup:
     vq = float(np.clip(v_a, va_ax[0], va_ax[-1]))
     gq = float(np.clip(gamma, ga_ax[0], ga_ax[-1]))
 
-    i = int(np.clip(np.searchsorted(va_ax, vq) - 1, 0, va_ax.size - 2))
-    j = int(np.clip(np.searchsorted(ga_ax, gq) - 1, 0, ga_ax.size - 2))
-    tx = (vq - va_ax[i]) / (va_ax[i + 1] - va_ax[i])
-    ty = (gq - ga_ax[j]) / (ga_ax[j + 1] - ga_ax[j])
-
-    corners = [tmap.points[i][j], tmap.points[i + 1][j],
-               tmap.points[i][j + 1], tmap.points[i + 1][j + 1]]
+    i, i1, tx = _bracket(va_ax, vq)
+    j, j1, ty = _bracket(ga_ax, gq)
+    corners = [tmap.points[i][j], tmap.points[i1][j],
+               tmap.points[i][j1], tmap.points[i1][j1]]
     if all(p.feasible for p in corners):
         wgt = np.array([(1 - tx) * (1 - ty), tx * (1 - ty),
                         (1 - tx) * ty, tx * ty])
@@ -405,8 +401,8 @@ def lookup_trim(tmap: TrimMap, v_a: float, gamma: float) -> TrimLookup:
         return TrimLookup(u=u, theta=float(theta), clamped=clamped)
 
     # nearest feasible cell in grid-scaled distance, lexicographic tie-break
-    dva = float(np.mean(np.diff(va_ax)))
-    dga = float(np.mean(np.diff(ga_ax)))
+    dva = float(np.mean(np.diff(va_ax))) if va_ax.size > 1 else 1.0
+    dga = float(np.mean(np.diff(ga_ax))) if ga_ax.size > 1 else 1.0
     best = None
     best_d = math.inf
     for ii in range(va_ax.size):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -332,16 +332,13 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _angle(mapping: dict, base: str, where: str, required: bool = True,
-           default: float = 0.0) -> float:
-    """Read an angle given either as `<base>_rad` or `<base>_deg`."""
+def _angle(mapping: dict, base: str, where: str) -> float:
+    """Read a required angle given either as `<base>_rad` or `<base>_deg`."""
     if f"{base}_rad" in mapping:
         return float(mapping[f"{base}_rad"])
     if f"{base}_deg" in mapping:
         return math.radians(float(mapping[f"{base}_deg"]))
-    if required:
-        raise ConfigError(f"missing required field: {where}{base}_deg (or _rad)")
-    return default
+    raise ConfigError(f"missing required field: {where}{base}_deg (or _rad)")
 
 
 def _vec3(value, where: str) -> np.ndarray:
@@ -500,11 +497,6 @@ def vehicle_to_dict(vp: VehicleParams) -> dict:
         "fuselage": {"cd_x": vp.fuselage.cd_x, "cd_y": vp.fuselage.cd_y,
                      "cd_z": vp.fuselage.cd_z},
     }
-
-
-def save_vehicle_config(vp: VehicleParams, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        yaml.safe_dump(vehicle_to_dict(vp), f, sort_keys=False)
 
 
 def mirror_twin(vp: VehicleParams) -> VehicleParams:

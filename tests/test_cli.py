@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import yaml
 
 from tiltwing import cli
@@ -76,6 +77,16 @@ def test_trim_build_one_cell(capsys, tmp_path):
     assert "built 1x1 map: 1/1 feasible" in capsys.readouterr().out
     tmap = load_trim_map(out)
     assert tmap.points[0][0].feasible
+
+
+@pytest.mark.parametrize("grid", [
+    ["--va-step", "0"], ["--gamma-step-deg", "0"], ["--va-step", "-1"],
+    ["--va-max", "-1"], ["--gamma-max-deg", "-5"]])
+def test_trim_build_rejects_bad_grid(capsys, tmp_path, grid):
+    out = tmp_path / "map.csv"
+    assert cli.main(["trim", "build", "--out", str(out), *grid]) == 2
+    assert capsys.readouterr().err.startswith("error: grid ")
+    assert not out.exists()
 
 
 def _scenario_file(tmp_path, initial: str) -> str:

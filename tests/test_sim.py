@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tiltwing.sim import (SIM_RATE, initial_state_and_actuation, run_scenario,
+from tiltwing.sim import (LOG_COLUMNS, SIM_RATE, RunLog, compute_metrics,
+                          initial_state_and_actuation, run_scenario,
                           scenario_from_dict)
 from tiltwing.trim import load_trim_map
 from tiltwing.vehicle import ACTUATOR_ORDER
@@ -81,3 +82,32 @@ def test_fault_outside_integrator_is_recorded(vp, mode):
     log = run_scenario(sc, vp)
     assert log.fault == "t=0.000 s: non-finite aerodynamic wrench"
     assert log.rows.shape[0] == 0
+
+
+def test_roll_step_inside_band_settles_at_once():
+    """A roll step smaller than the settling band is settled from the step
+    on: its settling time is 0, not the step's time stamp."""
+    sc = scenario_from_dict({
+        "name": "tiny_step", "mode": "attitude", "duration": 1.0,
+        "timeline": [{"t": 0.0, "roll_deg": 0.0}, {"t": 0.5, "roll_deg": 0.3}],
+    })
+    n = round(sc.duration * SIM_RATE)
+    rows = np.zeros((n, len(LOG_COLUMNS)))
+    log = RunLog(columns=list(LOG_COLUMNS), rows=rows, scenario=sc.name)
+    t = np.arange(n) / SIM_RATE
+    rows[:, LOG_COLUMNS.index("t")] = t
+    sp_roll = np.array([np.radians(sc.setpoint_at(tt)["roll_deg"]) for tt in t])
+    rows[:, LOG_COLUMNS.index("sp_roll")] = sp_roll
+    rows[:, LOG_COLUMNS.index("roll")] = np.radians(0.3) * (t >= 0.6)
+    metrics = compute_metrics(log, sc)
+    assert metrics["roll_step_settle_s"] == 0.0
+
+
+def test_header_only_log_loads_with_all_columns(tmp_path):
+    path = tmp_path / "log.csv"
+    RunLog(columns=list(LOG_COLUMNS), rows=np.empty((0, len(LOG_COLUMNS))),
+           scenario="overflow", fault="t=0.000 s: boom").save(path)
+    log = RunLog.load(path)
+    assert log.rows.shape == (0, len(LOG_COLUMNS))
+    assert log.column("t").size == 0
+    assert log.fault == "t=0.000 s: boom"

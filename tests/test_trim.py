@@ -216,13 +216,19 @@ def test_infeasible_seed_aborts(vp):
     with pytest.raises(TrimError, match="seed"):
         build_trim_map(vp, w, va_axis=np.array([0.0]),
                        gamma_axis=np.array([0.0]),
-                       seed=(0.0, 0.0, bad_ig), max_iter=3)
+                       seed=(0.0, 0.0, bad_ig))
 
 
 def test_grid_axes_must_increase(vp):
     with pytest.raises(TrimError, match="increasing"):
         build_trim_map(vp, va_axis=np.array([1.0, 1.0]),
                        gamma_axis=np.array([0.0]))
+
+
+@pytest.mark.parametrize("va, gamma", [([], [0.0]), ([0.0], [])])
+def test_grid_axes_must_not_be_empty(vp, va, gamma):
+    with pytest.raises(TrimError, match="empty"):
+        build_trim_map(vp, va_axis=np.array(va), gamma_axis=np.array(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +267,37 @@ def test_lookup_outside_hull_clamps(coarse_map):
     assert lut.clamped
     edge = lookup_trim(coarse_map, float(coarse_map.va_axis[-1]), 0.0)
     assert np.allclose(lut.u, edge.u)
+
+
+def _node(va: float, ga: float, scale: float, feasible: bool = True) -> TrimPoint:
+    return TrimPoint(v_a=va, gamma=ga,
+                     u=scale * np.array([1.0, 0.7, 0.01, -0.02, 0.1]),
+                     theta=0.03 * scale, res_v=1e-3, res_theta=1e-4, cost=0.3,
+                     feasible=feasible)
+
+
+def test_lookup_one_node_map_returns_the_node():
+    p = _node(0.0, 0.0, 1.0)
+    tmap = TrimMap(va_axis=np.array([0.0]), gamma_axis=np.array([0.0]),
+                   points=[[p]])
+    lut = lookup_trim(tmap, 0.0, 0.0)
+    assert not lut.clamped
+    assert np.array_equal(lut.u, p.u)
+    assert lut.theta == p.theta
+
+
+def test_lookup_two_node_axis_with_one_node_axis():
+    a, b = _node(0.0, 0.0, 1.0), _node(4.0, 0.0, 0.5)
+    tmap = TrimMap(va_axis=np.array([0.0, 4.0]), gamma_axis=np.array([0.0]),
+                   points=[[a], [b]])
+    lut = lookup_trim(tmap, 2.0, 0.0)
+    assert not lut.clamped
+    assert np.allclose(lut.u, 0.5 * (a.u + b.u), rtol=1e-15, atol=0.0)
+    assert lut.theta == pytest.approx(0.5 * (a.theta + b.theta), rel=1e-15)
+    # an infeasible node falls back to the nearest feasible one
+    b.feasible = False
+    lut = lookup_trim(tmap, 3.0, 0.0)
+    assert np.array_equal(lut.u, a.u)
 
 
 def test_lookup_infeasible_corner_falls_back(coarse_map):
