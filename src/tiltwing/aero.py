@@ -320,9 +320,15 @@ class _SegmentArrays:
         self.slip = np.array([prop_index.get(s.slipstream, -1) for s in segs])
         self.bound_rows = np.flatnonzero(self.slip >= 0)
         self.bound_prop = self.slip[self.bound_rows]
-        # (row, actuator name, gain) of every segment bound to a surface
-        self.ctrl_rows = [(i, BINDING_TO_ACTUATOR[s.control], s.control_gain)
-                          for i, s in enumerate(segs) if s.control != "none"]
+        # per surface actuator, one tuple of floats per segment it deflects: (row,
+        # gain, cl_delta, cd_alpha2, defl_incidence, cm_delta, area, moment_scale)
+        cols = ([s.control_gain for s in segs], self.cl_delta, self.cd_alpha2,
+                self.defl_incidence, self.cm_delta, self.area, self.moment_scale)
+        self.surface_rows: dict[str, list[tuple]] = {}
+        for i, s in enumerate(segs):
+            if s.control != "none":
+                self.surface_rows.setdefault(BINDING_TO_ACTUATOR[s.control], []) \
+                    .append((i, *(float(c[i]) for c in cols)))
         self.n = n
 
 
@@ -504,8 +510,9 @@ def _body_wrench(v_a_body, omega, act, vp):
         u_ldp[:, 0] * ex[:, 0] + u_ldp[:, 1] * ex[:, 1] + u_ldp[:, 2] * ex[:, 2])
 
     zeta_cs = np.zeros(t.n)
-    for row, name, gain in t.ctrl_rows:
-        zeta_cs[row] = gain * act.position(name, vp)
+    for name, rows in t.surface_rows.items():
+        for row, gain, *_ in rows:
+            zeta_cs[row] = gain * act.position(name, vp)
 
     cl, cd, cm, lam = _coefficients_arrays(t, alpha, zeta_cs)
     q_area = (0.5 * rho) * V2 * t.area

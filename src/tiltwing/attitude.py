@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aero
-from .rotations import matrix_to_quat, quat_to_rotvec, rot_x, rot_y, rot_z
+from .rotations import cross3, matrix_to_quat, quat_to_rotvec, rot_x, rot_y, rot_z
 from .vehicle import ActuatorSet, VehicleParams
 
 _EPS_GAIN = 1e-9        # minimum actuator authority worth engaging [N m / unit]
@@ -103,14 +103,15 @@ class AttitudeController:
 def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
                       inertia: np.ndarray) -> np.ndarray:
     """Total moment that realizes a desired angular acceleration."""
-    return inertia @ omega_dot_des + np.cross(omega, inertia @ omega)
+    return inertia @ omega_dot_des + cross3(omega, inertia @ omega)
 
 
 def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
-                            wind: np.ndarray | None = None) -> np.ndarray:
-    """Aerodynamic moment with nominal actuation (attitude effectors zero)."""
-    fm, _ = aero.total_wrench(state, u_n, vp, wind)
-    return fm.moment
+                            wind: np.ndarray | None = None) -> tuple:
+    """Wrench and flow tables with nominal actuation (attitude effectors
+    zero); the moment is M_hat(u_n). `daisy_chain_allocate` starts from this
+    pair when given it with the same state, ``u_n`` and wind."""
+    return aero.total_wrench(state, u_n, vp, wind)
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +121,27 @@ def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
 def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
                          act: ActuatorSet, actuator: str) -> np.ndarray:
     """d(moment)/d(command) of one aerodynamic surface [N m per unit]."""
-    t = aero._segment_arrays(vp)
     travel = vp.actuators[actuator].travel
     zeta_now = act.position(actuator, vp)
-    g = np.zeros(3)
-    for row, name, gain in t.ctrl_rows:
-        if name != actuator:
-            continue
-        lam = tab.seg_lam[row]
+    g = [0.0, 0.0, 0.0]
+    for row, gain, cl_delta, cd_alpha2, kd, cm_delta, area, moment_scale \
+            in aero._segment_arrays(vp).surface_rows.get(actuator, ()):
+        lam = tab.seg_lam.item(row)
         if lam <= 0.0:
             continue
-        V2 = tab.seg_speed[row] ** 2
+        V2 = tab.seg_speed.item(row) ** 2
         dz = gain * travel
-        dcl = lam * t.cl_delta[row] * dz
-        kd = t.defl_incidence[row]
-        dcd = lam * t.cd_alpha2[row] * 2.0 \
-            * (tab.seg_alpha[row] + kd * gain * zeta_now) * kd * dz
-        dcm = lam * t.cm_delta[row] * dz
-        q_area = 0.5 * vp.rho * V2 * t.area[row]
-        dF = q_area * (dcl * tab.seg_e_lift[row] + dcd * tab.seg_e_drag[row])
-        g += (dcm * vp.rho * V2 * t.moment_scale[row]) * tab.seg_ey[row] \
-            + np.cross(tab.seg_r[row], dF)
-    return g
+        dcl = lam * cl_delta * dz
+        dcd = lam * cd_alpha2 * 2.0 \
+            * (tab.seg_alpha.item(row) + kd * gain * zeta_now) * kd * dz
+        dcm = lam * cm_delta * dz
+        q_area = 0.5 * vp.rho * V2 * area
+        dF = [q_area * (dcl * lift + dcd * drag) for lift, drag
+              in zip(tab.seg_e_lift[row].tolist(), tab.seg_e_drag[row].tolist())]
+        m = dcm * vp.rho * V2 * moment_scale
+        c = cross3(tab.seg_r[row].tolist(), dF).tolist()
+        g = [gi + (m * ey + ci) for gi, ey, ci in zip(g, tab.seg_ey[row].tolist(), c)]
+    return np.array(g)
 
 
 def _thrust_eta_derivative(prop, eta: float, v_ax: float, rho: float) -> float:
@@ -174,14 +174,16 @@ def _prop_moment_eta_gain(vp: VehicleParams, tab: aero.FlowTables,
                           idx: int) -> np.ndarray:
     """d(moment)/d(eta) of one propeller at its current inflow."""
     prop = vp.propellers[idx]
-    eta = tab.prop_eta[idx]
-    v_ax = tab.prop_v_axial[idx]
-    axis = tab.prop_axis[idx]
+    eta = tab.prop_eta.item(idx)
+    v_ax = tab.prop_v_axial.item(idx)
     dT = _thrust_eta_derivative(prop, eta, v_ax, vp.rho)
     dQ = _torque_eta_derivative(prop, eta, v_ax, vp.rho)
-    dF = dT * axis - prop.normal_force_coeff * tab.prop_v_radial[idx] \
-        * tab.prop_radial[idx]
-    return -dQ * prop.handedness * axis + np.cross(tab.prop_r[idx], dF)
+    nf = prop.normal_force_coeff * tab.prop_v_radial.item(idx)
+    axis = tab.prop_axis[idx].tolist()
+    dF = [dT * a - nf * r for a, r in zip(axis, tab.prop_radial[idx].tolist())]
+    c = cross3(tab.prop_r[idx].tolist(), dF).tolist()
+    q = -dQ * prop.handedness
+    return np.array([q * a + ci for a, ci in zip(axis, c)])
 
 
 def _solve_prop_speed(prop, thrust: float, v_ax: float, rho: float) -> float:
@@ -288,22 +290,23 @@ def _apply_surface(act: ActuatorSet, vp: VehicleParams, name: str,
 
 
 def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
-                         vp: VehicleParams,
-                         wind: np.ndarray | None = None) -> AllocationResult:
+                         vp: VehicleParams, wind: np.ndarray | None = None,
+                         nominal: tuple | None = None) -> AllocationResult:
     """Distribute M_act over the redundant effectors.
 
     Chain order: pitch via elevator, yaw via rudder, then the wing group
     (roll/yaw QP), then the tail group (pitch strictly before yaw). The
     chain is re-run on the remaining full-model residual for up to
     ``PASSES`` passes so that unsaturated demands converge on the exact
-    model.
+    model. ``nominal``, if given, is `nominal_moment_estimate` of the same
+    state, ``u_n`` and wind, read in place of evaluating ``u_n`` again.
     """
     v_air = state.v if wind is None else state.v - np.asarray(wind, dtype=float)
     v_a_body = state.R_IB.T @ v_air
     omega = state.omega
 
     act = u_n.copy()
-    fm, tab = aero.body_wrench(v_a_body, omega, act, vp)
+    fm, tab = nominal or aero.body_wrench(v_a_body, omega, act, vp)
     M_cur = fm.moment
     target = M_cur + np.asarray(M_act, dtype=float)
     blocks = {"elevator": np.zeros(3), "rudder": np.zeros(3),

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aero import ForceMoment, body_wrench
-from .rotations import orthonormalize, skew
+from .rotations import cross3, orthonormalize, skew
 from .vehicle import ActuatorSet, VehicleParams
 
 DT_MAX = 0.02
@@ -58,7 +58,7 @@ def state_derivative(s: RigidBodyState, fm: ForceMoment,
     I omega_dot = M - omega x I omega
     """
     v_dot = vp.gravity + s.R_IB @ fm.force / vp.mass
-    omega_dot = vp.inertia_inv @ (fm.moment - np.cross(s.omega, vp.inertia @ s.omega))
+    omega_dot = vp.inertia_inv @ (fm.moment - cross3(s.omega, vp.inertia @ s.omega))
     return StateDerivative(x_dot=s.v.copy(), v_dot=v_dot,
                            R_dot=s.R_IB @ skew(s.omega), omega_dot=omega_dot)
 
@@ -69,15 +69,18 @@ def _deriv(x, v, R, omega, act, vp, wind):
 
 
 def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
-                   wind: np.ndarray | None = None, dt: float = 0.004) -> RigidBodyState:
-    """One RK4 step with actuation held constant; R re-orthonormalized."""
+                   wind: np.ndarray | None = None, dt: float = 0.004,
+                   wrench: ForceMoment | None = None) -> RigidBodyState:
+    """One RK4 step with actuation held constant; R re-orthonormalized. A given
+    ``wrench`` must be the one at ``s``, ``act`` and ``wind``: it is the first stage."""
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
     w = np.zeros(3) if wind is None else np.asarray(wind, dtype=float)
     x0, v0, R0, om0 = s.x, s.v, s.R_IB, s.omega
 
     try:
-        k1 = _deriv(x0, v0, R0, om0, act, vp, w)
+        k1 = _deriv(x0, v0, R0, om0, act, vp, w) if wrench is None \
+            else state_derivative(s, wrench, vp)
         k2 = _deriv(x0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
                     R0 + 0.5 * dt * k1[2], om0 + 0.5 * dt * k1[3], act, vp, w)
         k3 = _deriv(x0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],

@@ -18,6 +18,12 @@ def skew(v: np.ndarray) -> np.ndarray:
     ])
 
 
+def cross3(a, b) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit, without its general-shape setup."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def rot_x(a: float) -> np.ndarray:
     c, s = np.cos(a), np.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])

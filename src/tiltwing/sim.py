@@ -312,8 +312,9 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
                 omega_dot_des = att.attitude_error_control(state, att_sp,
                                                            act.zeta_w, dt)
                 m_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
-                m_hat = nominal_moment_estimate(state, u_n, vp, wind)
-                alloc = daisy_chain_allocate(m_des - m_hat, state, u_n, vp, wind)
+                nominal = nominal_moment_estimate(state, u_n, vp, wind)
+                m_hat = nominal[0].moment
+                alloc = daisy_chain_allocate(m_des - m_hat, state, u_n, vp, wind, nominal)
                 cmd = alloc.commanded
                 alloc_res = alloc.residual
 
@@ -342,7 +343,7 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
                 + [0.0]
             )
             n_logged = k + 1
-            state = integrate_step(state, act, vp, wind, dt)
+            state = integrate_step(state, act, vp, wind, dt, wrench=fm)
         except (IntegrationFault, FloatingPointError) as exc:
             # a fault anywhere in the tick ends the run; the tick's row
             # carries the flag if it was logged before the fault

@@ -1,18 +1,22 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from tiltwing import aero
 from tiltwing.aero import body_wrench, total_wrench
 from tiltwing.attitude import (AttitudeController, AttitudeSetpoint,
+                               _prop_moment_eta_gain, _surface_moment_gain,
+                               _thrust_eta_derivative, _torque_eta_derivative,
                                block3_objective, daisy_chain_allocate,
                                dynamic_inversion, nominal_moment_estimate,
                                solve_block3)
 from tiltwing.dynamics import RigidBodyState
 from tiltwing.rotations import euler_zyx_to_matrix
-from tiltwing.vehicle import (actuation_from_commands, apply_actuator_rates,
-                              nominal_actuation)
+from tiltwing.vehicle import (BINDING_TO_ACTUATOR, actuation_from_commands,
+                              apply_actuator_rates, nominal_actuation)
 
 
 def hover_state():
@@ -115,14 +119,16 @@ def test_di_hand_evaluated_cross_term():
 # ---------------------------------------------------------------------------
 
 def test_nominal_moment_symmetric_state(vp):
-    m_hat = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp)
+    fm, _ = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp)
+    m_hat = fm.moment
     assert abs(m_hat[0]) < 1e-9
     assert abs(m_hat[2]) < 1e-9
 
 
 def test_m_act_reconstruction(vp):
     rng = np.random.default_rng(0)
-    m_hat = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp)
+    fm, _ = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp)
+    m_hat = fm.moment
     for _ in range(10):
         m_des = rng.uniform(-1, 1, 3)
         m_act = m_des - m_hat
@@ -138,7 +144,7 @@ def test_hover_nominal_pitch_moment_matches_moment_arm(vp):
         s.slipstream = "none"   # isolate the pure thrust moment
     vp2.__post_init__()
     u_n = actuation_from_commands(vp2, delta_w=1.0, delta_plr=0.78)
-    m_hat = nominal_moment_estimate(hover_state(), u_n, vp2)
+    m_hat = nominal_moment_estimate(hover_state(), u_n, vp2)[0].moment
     main = vp2.prop["pl"]
     eta = 0.78 * main.max_speed
     thrust = vp2.rho * eta ** 2 * main.diameter ** 4 * main.ct0
@@ -289,7 +295,7 @@ def test_closed_loop_linearization_sample(vp):
         state, u_n = flight_consistent_sample(vp, rng)
         omega_dot_des = rng.uniform(-3.0, 3.0, 3)
         M_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
-        m_hat = nominal_moment_estimate(state, u_n, vp)
+        m_hat = nominal_moment_estimate(state, u_n, vp)[0].moment
         res = daisy_chain_allocate(M_des - m_hat, state, u_n, vp)
         if np.abs(res.residual).max() > 1e-5:
             continue  # authority-limited case
@@ -302,3 +308,108 @@ def test_closed_loop_linearization_sample(vp):
         assert err < 0.01
         checked += 1
     assert checked >= 30
+
+
+# ---------------------------------------------------------------------------
+# evaluations the caller already made
+# ---------------------------------------------------------------------------
+
+def _bytes(act):
+    return np.array([getattr(act, f.name) for f in dataclasses.fields(act)]).tobytes()
+
+
+def test_allocate_given_nominal_matches_evaluating_it(vp):
+    """Passing the nominal pair of the same state, u_n and wind changes no
+    bit of the allocation."""
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        state, u_n = flight_consistent_sample(vp, rng)
+        wind = rng.uniform(-2.0, 2.0, 3)
+        M_act = rng.uniform(-0.6, 0.6, 3)
+        nominal = nominal_moment_estimate(state, u_n, vp, wind)
+        given = daisy_chain_allocate(M_act, state, u_n, vp, wind, nominal)
+        evaluated = daisy_chain_allocate(M_act, state, u_n, vp, wind)
+        assert _bytes(given.commanded) == _bytes(evaluated.commanded)
+        assert given.blocks.keys() == evaluated.blocks.keys()
+        for name in given.blocks:
+            assert given.blocks[name].tobytes() == evaluated.blocks[name].tobytes()
+        assert given.residual.tobytes() == evaluated.residual.tobytes()
+
+
+def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch):
+    state, u_n = cruise_state(), cruise_nominal(vp)
+    nominal = nominal_moment_estimate(state, u_n, vp)
+    calls = []
+    real = aero.body_wrench
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(aero, "body_wrench", counting)
+    res = daisy_chain_allocate(np.zeros(3), state, u_n, vp, None, nominal)
+    assert len(calls) == 0
+    assert _bytes(res.commanded) == _bytes(u_n)
+
+
+# ---------------------------------------------------------------------------
+# local actuator gains against the per-row numpy form
+# ---------------------------------------------------------------------------
+
+def _surface_moment_gain_reference(vp, tab, act, actuator):
+    """Per-row numpy form of the surface gain: scans every segment."""
+    t = aero._segment_arrays(vp)
+    travel = vp.actuators[actuator].travel
+    zeta_now = act.position(actuator, vp)
+    g = np.zeros(3)
+    for row, seg in enumerate(vp.segments):
+        if seg.control == "none" or BINDING_TO_ACTUATOR[seg.control] != actuator:
+            continue
+        gain = seg.control_gain
+        lam = tab.seg_lam[row]
+        if lam <= 0.0:
+            continue
+        V2 = tab.seg_speed[row] ** 2
+        dz = gain * travel
+        dcl = lam * t.cl_delta[row] * dz
+        kd = t.defl_incidence[row]
+        dcd = lam * t.cd_alpha2[row] * 2.0 \
+            * (tab.seg_alpha[row] + kd * gain * zeta_now) * kd * dz
+        dcm = lam * t.cm_delta[row] * dz
+        q_area = 0.5 * vp.rho * V2 * t.area[row]
+        dF = q_area * (dcl * tab.seg_e_lift[row] + dcd * tab.seg_e_drag[row])
+        g += (dcm * vp.rho * V2 * t.moment_scale[row]) * tab.seg_ey[row] \
+            + np.cross(tab.seg_r[row], dF)
+    return g
+
+
+def _prop_moment_eta_gain_reference(vp, tab, idx):
+    """Numpy-array form of the propeller gain."""
+    prop = vp.propellers[idx]
+    eta = tab.prop_eta[idx]
+    v_ax = tab.prop_v_axial[idx]
+    axis = tab.prop_axis[idx]
+    dT = _thrust_eta_derivative(prop, eta, v_ax, vp.rho)
+    dQ = _torque_eta_derivative(prop, eta, v_ax, vp.rho)
+    dF = dT * axis - prop.normal_force_coeff * tab.prop_v_radial[idx] \
+        * tab.prop_radial[idx]
+    return -dQ * prop.handedness * axis + np.cross(tab.prop_r[idx], dF)
+
+
+def test_gains_match_per_row_numpy_reference(vp):
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        state, u_n = flight_consistent_sample(vp, rng)
+        act = u_n.copy()
+        for name in ("al", "ar", "e", "r", "tt"):
+            setattr(act, f"delta_{name}", rng.uniform(-1.0, 1.0))
+        act.delta_pt = rng.uniform(0.0, 1.0)
+        _, tab = total_wrench(state, act, vp)
+        for name in ("al", "ar", "e", "r"):
+            new = _surface_moment_gain(vp, tab, act, name)
+            ref = _surface_moment_gain_reference(vp, tab, act, name)
+            assert new.tobytes() == ref.tobytes(), name
+        for idx in range(len(vp.propellers)):
+            new = _prop_moment_eta_gain(vp, tab, idx)
+            ref = _prop_moment_eta_gain_reference(vp, tab, idx)
+            assert new.tobytes() == ref.tobytes(), idx

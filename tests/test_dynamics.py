@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from tiltwing.aero import ForceMoment
+from tiltwing.aero import ForceMoment, total_wrench
 from tiltwing.dynamics import (IntegrationFault, RigidBodyState,
                                integrate_step, state_derivative)
+from tiltwing.rotations import euler_zyx_to_matrix
 from tiltwing.vehicle import actuation_from_commands
 
 
@@ -144,3 +145,26 @@ def test_nonfinite_state_faults(vp):
     s = RigidBodyState(v=np.array([1e200, 0.0, 0.0]))
     with pytest.raises(IntegrationFault):
         integrate_step(s, act, vp, dt=0.004)
+
+
+def test_step_given_start_wrench_matches_evaluating_it(vp):
+    """The wrench a caller already evaluated at the start state, actuation
+    and wind, passed in as RK4's first stage, gives the same step bit for
+    bit."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        s = RigidBodyState(
+            x=rng.uniform(-5.0, 5.0, 3),
+            v=np.array([rng.uniform(0.0, 18.0), rng.uniform(-1, 1), rng.uniform(-2, 2)]),
+            R_IB=euler_zyx_to_matrix(*rng.uniform(-0.3, 0.3, 3)),
+            omega=rng.uniform(-0.5, 0.5, 3))
+        act = actuation_from_commands(vp, delta_w=rng.uniform(0, 1),
+                                      delta_plr=rng.uniform(0.2, 0.9),
+                                      delta_pt=rng.uniform(0.0, 0.3),
+                                      delta_e=rng.uniform(-0.3, 0.3))
+        wind = rng.uniform(-3.0, 3.0, 3)
+        fm, _ = total_wrench(s, act, vp, wind)
+        given = integrate_step(s, act, vp, wind, 0.004, fm)
+        evaluated = integrate_step(s, act, vp, wind, 0.004)
+        for name in ("x", "v", "R_IB", "omega"):
+            assert getattr(given, name).tobytes() == getattr(evaluated, name).tobytes()

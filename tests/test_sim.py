@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from tiltwing import dynamics
 from tiltwing.sim import (LOG_COLUMNS, SIM_RATE, RunLog, compute_metrics,
-                          initial_state_and_actuation, run_scenario,
-                          scenario_from_dict)
+                          initial_state_and_actuation, load_scenario,
+                          run_scenario, scenario_from_dict)
 from tiltwing.trim import load_trim_map
 from tiltwing.vehicle import ACTUATOR_ORDER
 
@@ -111,3 +112,22 @@ def test_header_only_log_loads_with_all_columns(tmp_path):
     assert log.rows.shape == (0, len(LOG_COLUMNS))
     assert log.column("t").size == 0
     assert log.fault == "t=0.000 s: boom"
+
+
+def test_attitude_tick_integrates_with_three_evaluations(vp, monkeypatch):
+    """The wrench logged at a tick is RK4's first stage: the step evaluates
+    only the other three stages."""
+    calls = []
+    real = dynamics.body_wrench
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "body_wrench", counting)
+    sc = load_scenario("hover_steps")
+    sc.duration = 0.2
+    log = run_scenario(sc, vp)
+    ticks = round(sc.duration * SIM_RATE)
+    assert log.fault is None and log.rows.shape[0] == ticks
+    assert len(calls) == 3 * ticks
