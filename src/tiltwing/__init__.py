@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .vehicle import (VehicleParams, ActuatorSet, load_vehicle_config,
                       default_vehicle, apply_actuator_rates)
-from .aero import ForceMoment, LocalFlow, total_wrench
+from .aero import ForceMoment, total_wrench
 from .dynamics import RigidBodyState, StateDerivative, state_derivative, integrate_step
 from .trim import (TrimMap, TrimPoint, TrimWeights, build_trim_map,
                    solve_trim_point, lookup_trim, load_trim_map, save_trim_map)
@@ -21,7 +21,7 @@ from .sim import Scenario, RunLog, load_scenario, run_scenario, emit_report
 
 __all__ = [
     "VehicleParams", "ActuatorSet", "load_vehicle_config", "default_vehicle",
-    "apply_actuator_rates", "ForceMoment", "LocalFlow", "total_wrench",
+    "apply_actuator_rates", "ForceMoment", "total_wrench",
     "RigidBodyState", "StateDerivative", "state_derivative", "integrate_step",
     "TrimMap", "TrimPoint", "TrimWeights", "build_trim_map", "solve_trim_point",
     "lookup_trim", "load_trim_map", "save_trim_map",

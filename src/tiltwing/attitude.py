@@ -125,7 +125,7 @@ def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
     zeta_now = act.position(actuator, vp)
     g = [0.0, 0.0, 0.0]
     for row, gain, cl_delta, cd_alpha2, kd, cm_delta, area, moment_scale \
-            in aero._segment_arrays(vp).surface_rows.get(actuator, ()):
+            in aero._vehicle_tables(vp).surface_rows.get(actuator, ()):
         lam = tab.seg_lam.item(row)
         if lam <= 0.0:
             continue
@@ -272,9 +272,14 @@ def solve_block3(l_target: float, n_target: float, gain_ail: np.ndarray,
 
 @dataclass
 class AllocationResult:
+    """Allocated commands, the moment each block booked, the residual, and
+    ``evaluation``: the `body_wrench` pair at ``commanded`` (the last
+    booked one, or the nominal one if no block booked)."""
+
     commanded: ActuatorSet
     blocks: dict[str, np.ndarray] = field(default_factory=dict)
     residual: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    evaluation: tuple | None = None
 
     @property
     def allocated(self) -> np.ndarray:
@@ -313,10 +318,10 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
               "wing_group": np.zeros(3), "tail_group": np.zeros(3)}
 
     def book(name: str) -> None:
-        nonlocal M_cur, tab
-        fm_new, tab = aero.body_wrench(v_a_body, omega, act, vp)
-        blocks[name] += fm_new.moment - M_cur
-        M_cur = fm_new.moment
+        nonlocal M_cur, fm, tab
+        fm, tab = aero.body_wrench(v_a_body, omega, act, vp)
+        blocks[name] += fm.moment - M_cur
+        M_cur = fm.moment
 
     # propeller rows of the tables, by the name of the command driving each
     names = [p.name for p in vp.propellers]
@@ -404,4 +409,5 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
                 book("tail_group")
 
     residual = target - M_cur
-    return AllocationResult(commanded=act, blocks=blocks, residual=residual)
+    return AllocationResult(commanded=act, blocks=blocks, residual=residual,
+                            evaluation=(fm, tab))

@@ -172,16 +172,16 @@ def _check_allocation(vp, n=100) -> tuple[bool, str]:
 
 
 def _check_continuity(vp) -> tuple[bool, str]:
-    # the array path the model evaluates, all segments at once
-    t = aero._segment_arrays(vp)
-    zeta_cs = np.full(t.n, 0.1)
-    hw = t.blend_halfwidth
+    # the coefficient law the model evaluates, every segment at its four
+    # blend edges
     worst = 0.0
-    for edge in (t.alpha_stall_pos - hw, t.alpha_stall_pos + hw,
-                 t.alpha_stall_neg - hw, t.alpha_stall_neg + hw):
-        lo = aero._coefficients_arrays(t, edge - 1e-9, zeta_cs)[:3]
-        hi = aero._coefficients_arrays(t, edge + 1e-9, zeta_cs)[:3]
-        worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(lo, hi)))
+    for seg in vp.segments:
+        hw = seg.blend_halfwidth
+        for edge in (seg.alpha_stall_pos - hw, seg.alpha_stall_pos + hw,
+                     seg.alpha_stall_neg - hw, seg.alpha_stall_neg + hw):
+            lo = aero.airfoil_coefficients(seg, edge - 1e-9, 0.1)[:3]
+            hi = aero.airfoil_coefficients(seg, edge + 1e-9, 0.1)[:3]
+            worst = max(worst, *(abs(a - b) for a, b in zip(lo, hi)))
     return worst < 1e-7, f"coefficient jump across blend edges {worst:.2e}"
 
 

@@ -258,6 +258,13 @@ class RunLog:
 # Scenario execution
 # ---------------------------------------------------------------------------
 
+def _same_actuation(a: ActuatorSet, b: ActuatorSet) -> bool:
+    """Whether two actuator states hold the same bits (``==`` would take
+    -0.0 for 0.0)."""
+    return np.array(list(vars(a).values())).tobytes() \
+        == np.array(list(vars(b).values())).tobytes()
+
+
 def run_scenario(sc: Scenario, vp: VehicleParams,
                  tmap: TrimMap | None = None) -> RunLog:
     """Deterministic fixed-rate closed-loop run; one log row per tick.
@@ -287,6 +294,7 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
 
             m_des = np.zeros(3)
             m_hat = np.zeros(3)
+            alloc = None
             alloc_res = np.zeros(3)
             att_sp = AttitudeSetpoint()
             if sc.mode == "open_loop":
@@ -320,7 +328,11 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
 
             act = apply_actuator_rates(act, cmd, dt, vp)
 
-            fm, tab = aero.total_wrench(state, act, vp, wind)
+            if alloc is not None and _same_actuation(act, alloc.commanded):
+                # the allocator evaluated this state, actuation and wind last
+                fm, tab = alloc.evaluation
+            else:
+                fm, tab = aero.total_wrench(state, act, vp, wind)
             # z force per source group; +0.0 turns a signed zero into +0.0
             group_fz = [0.0 + tab.prop_force.sum(axis=0)[2],
                         0.0 + tab.seg_force.sum(axis=0)[2],

@@ -1,14 +1,17 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tiltwing import aero
-from tiltwing.aero import (LocalFlow, airfoil_coefficients, body_wrench,
-                           decompose_at_propeller, decompose_at_segment,
-                           fuselage_wrench, induced_velocity, local_airspeed,
-                           propeller_wrench, segment_wrench, total_wrench)
+from aero_reference import (decompose_at_propeller, decompose_at_segment,
+                            fuselage_wrench, induced_velocity, local_airspeed,
+                            propeller_geometry, propeller_slipstream,
+                            propeller_wrench, segment_deflection, segment_frame,
+                            segment_wrench)
+from tiltwing.aero import (advance_ratio, airfoil_coefficients, body_wrench,
+                           total_wrench)
 from tiltwing.dynamics import RigidBodyState
 from tiltwing.rotations import euler_zyx_to_matrix, rot_y
 from tiltwing.vehicle import (AirfoilSegmentParams, FuselageParams,
@@ -144,6 +147,16 @@ def test_advance_ratio_clamps():
     assert fm2.force[0] == pytest.approx(1.225 * 1e4 * 0.3 ** 4 * 0.09)
 
 
+def test_advance_ratio_stopped_reversed_and_clamped():
+    p = _test_prop()
+    # below ETA_MIN the prop counts as stopped
+    assert advance_ratio(p, 0.5, 10.0) == 0.0
+    # reverse inflow clamps at zero, fast inflow at the C_T zero
+    assert advance_ratio(p, 100.0, -10.0) == 0.0
+    assert advance_ratio(p, 100.0, 6.0) == pytest.approx(0.2, rel=1e-15)
+    assert advance_ratio(p, 50.0, 100.0) == p.advance_ratio_max == 0.09 / 0.08
+
+
 def test_induced_velocity_static():
     p = _test_prop()
     w = induced_velocity(p, 10.0, 0.0, 1.225, np.array([1.0, 0.0, 0.0]))
@@ -170,19 +183,19 @@ def test_induced_velocity_negative_thrust_returns_zero():
 
 def test_flat_plate_cl_at_45deg():
     s = _test_segment()
-    cl, _, _ = airfoil_coefficients(s, math.pi / 4.0)
+    cl, _, _, _ = airfoil_coefficients(s, math.pi / 4.0)
     assert cl == pytest.approx(s.fp_cl45, rel=1e-12)
 
 
 def test_flat_plate_cd_at_90deg():
     s = _test_segment()
-    _, cd, _ = airfoil_coefficients(s, math.pi / 2.0)
+    _, cd, _, _ = airfoil_coefficients(s, math.pi / 2.0)
     assert cd == pytest.approx(s.fp_cd90, rel=1e-12)
 
 
 def test_symmetric_segment_zero_alpha():
     s = _test_segment(cl0=0.0, cm0=0.0)
-    cl, _, cm = airfoil_coefficients(s, 0.0, 0.0)
+    cl, _, cm, _ = airfoil_coefficients(s, 0.0, 0.0)
     assert cl == 0.0
     assert cm == 0.0
 
@@ -195,8 +208,8 @@ def test_coefficient_continuity_at_blend_edges():
              s.alpha_stall_neg - hw, s.alpha_stall_neg + hw]
     for edge in edges:
         for zeta in (0.0, 0.2):
-            lo = airfoil_coefficients(s, np.nextafter(edge, -10.0), zeta)
-            hi = airfoil_coefficients(s, np.nextafter(edge, 10.0), zeta)
+            lo = airfoil_coefficients(s, np.nextafter(edge, -10.0), zeta)[:3]
+            hi = airfoil_coefficients(s, np.nextafter(edge, 10.0), zeta)[:3]
             for a, b in zip(lo, hi):
                 assert abs(a - b) < 1e-12
 
@@ -204,7 +217,7 @@ def test_coefficient_continuity_at_blend_edges():
 def test_coefficient_continuity_dense_sweep():
     s = _test_segment()
     alphas = np.linspace(-math.pi, math.pi, 20001)
-    vals = np.array([airfoil_coefficients(s, a, 0.15) for a in alphas])
+    vals = np.array([airfoil_coefficients(s, a, 0.15)[:3] for a in alphas])
     diffs = np.abs(np.diff(vals, axis=0)).max(axis=0)
     # continuous: steps shrink with the grid (slope bounded by ~10/rad)
     assert np.all(diffs < 10.0 * (alphas[1] - alphas[0]))
@@ -212,8 +225,8 @@ def test_coefficient_continuity_dense_sweep():
 
 def test_coefficient_periodicity_at_pi():
     s = _test_segment()
-    lo = airfoil_coefficients(s, -math.pi)
-    hi = airfoil_coefficients(s, math.pi)
+    lo = airfoil_coefficients(s, -math.pi)[:3]
+    hi = airfoil_coefficients(s, math.pi)[:3]
     for a, b in zip(lo, hi):
         assert abs(a - b) < 1e-12
 
@@ -330,8 +343,9 @@ def test_breakdown_sums_to_totals(vp):
 
 
 def test_single_element_ops_match_vector_path(vp):
-    """The scalar propeller/segment/fuselage operations reproduce the
-    vectorized total evaluation source by source."""
+    """The single-element reference operations (numpy vector math, one
+    propeller/segment/fuselage at a time) reproduce the whole-vehicle
+    evaluation source by source."""
     rng = np.random.default_rng(2)
     state = RigidBodyState(
         v=np.array([9.0, 0.7, 1.2]),
@@ -345,7 +359,7 @@ def test_single_element_ops_match_vector_path(vp):
 
     # propellers
     for i, prop in enumerate(vp.propellers):
-        r_p, axis = aero.propeller_geometry(vp, prop, act)
+        r_p, axis = propeller_geometry(vp, prop, act)
         flow = decompose_at_propeller(
             local_airspeed(r_p, v_a_body, state.omega), axis)
         ref = propeller_wrench(prop, act.position(prop.name, vp), flow, vp.rho)
@@ -355,19 +369,19 @@ def test_single_element_ops_match_vector_path(vp):
     # segments, including slipstream immersion
     prop_index = {p.name: i for i, p in enumerate(vp.propellers)}
     for k, seg in enumerate(vp.segments):
-        r_cp, ex, ey, ez = aero.segment_frame(vp, seg, act)
+        r_cp, ex, ey, ez = segment_frame(vp, seg, act)
         slip = None
         if seg.slipstream != "none":
             i = prop_index[seg.slipstream]
             prop = vp.propellers[i]
-            slip = aero.propeller_slipstream(prop, tab.prop_eta[i],
-                                             tab.prop_thrust[i],
-                                             tab.prop_v_axial[i], vp.rho,
-                                             tab.prop_axis[i])
+            slip = propeller_slipstream(prop, tab.prop_eta[i],
+                                        tab.prop_thrust[i],
+                                        tab.prop_v_axial[i], vp.rho,
+                                        tab.prop_axis[i])
         flow = decompose_at_segment(
             local_airspeed(r_cp, v_a_body, state.omega, slipstream=slip),
             ex, ey, ez)
-        ref = segment_wrench(seg, flow, aero.segment_deflection(vp, seg, act), vp.rho)
+        ref = segment_wrench(seg, flow, segment_deflection(vp, seg, act), vp.rho)
         assert np.allclose(ref.force, tab.seg_force[k], atol=1e-10)
         assert np.allclose(ref.moment, tab.seg_moment[k], atol=1e-10)
 
@@ -426,7 +440,7 @@ def test_unbinding_slipstream_reproduces_free_stream(vp):
     # ...and the unbound result equals a free-stream evaluation
     seg = next(s for s in vp.segments if s.name == "wing_l_in")
     act = actuation_from_commands(vp, **act_kw)
-    r_cp, ex, ey, ez = aero.segment_frame(vp, seg, act)
+    r_cp, ex, ey, ez = segment_frame(vp, seg, act)
     flow = decompose_at_segment(local_airspeed(r_cp, state.v, np.zeros(3)),
                                 ex, ey, ez)
     ref = segment_wrench(seg, flow, 0.0, vp.rho)
@@ -442,3 +456,20 @@ def test_thrust_nonnegative_along_axis(vp):
                                       delta_pt=rng.uniform(0, 1))
         _, tab = body_wrench(v, np.zeros(3), act, vp)
         assert np.all(tab.prop_thrust >= -1e-12)
+
+
+@pytest.mark.parametrize("where", ["v_a_body", "omega"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+def test_non_finite_or_overflowing_input_raises_floating_point_error(vp, where, value):
+    """A non-finite or overflowing input ends in the model's own fault, in
+    every component, with no warning and no other exception type."""
+    act = actuation_from_commands(vp, delta_w=0.5, delta_plr=0.6, delta_pt=0.3,
+                                  delta_e=0.2, delta_tt=0.1)
+    for i in range(3):
+        inputs = {"v_a_body": np.array([8.0, 0.5, 1.0]),
+                  "omega": np.array([0.1, -0.2, 0.05])}
+        inputs[where][i] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite aerodynamic wrench"):
+                body_wrench(inputs["v_a_body"], inputs["omega"], act, vp)

@@ -336,6 +336,25 @@ def test_allocate_given_nominal_matches_evaluating_it(vp):
         assert given.residual.tobytes() == evaluated.residual.tobytes()
 
 
+def test_allocation_carries_the_evaluation_at_its_commands(vp):
+    """`AllocationResult.evaluation` is the model at the commanded actuation,
+    state and wind, bit for bit: the last booked pair, or the nominal one
+    when nothing was booked."""
+    rng = np.random.default_rng(13)
+    for k in range(20):
+        state, u_n = flight_consistent_sample(vp, rng)
+        wind = rng.uniform(-2.0, 2.0, 3)
+        M_act = rng.uniform(-0.6, 0.6, 3) if k % 4 else np.zeros(3)
+        nominal = nominal_moment_estimate(state, u_n, vp, wind)
+        res = daisy_chain_allocate(M_act, state, u_n, vp, wind, nominal)
+        fm, tab = res.evaluation
+        fm_ref, tab_ref = total_wrench(state, res.commanded, vp, wind)
+        assert fm.force.tobytes() == fm_ref.force.tobytes()
+        assert fm.moment.tobytes() == fm_ref.moment.tobytes()
+        for f in dataclasses.fields(tab):
+            assert getattr(tab, f.name).tobytes() == getattr(tab_ref, f.name).tobytes()
+
+
 def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch):
     state, u_n = cruise_state(), cruise_nominal(vp)
     nominal = nominal_moment_estimate(state, u_n, vp)
@@ -358,7 +377,6 @@ def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch)
 
 def _surface_moment_gain_reference(vp, tab, act, actuator):
     """Per-row numpy form of the surface gain: scans every segment."""
-    t = aero._segment_arrays(vp)
     travel = vp.actuators[actuator].travel
     zeta_now = act.position(actuator, vp)
     g = np.zeros(3)
@@ -371,14 +389,15 @@ def _surface_moment_gain_reference(vp, tab, act, actuator):
             continue
         V2 = tab.seg_speed[row] ** 2
         dz = gain * travel
-        dcl = lam * t.cl_delta[row] * dz
-        kd = t.defl_incidence[row]
-        dcd = lam * t.cd_alpha2[row] * 2.0 \
+        dcl = lam * seg.cl_delta * dz
+        kd = seg.cl_delta / seg.cl_alpha if seg.cl_alpha != 0.0 else 0.0
+        dcd = lam * seg.cd_alpha2 * 2.0 \
             * (tab.seg_alpha[row] + kd * gain * zeta_now) * kd * dz
-        dcm = lam * t.cm_delta[row] * dz
-        q_area = 0.5 * vp.rho * V2 * t.area[row]
+        dcm = lam * seg.cm_delta * dz
+        q_area = 0.5 * vp.rho * V2 * (seg.chord * seg.span)
         dF = q_area * (dcl * tab.seg_e_lift[row] + dcd * tab.seg_e_drag[row])
-        g += (dcm * vp.rho * V2 * t.moment_scale[row]) * tab.seg_ey[row] \
+        moment_scale = 0.5 * (seg.chord * seg.chord) * seg.span
+        g += (dcm * vp.rho * V2 * moment_scale) * tab.seg_ey[row] \
             + np.cross(tab.seg_r[row], dF)
     return g
 

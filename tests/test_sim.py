@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tiltwing import dynamics
+from tiltwing import aero, dynamics, sim
 from tiltwing.sim import (LOG_COLUMNS, SIM_RATE, RunLog, compute_metrics,
                           initial_state_and_actuation, load_scenario,
                           run_scenario, scenario_from_dict)
@@ -131,3 +131,29 @@ def test_attitude_tick_integrates_with_three_evaluations(vp, monkeypatch):
     ticks = round(sc.duration * SIM_RATE)
     assert log.fault is None and log.rows.shape[0] == ticks
     assert len(calls) == 3 * ticks
+
+
+def test_tick_logs_the_allocators_last_evaluation(vp, monkeypatch):
+    """When the applied actuation is the allocator's commanded one bit for
+    bit, the log and RK4's first stage take the allocator's last evaluation:
+    one model evaluation fewer on every tick of hover_steps, and the same log
+    bytes as evaluating the tick's wrench again."""
+    calls = []
+    real = aero.body_wrench
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(aero, "body_wrench", counting)
+    sc = load_scenario("hover_steps")
+    sc.duration = 0.2
+    ticks = round(sc.duration * SIM_RATE)
+    log = run_scenario(sc, vp)
+    reused = len(calls)
+    calls.clear()
+    monkeypatch.setattr(sim, "_same_actuation", lambda a, b: False)
+    evaluated = run_scenario(sc, vp)
+    assert log.fault is None and log.rows.shape[0] == ticks
+    assert len(calls) - reused == ticks
+    assert log.rows.tobytes() == evaluated.rows.tobytes()
