@@ -14,9 +14,9 @@ from .trim import (TrimMap, TrimPoint, TrimWeights, build_trim_map,
 from .attitude import (AttitudeController, AttitudeSetpoint, AllocationResult,
                        dynamic_inversion, nominal_moment_estimate,
                        daisy_chain_allocate)
-from .cruise import (CruiseController, CruiseConfig, CruiseSetpoint,
-                     lookup_velocity, weight_schedule, wls_allocate,
-                     control_derivatives, turn_coordination)
+from .cruise import (CruiseController, CruiseSetpoint, lookup_velocity,
+                     weight_schedule, wls_allocate, control_derivatives,
+                     turn_coordination)
 from .sim import Scenario, RunLog, load_scenario, run_scenario, emit_report
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "lookup_trim", "load_trim_map", "save_trim_map",
     "AttitudeController", "AttitudeSetpoint", "AllocationResult",
     "dynamic_inversion", "nominal_moment_estimate", "daisy_chain_allocate",
-    "CruiseController", "CruiseConfig", "CruiseSetpoint", "lookup_velocity",
+    "CruiseController", "CruiseSetpoint", "lookup_velocity",
     "weight_schedule", "wls_allocate", "control_derivatives", "turn_coordination",
     "Scenario", "RunLog", "load_scenario", "run_scenario", "emit_report",
 ]

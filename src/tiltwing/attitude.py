@@ -36,6 +36,14 @@ _EPS_DEMAND = 1e-9      # moment demand treated as already met [N m]
 _EPS_TAIL_THRUST = 1e-7  # minimum tail thrust demand worth engaging [N]
 PASSES = 6              # chain passes over the remaining full-model residual
 W_ROLL, W_YAW = 2.0, 1.0  # wing-group QP weights on roll and yaw error
+ATT_P = 6.0             # outer attitude loop [1/s]
+RATE_P = np.array([8.0, 8.0, 8.0])  # inner rate PID, per body axis
+RATE_I = np.array([2.0, 2.0, 2.0])
+RATE_D = np.array([0.1, 0.1, 0.1])
+INTEGRATOR_LIMIT = 0.5  # |integral state| clamp [rad]
+PITCH_DOWN_FACTOR = 0.5  # outer pitch gain multiplier
+SCHEDULE_LO = math.radians(70.0)  # wing tilt where the schedule fades in
+SCHEDULE_HI = math.radians(90.0)
 
 
 @dataclass
@@ -45,23 +53,10 @@ class AttitudeSetpoint:
     yaw_rate: float = 0.0   # rad/s
 
 
-@dataclass
-class AttitudeGains:
-    att_p: float = 6.0                     # outer attitude loop [1/s]
-    rate_p: tuple = (8.0, 8.0, 8.0)        # inner rate PID, per body axis
-    rate_i: tuple = (2.0, 2.0, 2.0)
-    rate_d: tuple = (0.1, 0.1, 0.1)
-    integrator_limit: float = 0.5          # |integral state| clamp [rad]
-    pitch_down_factor: float = 0.5         # outer pitch gain multiplier
-    schedule_lo: float = math.radians(70.0)  # wing tilt where the schedule fades in
-    schedule_hi: float = math.radians(90.0)
-
-
 class AttitudeController:
     """Holds the rate-loop integrator; one instance per simulated vehicle."""
 
     def __init__(self):
-        self.gains = AttitudeGains()
         self._integral = np.zeros(3)
         self._prev_rate_err = None
 
@@ -74,30 +69,27 @@ class AttitudeController:
         """
         if not dt > 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        g = self.gains
         R = state.R_IB
         yaw = math.atan2(R[1, 0], R[0, 0])
         R_des = rot_z(yaw) @ rot_y(sp.pitch) @ rot_x(sp.roll)
         err = quat_to_rotvec(matrix_to_quat(R.T @ R_des))
 
-        kp = np.full(3, g.att_p)
-        if err[1] < 0.0 and g.schedule_hi > g.schedule_lo:
-            fade = np.clip((zeta_w - g.schedule_lo)
-                           / (g.schedule_hi - g.schedule_lo), 0.0, 1.0)
-            kp[1] *= 1.0 - (1.0 - g.pitch_down_factor) * fade
+        kp = np.full(3, ATT_P)
+        if err[1] < 0.0:
+            fade = np.clip((zeta_w - SCHEDULE_LO)
+                           / (SCHEDULE_HI - SCHEDULE_LO), 0.0, 1.0)
+            kp[1] *= 1.0 - (1.0 - PITCH_DOWN_FACTOR) * fade
 
         omega_des = kp * err + R.T @ np.array([0.0, 0.0, sp.yaw_rate])
         rate_err = omega_des - state.omega
         self._integral = np.clip(self._integral + rate_err * dt,
-                                 -g.integrator_limit, g.integrator_limit)
+                                 -INTEGRATOR_LIMIT, INTEGRATOR_LIMIT)
         if self._prev_rate_err is None:
             deriv = np.zeros(3)
         else:
             deriv = (rate_err - self._prev_rate_err) / dt
         self._prev_rate_err = rate_err.copy()
-        return (np.asarray(g.rate_p) * rate_err
-                + np.asarray(g.rate_i) * self._integral
-                + np.asarray(g.rate_d) * deriv)
+        return RATE_P * rate_err + RATE_I * self._integral + RATE_D * deriv
 
 
 def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,

@@ -14,8 +14,9 @@ import yaml
 from . import aero, sim, trim
 from .dynamics import RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix
-from .vehicle import (ConfigError, VehicleParams, actuation_from_commands,
-                      default_vehicle, load_vehicle_config, mirror_twin)
+from .vehicle import (ConfigError, VehicleParams, _vec3,
+                      actuation_from_commands, default_vehicle,
+                      load_vehicle_config, mirror_twin)
 
 
 def _load_vehicle(path: str | None) -> VehicleParams:
@@ -39,6 +40,8 @@ def cmd_model_eval(args) -> int:
         yaml.safe_load(Path(args.state).read_text(encoding="utf-8")) or {})
     araw = yaml.safe_load(Path(args.actuators).read_text(encoding="utf-8")) or {}
     wind = araw.pop("wind", None)
+    if wind is not None:
+        wind = _vec3(wind, "wind")
     act = actuation_from_commands(vp, **{f"delta_{k}": float(v)
                                          for k, v in araw.items()})
     fm, tab = aero.total_wrench(state, act, vp, wind)
@@ -292,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, trim.TrimError, sim.ScenarioError) as exc:
+    except (ConfigError, trim.TrimError, sim.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

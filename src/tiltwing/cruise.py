@@ -14,7 +14,7 @@ yaw-rate command at speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,29 @@ from .trim import TrimMap, lookup_trim
 from .vehicle import ActuatorSet, VehicleParams, nominal_actuation
 
 LOOKUP_EDGE = 1e-9  # keeps the lookup strictly inside the open band
+# lookup bounds around the actual airspeed (Eq. 15 band) [m/s]
+V_X_MINUS = 3.0
+V_X_PLUS = 3.0
+V_Z_MINUS = 1.5
+V_Z_PLUS = 1.5
+# velocity PID (per axis, acting on air-relative velocity error)
+KP = 0.8
+KI = 0.15
+KD = 0.05
+INTEGRATOR_LIMIT = 8.0      # |integral| clamp [m]
+# WLS weighting and regularization
+W_ZZ = 1.0
+W_XX_LO = 0.01              # w_xx below the schedule ramp
+W_XX_HI = 1.0
+SCHEDULE_LO = 12.0          # m/s
+SCHEDULE_HI = 15.0
+REGULARIZATION = np.diag([50.0, 1.0])
+THETA_C_MAX = math.radians(15.0)
+# control-derivative finite-difference steps
+FD_THETA = math.radians(0.5)
+FD_THROTTLE = 0.01
+V_MIN_TURN = 5.0            # m/s floor in g tan(phi) / v
+V_A_GAMMA_FLOOR = 0.5       # m/s; hover-column fallback for the polar conversion
 
 
 @dataclass
@@ -34,69 +57,29 @@ class CruiseSetpoint:
     roll: float = 0.0    # passed through for turns [rad]
 
 
-@dataclass
-class CruiseConfig:
-    # lookup bounds around the actual airspeed (Eq. 15 band)
-    v_x_minus: float = 3.0
-    v_x_plus: float = 3.0
-    v_z_minus: float = 1.5
-    v_z_plus: float = 1.5
-    # velocity PID (per axis, acting on air-relative velocity error)
-    kp: float = 0.8
-    ki: float = 0.15
-    kd: float = 0.05
-    integrator_limit: float = 8.0          # |integral| clamp [m]
-    # WLS weighting and regularization
-    w_zz: float = 1.0
-    w_xx_lo: float = 0.01                  # w_xx below the schedule ramp
-    w_xx_hi: float = 1.0
-    schedule_lo: float = 12.0              # m/s
-    schedule_hi: float = 15.0
-    regularization: np.ndarray = field(
-        default_factory=lambda: np.diag([50.0, 1.0]))
-    theta_c_max: float = math.radians(15.0)
-    # control-derivative finite-difference steps
-    fd_theta: float = math.radians(0.5)
-    fd_throttle: float = 0.01
-    # turn coordination
-    v_min_turn: float = 5.0                # m/s floor in g tan(phi) / v
-    # hover-column fallback for the polar conversion
-    v_a_gamma_floor: float = 0.5           # m/s
-
-    def __post_init__(self) -> None:
-        K = np.asarray(self.regularization, dtype=float)
-        if K.shape != (2, 2) or not np.allclose(K, K.T) \
-                or np.any(np.linalg.eigvalsh(K) <= 0.0):
-            raise ValueError("regularization must be symmetric positive definite")
-        self.regularization = K
-
-
-def lookup_velocity(v_des: np.ndarray, v_actual: np.ndarray,
-                    cfg: CruiseConfig) -> np.ndarray:
+def lookup_velocity(v_des: np.ndarray, v_actual: np.ndarray) -> np.ndarray:
     """Clamp the desired airspeed into the band around the actual one."""
-    lo = np.array([v_actual[0] - cfg.v_x_minus, v_actual[1] - cfg.v_z_minus])
-    hi = np.array([v_actual[0] + cfg.v_x_plus, v_actual[1] + cfg.v_z_plus])
+    lo = np.array([v_actual[0] - V_X_MINUS, v_actual[1] - V_Z_MINUS])
+    hi = np.array([v_actual[0] + V_X_PLUS, v_actual[1] + V_Z_PLUS])
     return np.clip(np.asarray(v_des, dtype=float),
                    lo + LOOKUP_EDGE, hi - LOOKUP_EDGE)
 
 
-def weight_schedule(v_ax: float, cfg: CruiseConfig) -> np.ndarray:
+def weight_schedule(v_ax: float) -> np.ndarray:
     """Diagonal WLS weight; w_xx ramps up over the schedule speed range."""
-    ramp = schedule_ramp(v_ax, cfg)
-    w_xx = cfg.w_xx_lo + (cfg.w_xx_hi - cfg.w_xx_lo) * ramp
-    return np.diag([w_xx, cfg.w_zz])
+    w_xx = W_XX_LO + (W_XX_HI - W_XX_LO) * schedule_ramp(v_ax)
+    return np.diag([w_xx, W_ZZ])
 
 
-def schedule_ramp(v_ax: float, cfg: CruiseConfig) -> float:
-    return float(np.clip((v_ax - cfg.schedule_lo)
-                         / (cfg.schedule_hi - cfg.schedule_lo), 0.0, 1.0))
+def schedule_ramp(v_ax: float) -> float:
+    return float(np.clip((v_ax - SCHEDULE_LO)
+                         / (SCHEDULE_HI - SCHEDULE_LO), 0.0, 1.0))
 
 
-def turn_coordination(roll_des: float, v_ax: float, gravity: float,
-                      cfg: CruiseConfig) -> float:
+def turn_coordination(roll_des: float, v_ax: float, gravity: float) -> float:
     """Coordinated yaw rate g tan(phi) / v, blended in with the schedule."""
-    rate = gravity * math.tan(roll_des) / max(v_ax, cfg.v_min_turn)
-    return schedule_ramp(v_ax, cfg) * rate
+    rate = gravity * math.tan(roll_des) / max(v_ax, V_MIN_TURN)
+    return schedule_ramp(v_ax) * rate
 
 
 def wls_allocate(J: np.ndarray, F_c: np.ndarray, W: np.ndarray, K: np.ndarray,
@@ -127,8 +110,7 @@ def _source_forces(tab: aero.FlowTables, live: np.ndarray) -> list[np.ndarray]:
 
 
 def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
-                        wind: np.ndarray | None = None,
-                        cfg: CruiseConfig | None = None) -> np.ndarray:
+                        wind: np.ndarray | None = None) -> np.ndarray:
     """J = d(f_x, f_z)/d(theta, delta_plr) by central differences [N/unit].
 
     f_x is the aerodynamic force along the horizontal heading, f_z the
@@ -136,7 +118,6 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     segments to the pitch column are ignored: their post-stall coefficient
     slopes reverse sign and corrupt the local linearization.
     """
-    cfg = cfg or CruiseConfig()
     w = np.zeros(3) if wind is None else np.asarray(wind, dtype=float)
     roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
     heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
@@ -149,7 +130,7 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     J = np.empty((2, 2))
 
     # pitch column, source by source so stalled segments can be excluded
-    h = cfg.fd_theta
+    h = FD_THETA
     R_p, _, tab_p = eval_at(pitch + h, act)
     R_m, _, tab_m = eval_at(pitch - h, act)
     live = ~(tab_p.seg_stalled | tab_m.seg_stalled)
@@ -160,7 +141,7 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     J[:, 0] = col / (2.0 * h)
 
     # throttle column (both mains together)
-    s = cfg.fd_throttle
+    s = FD_THROTTLE
     act_p = act.copy()
     act_m = act.copy()
     for a, sign in ((act_p, 1.0), (act_m, -1.0)):
@@ -189,8 +170,7 @@ class CruiseOutput:
 class CruiseController:
     """Holds the velocity PID state; one instance per run."""
 
-    def __init__(self, cfg: CruiseConfig | None = None):
-        self.cfg = cfg or CruiseConfig()
+    def __init__(self):
         self._integral = np.zeros(2)
         self._prev_err = None
 
@@ -199,20 +179,17 @@ class CruiseController:
         """Corrective force from the velocity error PID."""
         if not dt > 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        cfg = self.cfg
         self._integral = np.clip(self._integral + v_err * dt,
-                                 -cfg.integrator_limit, cfg.integrator_limit)
+                                 -INTEGRATOR_LIMIT, INTEGRATOR_LIMIT)
         deriv = np.zeros(2) if self._prev_err is None \
             else (v_err - self._prev_err) / dt
         self._prev_err = np.asarray(v_err, dtype=float).copy()
-        return mass * (cfg.kp * v_err + cfg.ki * self._integral
-                       + cfg.kd * deriv)
+        return mass * (KP * v_err + KI * self._integral + KD * deriv)
 
     def step(self, state, sp: CruiseSetpoint, tmap: TrimMap,
              vp: VehicleParams, current_act: ActuatorSet, dt: float,
              wind: np.ndarray | None = None) -> CruiseOutput:
         """One cruise update: feed-forward lookup plus feedback allocation."""
-        cfg = self.cfg
         w = np.zeros(3) if wind is None else np.asarray(wind, dtype=float)
         v_air = state.v - w
         _, _, yaw = matrix_to_euler_zyx(state.R_IB)
@@ -220,23 +197,23 @@ class CruiseController:
         v_actual = np.array([v_air @ heading, v_air[2]])
         v_des = np.array([sp.v_ax, sp.v_az])
 
-        v_lu = lookup_velocity(v_des, v_actual, cfg)
+        v_lu = lookup_velocity(v_des, v_actual)
         v_a = float(np.hypot(v_lu[0], v_lu[1]))
-        gamma = 0.0 if v_a < cfg.v_a_gamma_floor \
+        gamma = 0.0 if v_a < V_A_GAMMA_FLOOR \
             else math.atan2(-v_lu[1], v_lu[0])
         lut = lookup_trim(tmap, v_a, gamma)
         delta_w_t, delta_plr_t = float(lut.u[0]), float(lut.u[1])
 
         act_lin = nominal_actuation(vp, current_act, delta_plr=delta_plr_t,
                                     delta_w=delta_w_t)
-        J = control_derivatives(state, act_lin, vp, wind=w, cfg=cfg)
+        J = control_derivatives(state, act_lin, vp, wind=w)
         F_c = self.velocity_feedback(v_des - v_actual, vp.mass, dt)
-        W = weight_schedule(v_actual[0], cfg)
-        u_c = wls_allocate(J, F_c, W, cfg.regularization, cfg.theta_c_max,
+        W = weight_schedule(v_actual[0])
+        u_c = wls_allocate(J, F_c, W, REGULARIZATION, THETA_C_MAX,
                            throttle_bounds=(-delta_plr_t, 1.0 - delta_plr_t))
 
         psi_dot = turn_coordination(sp.roll, v_actual[0],
-                                    float(np.linalg.norm(vp.gravity)), cfg)
+                                    float(np.linalg.norm(vp.gravity)))
         setpoint = AttitudeSetpoint(roll=sp.roll,
                                     pitch=lut.theta + float(u_c[0]),
                                     yaw_rate=psi_dot)

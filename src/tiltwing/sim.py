@@ -23,7 +23,7 @@ from .cruise import CruiseController, CruiseSetpoint
 from .dynamics import IntegrationFault, RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap
-from .vehicle import (ACTUATOR_ORDER, ActuatorSet, VehicleParams,
+from .vehicle import (ACTUATOR_ORDER, ActuatorSet, VehicleParams, _vec3,
                       actuation_from_commands, apply_actuator_rates,
                       nominal_actuation)
 
@@ -39,6 +39,12 @@ MODES = ("open_loop", "attitude", "cruise")
 CRUISE_FIELDS = ("vax", "vaz", "roll_deg")
 ATTITUDE_FIELDS = ("roll_deg", "pitch_deg", "yaw_rate_deg_s",
                    "wing_tilt", "main_throttle")
+# initial-state keys, and initial actuator commands by key
+STATE_KEYS = ("position", "velocity", "attitude_deg", "omega")
+INITIAL_COMMANDS = {"wing_tilt": "delta_w", "main_throttle": "delta_plr",
+                    "tail_throttle": "delta_pt", "aileron_left": "delta_al",
+                    "aileron_right": "delta_ar", "elevator": "delta_e",
+                    "rudder": "delta_r", "tail_tilt": "delta_tt"}
 
 
 class ScenarioError(ValueError):
@@ -73,9 +79,20 @@ class Scenario:
             raise ScenarioError(f"mode must be one of {MODES}, got {self.mode}")
         if not self.duration > 0.0:
             raise ScenarioError("duration must be > 0")
-        times = [e.t for e in self.timeline]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ScenarioError("timeline timestamps must be strictly increasing")
+        for what, times in (("timeline timestamps", [e.t for e in self.timeline]),
+                            ("wind step times", [s.t for s in self.wind_steps])):
+            if any(b <= a for a, b in zip(times, times[1:])):
+                raise ScenarioError(f"{what} must be strictly increasing")
+        unknown = set(self.initial) - {*STATE_KEYS, *INITIAL_COMMANDS}
+        if unknown:
+            raise ScenarioError(f"unknown initial keys {sorted(unknown)}")
+        fields = CRUISE_FIELDS if self.mode == "cruise" else ATTITUDE_FIELDS
+        for e in self.timeline:
+            unknown = set(e.values) - set(fields)
+            if unknown:
+                raise ScenarioError(f"timeline t={e.t}: {sorted(unknown)} are "
+                                    f"not setpoints of mode {self.mode}")
+        state_from_dict(self.initial)  # its vectors fail here, not at t = 0
 
     def wind_at(self, t: float) -> np.ndarray:
         value = self.wind_constant
@@ -130,7 +147,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         timeline.append(TimelineEntry(t=t, ramp=ramp,
                                       values={k: float(v) for k, v in item.items()}))
     wraw = raw.get("wind", {}) or {}
-    steps = [WindStep(t=float(s["t"]), value=np.asarray(s["value"], dtype=float))
+    steps = [WindStep(float(s["t"]), _vec3(s["value"], "wind.steps[].value"))
              for s in wraw.get("steps", [])]
     return Scenario(
         name=raw.get("name", "scenario"),
@@ -138,7 +155,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         duration=float(raw["duration"]),
         initial=raw.get("initial", {}) or {},
         timeline=timeline,
-        wind_constant=np.asarray(wraw.get("constant", [0.0, 0.0, 0.0]), dtype=float),
+        wind_constant=_vec3(wraw.get("constant", [0.0, 0.0, 0.0]), "wind.constant"),
         wind_steps=steps,
     )
 
@@ -162,31 +179,16 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
 def state_from_dict(raw: dict) -> RigidBodyState:
     """Rigid-body state from the keys ``position``, ``velocity``,
     ``attitude_deg`` (roll, pitch, yaw) and ``omega``; missing keys are 0."""
-    att = [math.radians(a) for a in raw.get("attitude_deg", [0.0, 0.0, 0.0])]
-    return RigidBodyState(
-        x=np.asarray(raw.get("position", [0.0, 0.0, 0.0]), dtype=float),
-        v=np.asarray(raw.get("velocity", [0.0, 0.0, 0.0]), dtype=float),
-        R_IB=euler_zyx_to_matrix(*att),
-        omega=np.asarray(raw.get("omega", [0.0, 0.0, 0.0]), dtype=float),
-    )
+    x, v, att, omega = (_vec3(raw.get(k, [0.0, 0.0, 0.0]), k) for k in STATE_KEYS)
+    return RigidBodyState(x=x, v=v, omega=omega, R_IB=euler_zyx_to_matrix(
+        *(math.radians(a) for a in att)))
 
 
 def initial_state_and_actuation(sc: Scenario,
                                 vp: VehicleParams) -> tuple[RigidBodyState, ActuatorSet]:
-    init = sc.initial
-    state = state_from_dict(init)
-    act = actuation_from_commands(
-        vp,
-        delta_w=float(init.get("wing_tilt", 0.0)),
-        delta_plr=float(init.get("main_throttle", 0.0)),
-        delta_pt=float(init.get("tail_throttle", 0.0)),
-        delta_al=float(init.get("aileron_left", 0.0)),
-        delta_ar=float(init.get("aileron_right", 0.0)),
-        delta_e=float(init.get("elevator", 0.0)),
-        delta_r=float(init.get("rudder", 0.0)),
-        delta_tt=float(init.get("tail_tilt", 0.0)),
-    )
-    return state, act
+    act = actuation_from_commands(vp, **{cmd: float(sc.initial.get(key, 0.0))
+                                         for key, cmd in INITIAL_COMMANDS.items()})
+    return state_from_dict(sc.initial), act
 
 
 # ---------------------------------------------------------------------------

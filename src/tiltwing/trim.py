@@ -46,7 +46,10 @@ class TrimError(RuntimeError):
 
 @dataclass
 class TrimWeights:
-    """Steadiness weighting, feasibility thresholds, and cost weights."""
+    """Steadiness weighting, feasibility thresholds, and cost weights.
+
+    Every solve uses ``WEIGHTS``; a map records the weights it was built
+    with, and its CSV file keeps every field."""
 
     q_v: float = 10.0            # on v_dot (x and z, inertial)
     q_theta: float = 10.0        # on theta_ddot
@@ -59,6 +62,9 @@ class TrimWeights:
     sat_threshold: float = 0.9   # |delta_cs| up to which the barrier is 0
     sat_scale: float = 0.05      # overshoot at which it reaches w_sat * sat_scale
     theta_star_ramp: float = 12.0  # m/s; theta* blends 0 -> gamma up to here
+
+
+WEIGHTS = TrimWeights()
 
 
 @dataclass
@@ -108,9 +114,9 @@ def trim_accelerations(u: np.ndarray, theta: float, v_a: float, gamma: float,
     return v_dot, theta_ddot
 
 
-def theta_star(v_a: float, gamma: float, w: TrimWeights) -> float:
+def theta_star(v_a: float, gamma: float) -> float:
     """Pitch target: zero near hover, aligned with gamma at speed."""
-    return gamma * min(max(v_a / w.theta_star_ramp, 0.0), 1.0)
+    return gamma * min(max(v_a / WEIGHTS.theta_star_ramp, 0.0), 1.0)
 
 
 def shaft_power(vp: VehicleParams, u: np.ndarray) -> float:
@@ -127,7 +133,8 @@ def shaft_power(vp: VehicleParams, u: np.ndarray) -> float:
 
 
 def _cost_terms(u: np.ndarray, theta: float, th_star: float,
-                vp: VehicleParams, w: TrimWeights) -> tuple[float, list[float], float]:
+                vp: VehicleParams) -> tuple[float, list[float], float]:
+    w = WEIGHTS
     power = w.w_power * shaft_power(vp, u)
     sat = [w.w_sat * w.sat_scale
            * (max(abs(u[k]) - w.sat_threshold, 0.0) / w.sat_scale) ** 3
@@ -138,7 +145,7 @@ def _cost_terms(u: np.ndarray, theta: float, th_star: float,
 
 def trim_cost(u: np.ndarray, theta: float,
               neighbors: list[np.ndarray] | None, th_star: float,
-              vp: VehicleParams, w: TrimWeights | None = None) -> float:
+              vp: VehicleParams) -> float:
     """Secondary cost q >= 0: net power, control-surface saturation
     barriers, pitch-target deviation, and deviation from the mean of the
     neighboring solutions. Without neighbors (None or empty) the cost is
@@ -149,28 +156,27 @@ def trim_cost(u: np.ndarray, theta: float,
     s = sat_scale: exactly zero up to the threshold, and cubic beyond it, so
     that its square root in ``trim_residual`` has a continuous first
     derivative."""
-    w = w or TrimWeights()
-    power, sat, pitch = _cost_terms(u, theta, th_star, vp, w)
+    power, sat, pitch = _cost_terms(u, theta, th_star, vp)
     q = power + sum(sat) + pitch
     if neighbors:
         z = np.concatenate([u, [theta]])
-        q += w.w_neighbor * float(np.sum((z - np.mean(neighbors, axis=0)) ** 2))
+        q += WEIGHTS.w_neighbor * float(np.sum((z - np.mean(neighbors, axis=0)) ** 2))
     return q
 
 
 def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
-                  vp: VehicleParams, w: TrimWeights | None = None,
+                  vp: VehicleParams,
                   neighbors: list[np.ndarray] | None = None,
                   th_star: float | None = None) -> np.ndarray:
     """Weighted residual vector [sqrt(Q_v) v_dot_xz, sqrt(Q_theta)
     theta_ddot, sqrt(cost terms)] whose squared norm is the trim objective."""
-    w = w or TrimWeights()
+    w = WEIGHTS
     if th_star is None:
-        th_star = theta_star(v_a, gamma, w)
+        th_star = theta_star(v_a, gamma)
     v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp)
     sq_v = math.sqrt(w.q_v)
     parts = [sq_v * v_dot[0], sq_v * v_dot[2], math.sqrt(w.q_theta) * th_dd]
-    power, sat, pitch = _cost_terms(u, theta, th_star, vp, w)
+    power, sat, pitch = _cost_terms(u, theta, th_star, vp)
     parts.append(math.sqrt(power))
     parts.extend(math.sqrt(s) for s in sat)
     parts.append(math.sqrt(w.w_pitch) * (theta - th_star))
@@ -182,16 +188,15 @@ def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
 
 
 def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
-                     vp: VehicleParams, w: TrimWeights | None = None,
+                     vp: VehicleParams,
                      neighbors: list[np.ndarray] | None = None) -> TrimPoint:
     """Solve one operating point from an initial guess z = (u, theta)."""
-    w = w or TrimWeights()
-    th_star = theta_star(v_a, gamma, w)
+    th_star = theta_star(v_a, gamma)
     lb = np.concatenate([U_LO, [-math.pi / 2]])
     ub = np.concatenate([U_HI, [math.pi / 2]])
 
     def residual(z):
-        return trim_residual(z[:5], z[5], v_a, gamma, vp, w,
+        return trim_residual(z[:5], z[5], v_a, gamma, vp,
                              neighbors=neighbors, th_star=th_star)
 
     res = least_squares_lm(residual, np.asarray(ig, dtype=float), lb, ub,
@@ -200,10 +205,10 @@ def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
     v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp)
     res_v = float(np.linalg.norm(v_dot))
     res_th = abs(th_dd)
-    feasible = res_v < w.eps_v and res_th < w.eps_theta
+    feasible = res_v < WEIGHTS.eps_v and res_th < WEIGHTS.eps_theta
     return TrimPoint(v_a=v_a, gamma=gamma, u=u, theta=theta,
                      res_v=res_v, res_theta=res_th,
-                     cost=trim_cost(u, theta, None, th_star, vp, w),
+                     cost=trim_cost(u, theta, None, th_star, vp),
                      feasible=feasible)
 
 
@@ -260,7 +265,7 @@ def _better(new: TrimPoint, old: TrimPoint | None) -> bool:
         < math.hypot(old.res_v, old.res_theta) - COST_TOL
 
 
-def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None, *,
+def build_trim_map(vp: VehicleParams, *,
                    va_axis: np.ndarray, gamma_axis: np.ndarray,
                    seed: tuple[float, float, np.ndarray] | None = None) -> TrimMap:
     """Sweep the grid until a fixed point of the neighbor-seeded solves.
@@ -277,7 +282,6 @@ def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None, *,
     resolution. The build stops after a sweep that improves no cell, or
     after ``MAX_SWEEPS`` sweeps.
     """
-    w = w or TrimWeights()
     va_axis = np.asarray(va_axis, dtype=float)
     gamma_axis = np.asarray(gamma_axis, dtype=float)
     if va_axis.size == 0 or gamma_axis.size == 0:
@@ -320,7 +324,7 @@ def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None, *,
         ctx = [points[ni][nj].z for ni, nj in _neighbor_cells(i, j, nv, ng)
                if points[ni][nj] is not None and points[ni][nj].feasible]
         return solve_trim_point(float(va_axis[i]), float(gamma_axis[j]), ig,
-                                vp, w, neighbors=ctx or None)
+                                vp, neighbors=ctx or None)
 
     first = solve_cell(si, sj, np.asarray(seed_ig, dtype=float))
     if not first.feasible:
@@ -366,7 +370,7 @@ def build_trim_map(vp: VehicleParams, w: TrimWeights | None = None, *,
         points[i][j] = solve_cell(i, j, np.asarray(seed_ig, dtype=float))
 
     return TrimMap(va_axis=va_axis, gamma_axis=gamma_axis,
-                   points=points, weights=w)
+                   points=points, weights=replace(WEIGHTS))
 
 
 def _bracket(ax: np.ndarray, q: float) -> tuple[int, int, float]:

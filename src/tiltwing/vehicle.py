@@ -1,9 +1,8 @@
 """Vehicle description: physical parameters, actuators, and config ingestion.
 
 All angles are stored in radians and all quantities in SI units internally.
-The YAML config format accepts angle keys with a ``_deg`` suffix for
-readability; serialization always emits ``_rad`` keys so that a
-load/serialize/load cycle reproduces every numeric field bit-exact.
+The YAML config format takes each angle key with a ``_deg`` suffix for
+readability or a ``_rad`` suffix for exact values.
 
 The actuator state is the nine normalized commands plus one physical
 position, the wing tilt angle: the wing is the only actuator slow enough
@@ -276,7 +275,7 @@ def actuation_from_commands(vp: VehicleParams, **deltas: float) -> ActuatorSet:
     act = ActuatorSet()
     for key, v in deltas.items():
         if not key.startswith("delta_") or key[6:] not in ACTUATOR_ORDER:
-            raise TypeError(f"unknown actuator command {key!r}")
+            raise ConfigError(f"unknown actuator command {key!r}")
         lim = vp.actuators[key[6:]]
         setattr(act, key, min(max(float(v), lim.lo), lim.hi))
     act.zeta_w = act.delta_w * vp.actuators["w"].travel
@@ -449,54 +448,6 @@ def vehicle_from_dict(raw: dict) -> VehicleParams:
     return VehicleParams(mass=mass, inertia=inertia, gravity=gravity, rho=rho,
                          wing=wing, propellers=props, segments=segs,
                          fuselage=fus, actuators=acts)
-
-
-def vehicle_to_dict(vp: VehicleParams) -> dict:
-    """Plain-dict form of the vehicle; angles emitted as *_rad keys."""
-    surf_travel = {k: vp.actuators[a].travel for a, k in
-                   (("al", "aileron"), ("e", "elevator"),
-                    ("r", "rudder"), ("tt", "tail_tilt"))}
-    return {
-        "mass": vp.mass,
-        "inertia": [[float(x) for x in row] for row in vp.inertia],
-        "gravity": [float(x) for x in vp.gravity],
-        "air_density": vp.rho,
-        "wing": {
-            "pivot": [float(x) for x in vp.wing.pivot],
-            "tilt_up_time": vp.wing.tilt_up_time,
-            "tilt_down_time": vp.wing.tilt_down_time,
-        },
-        "actuators": {f"{k}_travel_rad": v for k, v in surf_travel.items()},
-        "propellers": [{
-            "name": p.name, "mount": p.mount,
-            "hub_offset": [float(x) for x in p.hub_offset],
-            "diameter": p.diameter,
-            "ct": [p.ct0, p.ct1], "cq": [p.cq0, p.cq1],
-            "normal_force_coeff": p.normal_force_coeff,
-            "handedness": p.handedness, "max_speed": p.max_speed,
-        } for p in vp.propellers],
-        "segments": [{
-            "name": s.name, "kind": s.kind,
-            "cp": [float(x) for x in s.cp],
-            "chord": s.chord, "span": s.span,
-            "coefficients": {
-                "cl0": s.cl0, "cl_alpha": s.cl_alpha, "cl_delta": s.cl_delta,
-                "cd0": s.cd0, "cd_alpha2": s.cd_alpha2,
-                "cm0": s.cm0, "cm_alpha": s.cm_alpha, "cm_delta": s.cm_delta,
-            },
-            "alpha_stall_neg_rad": s.alpha_stall_neg,
-            "alpha_stall_pos_rad": s.alpha_stall_pos,
-            "blend_halfwidth_rad": s.blend_halfwidth,
-            "flat_plate": {
-                "cl45": s.fp_cl45, "cd_min": s.fp_cd_min,
-                "cd90": s.fp_cd90, "cm_max": s.fp_cm_max,
-            },
-            "control": s.control, "control_gain": s.control_gain,
-            "slipstream": s.slipstream,
-        } for s in vp.segments],
-        "fuselage": {"cd_x": vp.fuselage.cd_x, "cd_y": vp.fuselage.cd_y,
-                     "cd_z": vp.fuselage.cd_z},
-    }
 
 
 def mirror_twin(vp: VehicleParams) -> VehicleParams:

@@ -2,9 +2,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tiltwing.trim import build_trim_map
-from tiltwing.vehicle import default_vehicle, vehicle_from_dict, vehicle_to_dict
+from tiltwing.vehicle import DEFAULT_CONFIG, default_vehicle, vehicle_from_dict
 
 
 @pytest.fixture(scope="session")
@@ -13,10 +14,10 @@ def vp():
 
 
 @pytest.fixture(scope="session")
-def vp_uneven_mains(vp):
+def vp_uneven_mains():
     """The default vehicle with a slower right main propeller (200 rev/s
     against the left one's 220)."""
-    raw = vehicle_to_dict(vp)
+    raw = yaml.safe_load(DEFAULT_CONFIG.read_text())
     next(p for p in raw["propellers"] if p["name"] == "pr")["max_speed"] = 200.0
     return vehicle_from_dict(raw)
 

@@ -7,12 +7,12 @@ import pytest
 
 from tiltwing import aero
 from tiltwing.aero import body_wrench, total_wrench
-from tiltwing.attitude import (AttitudeController, AttitudeSetpoint,
-                               _prop_moment_eta_gain, _surface_moment_gain,
-                               _thrust_eta_derivative, _torque_eta_derivative,
-                               block3_objective, daisy_chain_allocate,
-                               dynamic_inversion, nominal_moment_estimate,
-                               solve_block3)
+from tiltwing.attitude import (INTEGRATOR_LIMIT, AttitudeController,
+                               AttitudeSetpoint, _prop_moment_eta_gain,
+                               _surface_moment_gain, _thrust_eta_derivative,
+                               _torque_eta_derivative, block3_objective,
+                               daisy_chain_allocate, dynamic_inversion,
+                               nominal_moment_estimate, solve_block3)
 from tiltwing.dynamics import RigidBodyState
 from tiltwing.rotations import euler_zyx_to_matrix
 from tiltwing.vehicle import (BINDING_TO_ACTUATOR, actuation_from_commands,
@@ -88,8 +88,7 @@ def test_integrator_clamped():
     sp = AttitudeSetpoint(roll=1.0)
     for _ in range(10000):
         ctl.attitude_error_control(hover_state(), sp, math.pi / 2, 0.004)
-    lim = ctl.gains.integrator_limit
-    assert np.all(np.abs(ctl._integral) <= lim + 1e-12)
+    assert np.all(np.abs(ctl._integral) <= INTEGRATOR_LIMIT + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import yaml
 
 from tiltwing import cli
 from tiltwing.trim import load_trim_map
-from tiltwing.vehicle import DEFAULT_CONFIG, vehicle_to_dict
+from tiltwing.vehicle import DEFAULT_CONFIG
 
 
 def test_check_all_pass(capsys):
@@ -47,10 +47,10 @@ def test_model_eval_accepts_wind(capsys, tmp_path):
     assert not np.allclose(calm, windy)
 
 
-def test_config_validate(capsys, tmp_path, vp):
+def test_config_validate(capsys, tmp_path):
     assert cli.main(["config", "validate", str(DEFAULT_CONFIG)]) == 0
     assert capsys.readouterr().out.startswith("OK: ")
-    raw = vehicle_to_dict(vp)
+    raw = yaml.safe_load(DEFAULT_CONFIG.read_text())
     raw["mass"] = -1.0
     broken = tmp_path / "broken.yaml"
     broken.write_text(yaml.safe_dump(raw))
@@ -120,4 +120,26 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert "0 ticks" in out
     assert "FAULT at t=0.000 s: non-finite aerodynamic wrench" in out
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, files", [
+    ("model eval --state {d}/nope.yaml --actuators {d}/a.yaml", {"a.yaml": "w: 1\n"}),
+    ("trim query --map {d}/nope.csv --va 1 --gamma 0", {}),
+    ("sim run --scenario hover_steps --map {d}/nope.csv --out {d}/log.csv", {}),
+    ("report --log {d}/nope.csv", {}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "{}\n", "a.yaml": "throttle: 0.6\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "{}\n", "a.yaml": "wind: [1, 0]\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: 0.1\ninitial: {velocity: [5, 0]}\n"}),
+], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
+        "unknown_command", "wind_2_vector", "velocity_2_vector"])
+def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main(argv.format(d=tmp_path).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert "Traceback" not in err

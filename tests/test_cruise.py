@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tiltwing.cruise import (CruiseConfig, CruiseController, CruiseSetpoint,
+from tiltwing import cruise
+from tiltwing.cruise import (CruiseController, CruiseSetpoint,
                              control_derivatives, lookup_velocity,
                              schedule_ramp, turn_coordination, weight_schedule,
                              wls_allocate)
@@ -12,26 +13,24 @@ from tiltwing.rotations import euler_zyx_to_matrix, rot_y
 from tiltwing.trim import lookup_trim, trim_actuation
 from tiltwing.vehicle import actuation_from_commands
 
-CFG = CruiseConfig()
-
 
 # ---------------------------------------------------------------------------
 # lookup velocity (trim-map query band)
 # ---------------------------------------------------------------------------
 
 def test_lookup_within_band_passthrough():
-    v = lookup_velocity(np.array([14.0, -0.5]), np.array([13.0, 0.0]), CFG)
+    v = lookup_velocity(np.array([14.0, -0.5]), np.array([13.0, 0.0]))
     assert np.allclose(v, [14.0, -0.5])
 
 
 def test_lookup_clamps_to_band_edge():
-    v = lookup_velocity(np.array([23.0, 0.0]), np.array([13.0, 0.0]), CFG)
-    assert v[0] == pytest.approx(13.0 + CFG.v_x_plus, abs=1e-6)
-    assert v[0] < 13.0 + CFG.v_x_plus  # strictly inside the open band
+    v = lookup_velocity(np.array([23.0, 0.0]), np.array([13.0, 0.0]))
+    assert v[0] == pytest.approx(13.0 + cruise.V_X_PLUS, abs=1e-6)
+    assert v[0] < 13.0 + cruise.V_X_PLUS  # strictly inside the open band
 
 
 def test_lookup_identity_at_actual():
-    v = lookup_velocity(np.array([10.0, 1.0]), np.array([10.0, 1.0]), CFG)
+    v = lookup_velocity(np.array([10.0, 1.0]), np.array([10.0, 1.0]))
     assert np.allclose(v, [10.0, 1.0])
 
 
@@ -40,9 +39,9 @@ def test_lookup_band_invariant():
     for _ in range(200):
         va = rng.uniform(-5, 25, 2)
         vd = rng.uniform(-30, 30, 2)
-        v = lookup_velocity(vd, va, CFG)
-        assert abs(v[0] - va[0]) <= CFG.v_x_plus
-        assert abs(v[1] - va[1]) <= CFG.v_z_plus
+        v = lookup_velocity(vd, va)
+        assert abs(v[0] - va[0]) <= cruise.V_X_PLUS
+        assert abs(v[1] - va[1]) <= cruise.V_Z_PLUS
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +54,15 @@ def test_feedback_zero_history():
 
 
 def test_feedback_proportional_term():
-    cfg = CruiseConfig(ki=0.0, kd=0.0)
-    cc = CruiseController(cfg)
-    e = np.array([1.5, -0.5])
-    f1 = cc.velocity_feedback(e, 1.9, 0.02)
-    f2 = cc.velocity_feedback(e, 1.9, 0.02)
-    assert np.allclose(f1, 1.9 * cfg.kp * e)
-    assert np.allclose(f2, f1)
+    # a constant error: no derivative term, and the integral grows by e dt
+    cc = CruiseController()
+    e, m, dt = np.array([1.5, -0.5]), 1.9, 0.02
+    f1 = cc.velocity_feedback(e, m, dt)
+    f2 = cc.velocity_feedback(e, m, dt)
+    assert np.allclose(f1, m * (cruise.KP * e + cruise.KI * e * dt),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(f2, m * (cruise.KP * e + 2.0 * cruise.KI * e * dt),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_feedback_mass_scaling():
@@ -75,7 +76,7 @@ def test_feedback_integrator_clamped():
     cc = CruiseController()
     for _ in range(100000):
         cc.velocity_feedback(np.array([100.0, 100.0]), 1.9, 0.02)
-    assert np.all(np.abs(cc._integral) <= cc.cfg.integrator_limit + 1e-9)
+    assert np.all(np.abs(cc._integral) <= cruise.INTEGRATOR_LIMIT + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,6 @@ def test_unstalled_cruise_matches_plain_differences(vp):
 
     # independent route: plain differences of the projected total force
     from tiltwing.aero import body_wrench
-    cfg = CruiseConfig()
     heading = np.array([1.0, 0.0, 0.0])
 
     def f_of(theta, dplr):
@@ -107,7 +107,7 @@ def test_unstalled_cruise_matches_plain_differences(vp):
         fi = R @ fm.force
         return np.array([fi @ heading, fi[2]])
 
-    h, s = cfg.fd_theta, cfg.fd_throttle
+    h, s = cruise.FD_THETA, cruise.FD_THROTTLE
     J_ref = np.empty((2, 2))
     J_ref[:, 0] = (f_of(0.03 + h, 0.6) - f_of(0.03 - h, 0.6)) / (2 * h)
     J_ref[:, 1] = (f_of(0.03, 0.6 + s) - f_of(0.03, 0.6 - s)) / (2 * s)
@@ -121,7 +121,6 @@ def test_stall_exclusion_changes_pitch_column(vp):
     J = control_derivatives(state, act, vp)
 
     from tiltwing.aero import body_wrench
-    cfg = CruiseConfig()
     heading = np.array([1.0, 0.0, 0.0])
 
     def f_of(theta):
@@ -130,7 +129,7 @@ def test_stall_exclusion_changes_pitch_column(vp):
         fi = R @ fm.force
         return np.array([fi @ heading, fi[2]])
 
-    h = cfg.fd_theta
+    h = cruise.FD_THETA
     col_naive = (f_of(h) - f_of(-h)) / (2 * h)
     assert not np.allclose(J[:, 0], col_naive, rtol=1e-3)
 
@@ -202,43 +201,44 @@ def test_wls_matches_grid_search_sample():
 # ---------------------------------------------------------------------------
 
 def test_weight_schedule_endpoints():
-    assert weight_schedule(12.0, CFG)[0, 0] == CFG.w_xx_lo
-    assert weight_schedule(5.0, CFG)[0, 0] == CFG.w_xx_lo
-    assert weight_schedule(15.0, CFG)[0, 0] == CFG.w_xx_hi
-    assert weight_schedule(20.0, CFG)[0, 0] == CFG.w_xx_hi
+    assert weight_schedule(12.0)[0, 0] == cruise.W_XX_LO
+    assert weight_schedule(5.0)[0, 0] == cruise.W_XX_LO
+    assert weight_schedule(15.0)[0, 0] == cruise.W_XX_HI
+    assert weight_schedule(20.0)[0, 0] == cruise.W_XX_HI
 
 
 def test_weight_schedule_midpoint():
-    w = weight_schedule(13.5, CFG)
-    assert w[0, 0] == pytest.approx(0.5 * (CFG.w_xx_lo + CFG.w_xx_hi))
-    assert w[1, 1] == CFG.w_zz
+    w = weight_schedule(13.5)
+    assert w[0, 0] == pytest.approx(0.5 * (cruise.W_XX_LO + cruise.W_XX_HI))
+    assert w[1, 1] == cruise.W_ZZ
     assert w[0, 1] == 0.0 and w[1, 0] == 0.0
 
 
 def test_weight_schedule_continuous_piecewise_linear():
     speeds = np.linspace(8.0, 18.0, 2001)
     h = speeds[1] - speeds[0]
-    vals = np.array([weight_schedule(v, CFG)[0, 0] for v in speeds])
+    vals = np.array([weight_schedule(v)[0, 0] for v in speeds])
     dv = np.diff(vals)
     assert np.all(dv >= -1e-15)
     # continuous: no step exceeds the ramp's slope times the grid spacing
-    slope = (CFG.w_xx_hi - CFG.w_xx_lo) / (CFG.schedule_hi - CFG.schedule_lo)
+    slope = ((cruise.W_XX_HI - cruise.W_XX_LO)
+             / (cruise.SCHEDULE_HI - cruise.SCHEDULE_LO))
     assert dv.max() <= slope * h * (1.0 + 1e-9)
     # piecewise linear, two kinks: the second difference over [v_k, v_k+2]
     # vanishes unless the stencil holds a kink, where it is up to slope * h
     clear = np.ones(speeds.size - 2, dtype=bool)
-    for v_kink in (CFG.schedule_lo, CFG.schedule_hi):
+    for v_kink in (cruise.SCHEDULE_LO, cruise.SCHEDULE_HI):
         clear &= ~((speeds[:-2] <= v_kink) & (v_kink <= speeds[2:]))
     assert np.abs(np.diff(dv))[clear].max() < 1e-6
 
 
 def test_turn_coordination_zero_roll():
-    assert turn_coordination(0.0, 15.0, 9.81, CFG) == 0.0
+    assert turn_coordination(0.0, 15.0, 9.81) == 0.0
 
 
 def test_turn_coordination_hand_evaluated():
     # lateral force balance: g tan(30 deg) / 15 = 0.37755 rad/s
-    rate = turn_coordination(math.radians(30.0), 15.0, 9.81, CFG)
+    rate = turn_coordination(math.radians(30.0), 15.0, 9.81)
     assert rate == pytest.approx(9.81 * math.tan(math.radians(30.0)) / 15.0,
                                  rel=1e-12)
     assert rate == pytest.approx(0.378, abs=5e-4)
@@ -246,10 +246,10 @@ def test_turn_coordination_hand_evaluated():
 
 def test_turn_coordination_vmin_clamp():
     # below the schedule the coordination is off; the clamp shows mid-ramp
-    r = turn_coordination(math.radians(20.0), 13.5, 9.81, CFG)
+    r = turn_coordination(math.radians(20.0), 13.5, 9.81)
     expected = 0.5 * 9.81 * math.tan(math.radians(20.0)) / 13.5
     assert r == pytest.approx(expected, rel=1e-12)
-    assert turn_coordination(math.radians(20.0), 4.0, 9.81, CFG) == 0.0
+    assert turn_coordination(math.radians(20.0), 4.0, 9.81) == 0.0
 
 
 def test_priority_vertical_over_horizontal(vp):
@@ -259,7 +259,7 @@ def test_priority_vertical_over_horizontal(vp):
     J = control_derivatives(state, act, vp)
     W = np.diag([0.01, 1.0])
     F = np.array([8.0, 8.0])
-    u = wls_allocate(J, F, W, CFG.regularization, CFG.theta_c_max,
+    u = wls_allocate(J, F, W, cruise.REGULARIZATION, cruise.THETA_C_MAX,
                      throttle_bounds=(-0.65, 0.35))
     err = J @ u - F
     assert abs(err[1]) <= abs(err[0]) + 1e-9

@@ -1,12 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tiltwing import aero, dynamics, sim
-from tiltwing.sim import (LOG_COLUMNS, SIM_RATE, RunLog, compute_metrics,
+from tiltwing.sim import (LOG_COLUMNS, SCENARIO_DIR, SIM_RATE, RunLog,
+                          ScenarioError, compute_metrics,
                           initial_state_and_actuation, load_scenario,
                           run_scenario, scenario_from_dict)
 from tiltwing.trim import load_trim_map
-from tiltwing.vehicle import ACTUATOR_ORDER
+from tiltwing.vehicle import ACTUATOR_ORDER, ConfigError
 
 POSITION_COLUMNS = ("zeta_w", "eta_pl", "eta_pr", "eta_pt", "zeta_al",
                     "zeta_ar", "zeta_e", "zeta_r", "zeta_tt")
@@ -157,3 +160,54 @@ def test_tick_logs_the_allocators_last_evaluation(vp, monkeypatch):
     assert log.fault is None and log.rows.shape[0] == ticks
     assert len(calls) - reused == ticks
     assert log.rows.tobytes() == evaluated.rows.tobytes()
+
+
+def _scenario(mode="attitude", initial=None, timeline=(), wind=None) -> dict:
+    return {"name": "bad", "mode": mode, "duration": 0.1,
+            "initial": initial or {}, "timeline": list(timeline),
+            "wind": wind or {}}
+
+
+@pytest.mark.parametrize("raw", [
+    _scenario(initial={"position": [0.0, 0.0]}),
+    _scenario(initial={"velocity": [5.0, 0.0]}),
+    _scenario(initial={"attitude_deg": [0.0, 5.0, 0.0, 1.0]}),
+    _scenario(initial={"omega": 0.5}),
+    _scenario(wind={"constant": [1.0, 0.0]}),
+    _scenario(wind={"steps": [{"t": 0.05, "value": [1.0, 0.0]}]}),
+], ids=["position", "velocity", "attitude_deg", "omega", "wind_constant",
+        "wind_step_value"])
+def test_scenario_vectors_must_have_three_elements(raw):
+    with pytest.raises(ConfigError, match="must be a 3-element list"):
+        scenario_from_dict(raw)
+
+
+def test_scenario_rejects_unknown_initial_key():
+    with pytest.raises(ScenarioError, match="unknown initial keys.*wingtilt"):
+        scenario_from_dict(_scenario(initial={"wingtilt": 1.0}))
+
+
+@pytest.mark.parametrize("mode, entry", [
+    ("attitude", {"t": 0.0, "rol_deg": 5.0}),
+    ("cruise", {"t": 0.0, "vax": 5.0, "pitch_deg": 2.0}),
+    ("attitude", {"t": 0.05, "vax": 5.0, "ramp": True}),
+], ids=["typo", "attitude_field_in_cruise", "cruise_ramp_in_attitude"])
+def test_scenario_rejects_timeline_key_outside_its_mode(mode, entry):
+    with pytest.raises(ScenarioError, match="not setpoints of mode " + mode):
+        scenario_from_dict(_scenario(mode=mode, timeline=[entry]))
+
+
+@pytest.mark.parametrize("times", [(0.3, 0.1), (0.2, 0.2)])
+def test_scenario_wind_steps_strictly_increasing(times):
+    steps = [{"t": t, "value": [float(k), 0.0, 0.0]} for k, t in enumerate(times)]
+    with pytest.raises(ScenarioError, match="wind step times"):
+        scenario_from_dict(_scenario(wind={"steps": steps}))
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*SCENARIO_DIR.glob("*.yaml"),
+     *(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "scenarios")
+     .glob("*.yaml")]), ids=lambda p: f"{p.parents[2].name}/{p.stem}")
+def test_shipped_scenarios_pass_the_checks(path):
+    sc = load_scenario(path)
+    assert sc.name == path.stem

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import fsolve
 
 from tiltwing.aero import body_wrench
-from tiltwing.trim import (TrimError, TrimMap, TrimPoint, TrimWeights, build_trim_map,
-                           hover_initial_guess, load_trim_map, lookup_trim,
+from tiltwing.trim import (WEIGHTS, TrimError, TrimMap, TrimPoint, TrimWeights,
+                           build_trim_map, hover_initial_guess, load_trim_map, lookup_trim,
                            save_trim_map, shaft_power, solve_trim_point,
                            theta_star, trim_accelerations, trim_actuation,
                            trim_cost, trim_residual)
@@ -43,12 +43,10 @@ def test_zero_actuation_free_fall(vp):
 
 def test_qv_scaling_doubles_residual_block(vp):
     u, theta = np.array([0.3, 0.5, 0.0, 0.1, 0.2]), 0.05
-    w1 = TrimWeights()
-    w4 = TrimWeights(q_v=4.0 * w1.q_v)
-    r1 = trim_residual(u, theta, 8.0, 0.0, vp, w1)
-    r4 = trim_residual(u, theta, 8.0, 0.0, vp, w4)
-    assert np.linalg.norm(r4[:2]) == pytest.approx(2.0 * np.linalg.norm(r1[:2]),
-                                                   rel=1e-12)
+    v_dot, _ = trim_accelerations(u, theta, 8.0, 0.0, vp)
+    r = trim_residual(u, theta, 8.0, 0.0, vp)
+    assert np.allclose(r[:2], math.sqrt(WEIGHTS.q_v) * v_dot[[0, 2]],
+                       rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +69,7 @@ def test_cost_power_cubic(vp):
 def test_saturation_barrier_zero_below_threshold(vp):
     """The barrier on the aileron pair (u[2]) and the elevator (u[3]) is
     exactly zero up to sat_threshold and turns on smoothly beyond it."""
-    w = TrimWeights()
-    thr = w.sat_threshold
+    thr = WEIGHTS.sat_threshold
 
     def surface_u(k, delta):
         u = np.zeros(5)  # zero throttles: no power term
@@ -81,10 +78,10 @@ def test_saturation_barrier_zero_below_threshold(vp):
 
     for k in (2, 3):
         def sat(delta):
-            return trim_cost(surface_u(k, delta), 0.0, [], 0.0, vp, w)
+            return trim_cost(surface_u(k, delta), 0.0, [], 0.0, vp)
 
         def sat_residual(delta):
-            return trim_residual(surface_u(k, delta), 0.0, 0.0, 0.0, vp, w)[k + 2]
+            return trim_residual(surface_u(k, delta), 0.0, 0.0, 0.0, vp)[k + 2]
 
         for delta in (0.0, 0.5, thr):
             assert sat(delta) == 0.0
@@ -113,12 +110,11 @@ def test_cost_neighbor_zero_at_average(vp):
 
 
 def test_theta_star_profile():
-    w = TrimWeights()
     g = math.radians(20.0)
-    assert theta_star(0.0, g, w) == 0.0
-    assert theta_star(6.0, g, w) == pytest.approx(0.5 * g)
-    assert theta_star(12.0, g, w) == pytest.approx(g)
-    assert theta_star(20.0, g, w) == pytest.approx(g)
+    assert theta_star(0.0, g) == 0.0
+    assert theta_star(6.0, g) == pytest.approx(0.5 * g)
+    assert theta_star(12.0, g) == pytest.approx(g)
+    assert theta_star(20.0, g) == pytest.approx(g)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +149,9 @@ def test_steep_climb_saturates_throttle(vp):
 def test_local_optimality(vp):
     tp = solve_trim_point(16.0, 0.0, np.array([0.1, 0.5, 0.0, 0.0, 0.0, 0.03]), vp)
     assert tp.feasible
-    w = TrimWeights()
 
     def objective(z):
-        r = trim_residual(z[:5], z[5], 16.0, 0.0, vp, w)
+        r = trim_residual(z[:5], z[5], 16.0, 0.0, vp)
         return float(r @ r)
 
     base = objective(tp.z)
@@ -212,9 +207,8 @@ def test_map_determinism(vp):
 
 def test_infeasible_seed_aborts(vp):
     bad_ig = np.zeros(6)  # zero throttle cannot hover
-    w = TrimWeights()
     with pytest.raises(TrimError, match="seed"):
-        build_trim_map(vp, w, va_axis=np.array([0.0]),
+        build_trim_map(vp, va_axis=np.array([0.0]),
                        gamma_axis=np.array([0.0]),
                        seed=(0.0, 0.0, bad_ig))
 

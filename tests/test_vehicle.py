@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tiltwing.vehicle import (ActuatorSet, ConfigError, DEFAULT_CONFIG,
                               actuation_from_commands, apply_actuator_rates,
-                              load_vehicle_config, vehicle_from_dict,
-                              vehicle_to_dict)
+                              load_vehicle_config, vehicle_from_dict)
 
 
 def test_default_config_mass_and_span(vp):
@@ -57,30 +56,6 @@ def test_asymmetric_inertia_rejected():
     raw["inertia"][0][1] = 0.01
     with pytest.raises(ConfigError, match="symmetric"):
         vehicle_from_dict(raw)
-
-
-def _numeric_leaves(obj, prefix=""):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _numeric_leaves(v, f"{prefix}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _numeric_leaves(v, f"{prefix}[{i}]")
-    elif isinstance(obj, (int, float)):
-        yield prefix, obj
-
-
-def test_serialize_roundtrip_bit_exact(vp, tmp_path):
-    d1 = vehicle_to_dict(vp)
-    path = tmp_path / "rt.yaml"
-    path.write_text(yaml.safe_dump(d1))
-    vp2 = load_vehicle_config(path)
-    d2 = vehicle_to_dict(vp2)
-    leaves1 = dict(_numeric_leaves(d1))
-    leaves2 = dict(_numeric_leaves(d2))
-    assert leaves1.keys() == leaves2.keys()
-    for key, v1 in leaves1.items():
-        assert leaves2[key] == v1, key  # bit-exact
 
 
 # ---------------------------------------------------------------------------
