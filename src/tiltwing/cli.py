@@ -39,11 +39,16 @@ def cmd_model_eval(args) -> int:
     state = sim.state_from_dict(
         yaml.safe_load(Path(args.state).read_text(encoding="utf-8")) or {})
     araw = yaml.safe_load(Path(args.actuators).read_text(encoding="utf-8")) or {}
+    if not isinstance(araw, dict):
+        raise ConfigError("actuator commands must be a mapping")
     wind = araw.pop("wind", None)
     if wind is not None:
         wind = _vec3(wind, "wind")
-    act = actuation_from_commands(vp, **{f"delta_{k}": float(v)
-                                         for k, v in araw.items()})
+    try:
+        commands = {f"delta_{k}": float(v) for k, v in araw.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"actuator commands must be numbers: {exc}") from None
+    act = actuation_from_commands(vp, **commands)
     fm, tab = aero.total_wrench(state, act, vp, wind)
     rows = [(p.name, f, m, False) for p, f, m in
             zip(vp.propellers, tab.prop_force, tab.prop_moment)]

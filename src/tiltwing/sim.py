@@ -23,9 +23,9 @@ from .cruise import CruiseController, CruiseSetpoint
 from .dynamics import IntegrationFault, RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap
-from .vehicle import (ACTUATOR_ORDER, ActuatorSet, VehicleParams, _vec3,
-                      actuation_from_commands, apply_actuator_rates,
-                      nominal_actuation)
+from .vehicle import (ACTUATOR_ORDER, ActuatorSet, ConfigError,
+                      VehicleParams, _vec3, actuation_from_commands,
+                      apply_actuator_rates, nominal_actuation)
 
 SIM_RATE = 250.0           # Hz, dynamics and attitude
 CRUISE_DIVIDER = 5         # cruise runs every 5th tick (50 Hz)
@@ -134,25 +134,49 @@ class Scenario:
         return t_change
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
+    if not isinstance(raw, dict):
+        raise ScenarioError("a scenario must be a mapping")
     if "mode" not in raw:
         raise ScenarioError("missing required field: mode")
     if "duration" not in raw:
         raise ScenarioError("missing required field: duration")
+    for key, kind, name in (("timeline", list, "list"), ("wind", dict, "mapping"),
+                            ("initial", dict, "mapping")):
+        if raw.get(key) is not None and not isinstance(raw[key], kind):
+            raise ScenarioError(f"{key} must be a {name}")
     timeline = []
     for item in raw.get("timeline", []):
+        if not isinstance(item, dict) or "t" not in item:
+            raise ScenarioError(f"timeline entry {item!r} is not a mapping with t")
         item = dict(item)
-        t = float(item.pop("t"))
-        ramp = bool(item.pop("ramp", False))
-        timeline.append(TimelineEntry(t=t, ramp=ramp,
-                                      values={k: float(v) for k, v in item.items()}))
+        t = _number(item.pop("t"), "timeline t")
+        ramp = item.pop("ramp", False)
+        if not isinstance(ramp, bool):
+            raise ScenarioError(f"timeline t={t}: ramp must be true or false")
+        timeline.append(TimelineEntry(t=t, ramp=ramp, values={
+            k: _number(v, f"timeline t={t} {k}") for k, v in item.items()}))
     wraw = raw.get("wind", {}) or {}
-    steps = [WindStep(float(s["t"]), _vec3(s["value"], "wind.steps[].value"))
-             for s in wraw.get("steps", [])]
+    if not isinstance(wraw.get("steps", []), list):
+        raise ScenarioError("wind.steps must be a list")
+    steps = []
+    for item in wraw.get("steps", []):
+        if not isinstance(item, dict) or not {"t", "value"} <= item.keys():
+            raise ScenarioError(f"wind step {item!r} is not a mapping with "
+                                "t and value")
+        steps.append(WindStep(_number(item["t"], "wind.steps[].t"),
+                              _vec3(item["value"], "wind.steps[].value")))
     return Scenario(
         name=raw.get("name", "scenario"),
         mode=raw["mode"],
-        duration=float(raw["duration"]),
+        duration=_number(raw["duration"], "duration"),
         initial=raw.get("initial", {}) or {},
         timeline=timeline,
         wind_constant=_vec3(wraw.get("constant", [0.0, 0.0, 0.0]), "wind.constant"),
@@ -179,6 +203,8 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
 def state_from_dict(raw: dict) -> RigidBodyState:
     """Rigid-body state from the keys ``position``, ``velocity``,
     ``attitude_deg`` (roll, pitch, yaw) and ``omega``; missing keys are 0."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a state must be a mapping, got {type(raw).__name__}")
     x, v, att, omega = (_vec3(raw.get(k, [0.0, 0.0, 0.0]), k) for k in STATE_KEYS)
     return RigidBodyState(x=x, v=v, omega=omega, R_IB=euler_zyx_to_matrix(
         *(math.radians(a) for a in att)))

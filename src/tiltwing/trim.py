@@ -7,12 +7,14 @@ accelerations. Over-actuation is resolved by a secondary cost (net power,
 control-surface saturation, pitch-target deviation, neighbor deviation);
 the whole problem is solved as bound-constrained nonlinear least squares.
 
-The map over a (v_a, gamma) grid is built with neighbor-seeded initial
-guesses: each cell is re-solved with every newly improved neighboring
-solution as initial guess until no cell improves.
+The map over a (v_a, gamma) grid is built as one continuation front from
+a seed cell: ring by ring outward from it, each cell is solved once from
+each feasible neighboring solution found before it, with those neighbors
+in its cost, and keeps the best result.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -34,8 +36,6 @@ U_HI = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
 # cell and the point solve from the same guess stop at the same iterate.
 MAX_ITER = 60
 COST_TOL = 1e-9      # cost drop that counts as a map-cell improvement
-MAX_SWEEPS = 20      # map sweeps before the build stops
-REVISIT_TOL = 1e-4   # neighbour move that triggers a re-solve from it
 
 CSV_HEADER = "va,gamma,feasible,theta_t,delta_w,delta_plr,delta_al,delta_e,delta_pt,cost,res_v,res_th"
 
@@ -149,7 +149,8 @@ def trim_cost(u: np.ndarray, theta: float,
     """Secondary cost q >= 0: net power, control-surface saturation
     barriers, pitch-target deviation, and deviation from the mean of the
     neighboring solutions. Without neighbors (None or empty) the cost is
-    comparable across map sweeps; `TrimPoint.cost` stores that form.
+    comparable across cells and across the starts of one cell;
+    `TrimPoint.cost` stores that form.
 
     The saturation barrier on the aileron pair and the elevator is
     w_sat * s * (max(0, |delta| - thr) / s)^3 with thr = sat_threshold and
@@ -268,19 +269,16 @@ def _better(new: TrimPoint, old: TrimPoint | None) -> bool:
 def build_trim_map(vp: VehicleParams, *,
                    va_axis: np.ndarray, gamma_axis: np.ndarray,
                    seed: tuple[float, float, np.ndarray] | None = None) -> TrimMap:
-    """Sweep the grid until a fixed point of the neighbor-seeded solves.
+    """Build the map as one continuation front from the seed cell.
 
-    Every cell is solved once per available feasible neighbor solution used
-    as initial guess (each solve capped at ``MAX_ITER`` LM iterations); the
-    lowest-cost feasible solution is kept, a cell counts as improved when
-    it turns feasible or its cost (its residual norm, while infeasible)
-    drops by more than ``COST_TOL``, and improvements trigger revisits of
-    the neighbors. A neighbor triggers a revisit only when its
-    solution has moved by more than ``REVISIT_TOL`` in some actuation
-    component since it was last tried; the weak neighbor coupling in the
-    cost otherwise keeps circulating improvements far below any useful
-    resolution. The build stops after a sweep that improves no cell, or
-    after ``MAX_SWEEPS`` sweeps.
+    The other cells are visited once, ring by ring outward from the seed
+    (Chebyshev grid distance, then Manhattan distance, then index). Each is
+    solved from every distinct feasible neighbor solved before it, with
+    those neighbors in its cost, and keeps the best result (``_better``).
+    A cell with no such neighbor at its turn is retried after the pass, and
+    is solved from the seed guess if it still has none. One INFO record per
+    ring counts its solves and improvements; a DEBUG record per cell names
+    the start that won.
     """
     va_axis = np.asarray(va_axis, dtype=float)
     gamma_axis = np.asarray(gamma_axis, dtype=float)
@@ -306,19 +304,16 @@ def build_trim_map(vp: VehicleParams, *,
     hover_j = int(np.argmin(np.abs(gamma_axis))) if hover_col is not None else None
 
     points: list[list[TrimPoint | None]] = [[None] * ng for _ in range(nv)]
-    tried: dict[tuple[int, int, int, int], np.ndarray] = {}
+    seed_ig = np.asarray(seed_ig, dtype=float)
 
-    def pinned(i: int, j: int) -> bool:
-        return hover_col is not None and i == hover_col and j != hover_j
-
-    def mirror_hover() -> None:
-        if hover_col is None or points[hover_col][hover_j] is None:
-            return
-        src = points[hover_col][hover_j]
-        for j in range(ng):
-            if j != hover_j:
-                points[hover_col][j] = replace(
-                    src, gamma=float(gamma_axis[j]), u=src.u.copy())
+    def store(i: int, j: int, p: TrimPoint, start: str) -> None:
+        log.debug("trim map cell (%d, %d): start from %s won", i, j, start)
+        points[i][j] = p
+        if i == hover_col and j == hover_j:
+            for jj in range(ng):
+                if jj != hover_j:
+                    points[i][jj] = replace(p, gamma=float(gamma_axis[jj]),
+                                            u=p.u.copy())
 
     def solve_cell(i: int, j: int, ig: np.ndarray) -> TrimPoint:
         ctx = [points[ni][nj].z for ni, nj in _neighbor_cells(i, j, nv, ng)
@@ -326,48 +321,49 @@ def build_trim_map(vp: VehicleParams, *,
         return solve_trim_point(float(va_axis[i]), float(gamma_axis[j]), ig,
                                 vp, neighbors=ctx or None)
 
-    first = solve_cell(si, sj, np.asarray(seed_ig, dtype=float))
+    def solve_ring(r: int, cells, last_resort: bool) -> None:
+        solves = improved = 0
+        for i, j in cells:
+            guesses: dict[bytes, tuple[str, np.ndarray]] = {}
+            for ni, nj in _neighbor_cells(i, j, nv, ng):
+                src = points[ni][nj]
+                if src is not None and src.feasible:
+                    guesses.setdefault(src.z.tobytes(), (f"cell ({ni}, {nj})", src.z))
+            if not guesses and last_resort:
+                guesses[b""] = ("the seed guess", seed_ig)
+            best = won = None
+            for name, ig in guesses.values():
+                cand = solve_cell(i, j, ig)
+                if _better(cand, best):
+                    best, won, improved = cand, name, improved + 1
+            if best is not None:
+                store(i, j, best, won)
+            solves += len(guesses)
+        log.info("trim map sweep %d: %d solves, %d cells improved",
+                 r, solves, improved)
+
+    first = solve_cell(si, sj, seed_ig)
     if not first.feasible:
         raise TrimError(
             f"seed cell (v_a={seed_va}, gamma={seed_gamma}) did not solve "
             f"feasibly: |v_dot|={first.res_v:.3g}, |th_dd|={first.res_theta:.3g}")
-    points[si][sj] = first
-    mirror_hover()
+    store(si, sj, first, "the seed guess")
+    log.info("trim map sweep 0: 1 solves, 1 cells improved")
 
-    for sweep in range(1, MAX_SWEEPS + 1):
-        changed = 0
-        solves = 0
-        for i in range(nv):
-            for j in range(ng):
-                if pinned(i, j):
-                    continue
-                for ni, nj in _neighbor_cells(i, j, nv, ng):
-                    src = points[ni][nj]
-                    if src is None or not src.feasible:
-                        continue
-                    key = (i, j, ni, nj)
-                    last = tried.get(key)
-                    if last is not None \
-                            and np.abs(src.z - last).max() <= REVISIT_TOL:
-                        continue
-                    tried[key] = src.z
-                    cand = solve_cell(i, j, src.z)
-                    solves += 1
-                    if _better(cand, points[i][j]):
-                        points[i][j] = cand
-                        changed += 1
-                        if i == hover_col and j == hover_j:
-                            mirror_hover()
-        log.info("trim map sweep %d: %d solves, %d cells improved",
-                 sweep, solves, changed)
-        if changed == 0 or solves == 0:
-            break
+    def ring(c: tuple[int, int]) -> int:
+        return max(abs(c[0] - si), abs(c[1] - sj))
 
-    missing = [(i, j) for i in range(nv) for j in range(ng) if points[i][j] is None]
-    for i, j in missing:
-        # unreachable cells (no feasible neighbor ever appeared): record a
-        # direct attempt from the seed guess so every cell is present
-        points[i][j] = solve_cell(i, j, np.asarray(seed_ig, dtype=float))
+    order = sorted((c for c in np.ndindex(nv, ng) if points[c[0]][c[1]] is None
+                    and not (c[0] == hover_col and c[1] != hover_j)),
+                   key=lambda c: (ring(c), abs(c[0] - si) + abs(c[1] - sj), c))
+    r = 0
+    for r, cells in itertools.groupby(order, key=ring):
+        solve_ring(r, cells, last_resort=False)
+    # a cell with no feasible solved neighbor at its turn has no point yet;
+    # retry it from the neighbors feasible since, or from the seed guess
+    late = [c for c in order if points[c[0]][c[1]] is None]
+    if late:
+        solve_ring(r + 1, late, last_resort=True)
 
     return TrimMap(va_axis=va_axis, gamma_axis=gamma_axis,
                    points=points, weights=replace(WEIGHTS))

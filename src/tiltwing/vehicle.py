@@ -341,7 +341,10 @@ def _angle(mapping: dict, base: str, where: str) -> float:
 
 
 def _vec3(value, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a 3-element list of numbers") from None
     if arr.shape != (3,):
         raise ConfigError(f"{where} must be a 3-element list")
     return arr

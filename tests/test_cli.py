@@ -134,8 +134,30 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
      {"s.yaml": "{}\n", "a.yaml": "wind: [1, 0]\n"}),
     ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
      {"sc.yaml": "mode: open_loop\nduration: 0.1\ninitial: {velocity: [5, 0]}\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "[1, 2, 3]\n", "a.yaml": "w: 1\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: attitude\nduration: 0.1\ntimeline:\n  - {roll_deg: 5}\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: cruise\nduration: 0.1\ntimeline:\n  - {t: 0, vax: fast}\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: 0.1\ninitial: {velocity: [fast, 0, 0]}\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "{}\n", "a.yaml": "[0.5, 0.5]\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "{}\n", "a.yaml": "w: fast\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: 0.1\nwind: [1, 0, 0]\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: 0.1\nwind: {steps: 5}\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: attitude\nduration: 0.1\n"
+                 "timeline:\n  - {t: 0, ramp: no_thanks, roll_deg: 5}\n"}),
 ], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
-        "unknown_command", "wind_2_vector", "velocity_2_vector"])
+        "unknown_command", "wind_2_vector", "velocity_2_vector", "state_list",
+        "timeline_entry_without_t", "timeline_value_not_a_number",
+        "velocity_not_numbers", "actuators_list", "actuator_not_a_number",
+        "wind_not_a_mapping", "wind_steps_not_a_list", "ramp_not_a_bool"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

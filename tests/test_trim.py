@@ -1,10 +1,13 @@
 import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
+from tiltwing import trim
 from tiltwing.aero import body_wrench
 from tiltwing.trim import (WEIGHTS, TrimError, TrimMap, TrimPoint, TrimWeights,
                            build_trim_map, hover_initial_guess, load_trim_map, lookup_trim,
@@ -194,6 +197,40 @@ def test_hover_column_replicated(coarse_map):
         assert p.theta == col[0].theta
 
 
+def _cell_array(tmap, value):
+    return np.array([[value(p) for p in row] for row in tmap.points])
+
+
+def test_coarse_map_all_feasible(coarse_map):
+    assert coarse_map.n_feasible == 30
+
+
+def test_coarse_map_cost_near_committed(coarse_map, committed_map_path):
+    """Per cell at most 10% (+0.002) and on average at most 2% above the
+    committed map's cost."""
+    ref = load_trim_map(committed_map_path)
+    cost = _cell_array(coarse_map, lambda p: p.cost)
+    ref_cost = _cell_array(ref, lambda p: p.cost)
+    assert np.all(cost <= 1.10 * ref_cost + 0.002)
+    assert cost.mean() <= 1.02 * ref_cost.mean()
+
+
+CRUISE_READS = {"delta_w": lambda p: p.u[0], "delta_plr": lambda p: p.u[1],
+                "theta": lambda p: p.theta}
+
+
+@pytest.mark.parametrize("name", CRUISE_READS)
+def test_coarse_map_jumps_no_larger_than_committed(coarse_map, committed_map_path,
+                                                   name):
+    """The largest change between adjacent cells of what cruise reads from
+    the map stays within the committed map's."""
+    def jump(tmap):
+        x = _cell_array(tmap, CRUISE_READS[name])
+        return max(np.abs(np.diff(x, axis=0)).max(), np.abs(np.diff(x, axis=1)).max())
+
+    assert jump(coarse_map) <= jump(load_trim_map(committed_map_path))
+
+
 def test_map_determinism(vp):
     va = np.array([0.0, 5.0])
     ga = np.radians(np.array([-5.0, 0.0, 5.0]))
@@ -203,6 +240,83 @@ def test_map_determinism(vp):
         for j in range(ga.size):
             assert np.array_equal(m1.points[i][j].u, m2.points[i][j].u)
             assert m1.points[i][j].theta == m2.points[i][j].theta
+
+
+def _sweep_records(caplog):
+    return [tuple(int(g) for g in m.groups()) for m in
+            (re.search(r"trim map sweep (\d+): (\d+) solves, (\d+) cells improved",
+                       r.getMessage()) for r in caplog.records) if m]
+
+
+def test_ring_records_count_every_solve(vp, monkeypatch, caplog):
+    """The benchmark's 3x3 grid: one INFO record per ring whose solve counts
+    add up to the point solves made, and one DEBUG record per solved cell
+    (the mirrored hover column excepted) naming the start that won."""
+    calls = []
+    solve = trim.solve_trim_point
+    monkeypatch.setattr(trim, "solve_trim_point",
+                        lambda *a, **k: calls.append(a[:2]) or solve(*a, **k))
+    caplog.set_level(logging.DEBUG, logger="tiltwing.trim")
+    tmap = build_trim_map(vp, va_axis=np.array([0.0, 4.0, 8.0]),
+                          gamma_axis=np.radians([-5.0, 0.0, 5.0]))
+    rings = _sweep_records(caplog)
+    assert [r[0] for r in rings] == [0, 1, 2]
+    assert sum(r[1] for r in rings) == len(calls) <= 20
+    won = [r.getMessage() for r in caplog.records
+           if r.levelno == logging.DEBUG and "won" in r.getMessage()]
+    assert len(won) == 7
+    assert won[0] == "trim map cell (0, 1): start from the seed guess won"
+    assert tmap.n_feasible == 9
+
+
+def _fake_solver(bad: set, calls: list):
+    """Stand-in for the point solve: cells in ``bad`` never turn feasible;
+    the others return their guess shifted by the operating point."""
+    def solve(v_a, gamma, ig, vp, neighbors=None):
+        cell = (int(v_a) - 1, int(gamma))  # grid index on the test's axes
+        calls.append(cell)
+        z = np.asarray(ig, dtype=float) + 0.01 * v_a + 0.001 * gamma
+        ok = cell not in bad
+        return TrimPoint(v_a=v_a, gamma=gamma, u=z[:5], theta=float(z[5]),
+                         res_v=0.0 if ok else 1.0, res_theta=0.0,
+                         cost=float(np.sum(z ** 2)), feasible=ok)
+    return solve
+
+
+def test_front_order_and_cells_without_a_start(vp, monkeypatch, caplog):
+    """Cells go ring by ring, then by Manhattan distance, then by index. A
+    cell with no feasible neighbor at its turn is retried after the pass
+    from a neighbor that turned feasible later in it; one that still has
+    none is solved from the seed guess."""
+    calls = []
+    monkeypatch.setattr(trim, "solve_trim_point",
+                        _fake_solver({(1, 0), (1, 1)}, calls))
+    caplog.set_level(logging.DEBUG, logger="tiltwing.trim")
+    seed_ig = np.zeros(6)
+    # seed cell (0, 0); at its turn (2, 0) touches only bad or unsolved cells
+    tmap = build_trim_map(vp, va_axis=np.array([1.0, 2.0, 3.0]),
+                          gamma_axis=np.array([0.0, 1.0, 2.0]),
+                          seed=(1.0, 0.0, seed_ig))
+    order = [c for k, c in enumerate(calls) if k == 0 or calls[k - 1] != c]
+    assert order == [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 1),
+                     (2, 2), (2, 0)]
+    assert all(p is not None for row in tmap.points for p in row)
+    won = {r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG}
+    assert "trim map cell (2, 0): start from cell (2, 1) won" in won
+    assert "trim map cell (2, 1): start from cell (1, 2) won" in won
+    rings = _sweep_records(caplog)
+    assert [r[0] for r in rings] == [0, 1, 2, 3]
+    assert sum(r[1] for r in rings) == len(calls)
+
+    calls.clear()
+    caplog.clear()
+    monkeypatch.setattr(trim, "solve_trim_point", _fake_solver({(1, 0)}, calls))
+    tmap = build_trim_map(vp, va_axis=np.array([1.0, 2.0, 3.0]),
+                          gamma_axis=np.array([0.0]), seed=(1.0, 0.0, seed_ig))
+    assert calls == [(0, 0), (1, 0), (2, 0)]
+    assert np.array_equal(tmap.points[2][0].z, seed_ig + 0.03)
+    assert "trim map cell (2, 0): start from the seed guess won" in caplog.messages
+    assert _sweep_records(caplog) == [(0, 1, 1), (1, 1, 1), (2, 0, 0), (3, 1, 1)]
 
 
 def test_infeasible_seed_aborts(vp):
