@@ -12,10 +12,11 @@ All public operations are pure functions. `body_wrench` (and
 in one pass of Python float arithmetic, one propeller and one segment at a
 time; on arrays of three propellers and a dozen segments, numpy's fixed
 cost per call would outweigh the arithmetic. It returns one result shape:
-the net wrench and the `FlowTables` of the evaluation, which also hold the
-force and moment of every propeller and segment and the fuselage force.
-`advance_ratio` and `airfoil_coefficients` are the per-element laws it
-calls.
+the net wrench and the `FlowTables` of the evaluation. Those are the records
+its loops build as they go, one `PropFlow` per propeller and one `SegFlow`
+per segment, each holding that source's geometry, local flow, force and
+moment as Python floats, plus the fuselage force. `advance_ratio` and
+`airfoil_coefficients` are the per-element laws it calls.
 """
 from __future__ import annotations
 
@@ -149,46 +150,57 @@ def _vehicle_tables(vp: VehicleParams) -> _VehicleTables:
     return vp._aero_tables
 
 
-@dataclass
-class FlowTables:
-    """Intermediate flow state and per-source wrenches of a full-vehicle
-    evaluation, body frame.
+Vec3 = tuple[float, float, float]
 
-    The controllers read it to build local actuator models at the current
-    operating point without re-deriving geometry; the run log and the
-    cruise linearization read the per-source forces. The net wrench is the
-    sum of the propeller and segment rows and the fuselage force (the
-    fuselage has no moment).
+
+class PropFlow(NamedTuple):
+    """One propeller of an evaluation: geometry, inflow and wrench."""
+
+    r: Vec3          # hub position
+    axis: Vec3       # forward axis
+    radial: Vec3     # unit radial inflow, zero vector when there is none
+    force: Vec3
+    moment: Vec3     # about the CG, reactive torque included
+    eta: float
+    v_axial: float
+    v_radial: float
+    thrust: float
+
+
+class SegFlow(NamedTuple):
+    """One airfoil segment of an evaluation: frame, local flow and wrench."""
+
+    r: Vec3          # centre of pressure
+    ey: Vec3         # span axis
+    e_lift: Vec3
+    e_drag: Vec3
+    force: Vec3
+    moment: Vec3     # about the CG
+    speed: float
+    alpha: float
+    lam: float       # pre-stall weight
+    stalled: bool
+
+
+class FlowTables(NamedTuple):
+    """Per-source records of a full-vehicle evaluation, body frame.
+
+    ``props`` follow vp.propellers and ``segs`` vp.segments. The controllers
+    read them to build local actuator models at the current operating point
+    without re-deriving geometry; the run log and the cruise linearization
+    read the per-source forces. The net wrench is the sum of the propeller
+    and segment wrenches and ``fus_force`` (the fuselage has no moment).
     """
 
-    # propellers, in vp.propellers order
-    prop_r: np.ndarray        # (3,3) hub positions
-    prop_axis: np.ndarray     # (3,3) forward axes
-    prop_eta: np.ndarray
-    prop_v_axial: np.ndarray
-    prop_v_radial: np.ndarray
-    prop_radial: np.ndarray   # (3,3), zero vector when no radial inflow
-    prop_thrust: np.ndarray
-    prop_force: np.ndarray    # (3,3)
-    prop_moment: np.ndarray   # (3,3) about the CG, reactive torque included
-    # segments, in vp.segments order
-    seg_r: np.ndarray         # (n,3)
-    seg_ey: np.ndarray
-    seg_e_lift: np.ndarray
-    seg_e_drag: np.ndarray
-    seg_speed: np.ndarray
-    seg_alpha: np.ndarray
-    seg_lam: np.ndarray       # pre-stall weight
-    seg_stalled: np.ndarray
-    seg_force: np.ndarray     # (n,3)
-    seg_moment: np.ndarray    # (n,3) about the CG
-    fus_force: np.ndarray     # (3,)
+    props: list[PropFlow]
+    segs: list[SegFlow]
+    fus_force: Vec3
 
 
 def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
                 vp: VehicleParams) -> tuple[ForceMoment, FlowTables]:
     """Net wrench in body axes from body-frame airspeed and angular rate,
-    and the flow tables of the evaluation.
+    and the per-source records of the evaluation.
 
     Propellers are evaluated first; their thrusts drive the slipstream
     added to bound segments; segment and fuselage wrenches follow.
@@ -204,8 +216,7 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     px, py, pz = t.pivot
     cw, sw = math.cos(act.zeta_w), math.sin(act.zeta_w)
 
-    # one row of scalars per propeller, stacked into an array after the loop
-    prop_rows = []
+    props = []
     fx = fy = fz = mx = my = mz = 0.0
     slip_w = []
 
@@ -255,10 +266,9 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
             nx, ny, nz = urx / v_rad, ury / v_rad, urz / v_rad
         else:
             nx = ny = nz = 0.0
-        prop_rows.append((rx, ry, rz, ax, ay, az, nx, ny, nz,
-                          pfx, pfy, pfz, pmx, pmy, pmz,
-                          eta, v_ax, v_rad, thrust))
-    pt = np.array(prop_rows)
+        props.append(PropFlow((rx, ry, rz), (ax, ay, az), (nx, ny, nz),
+                              (pfx, pfy, pfz), (pmx, pmy, pmz),
+                              eta, v_ax, v_rad, thrust))
 
     # segment flow at the current wing tilt: wing axes take the tilt
     # rotation's columns, since their pre-tilt axes are the body axes
@@ -297,7 +307,7 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
 
     # segment wrenches; the net wrench adds them in row order, then the
     # fuselage force, then the propeller sums: that order fixes its last bits
-    seg_rows = []
+    segs = []
     sfx = sfy = sfz = smx = smy = smz = 0.0
     for (seg, _, _, _, _, _, _, actuator, gain, area, moment_scale), flow, a \
             in zip(t.segs, flows, alpha.tolist()):
@@ -319,9 +329,9 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         smy += m1
         smz += m2
         stalled = not (seg.alpha_stall_neg < a < seg.alpha_stall_pos)
-        seg_rows.append((rx, ry, rz, ey0, ey1, ey2, el0, el1, el2, ed0, ed1, ed2,
-                         V, lam, f0, f1, f2, m0, m1, m2, stalled))
-    st = np.array(seg_rows)
+        segs.append(SegFlow((rx, ry, rz), (ey0, ey1, ey2), (el0, el1, el2),
+                            (ed0, ed1, ed2), (f0, f1, f2), (m0, m1, m2),
+                            V, a, lam, stalled))
 
     ffx = -0.5 * rho * vp.fuselage.cd_x * vbx * abs(vbx)
     ffy = -0.5 * rho * vp.fuselage.cd_y * vby * abs(vby)
@@ -332,17 +342,8 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     if not math.isfinite(f0 + f1 + f2) or not math.isfinite(m0 + m1 + m2):
         raise FloatingPointError("non-finite aerodynamic wrench")
 
-    tables = FlowTables(
-        prop_r=pt[:, 0:3], prop_axis=pt[:, 3:6], prop_radial=pt[:, 6:9],
-        prop_force=pt[:, 9:12], prop_moment=pt[:, 12:15], prop_eta=pt[:, 15],
-        prop_v_axial=pt[:, 16], prop_v_radial=pt[:, 17], prop_thrust=pt[:, 18],
-        seg_r=st[:, 0:3], seg_ey=st[:, 3:6], seg_e_lift=st[:, 6:9],
-        seg_e_drag=st[:, 9:12], seg_speed=st[:, 12], seg_alpha=alpha,
-        seg_lam=st[:, 13], seg_stalled=st[:, 20] != 0.0,
-        seg_force=st[:, 14:17], seg_moment=st[:, 17:20],
-        fus_force=np.array((ffx, ffy, ffz)),
-    )
-    return ForceMoment(force=np.array((f0, f1, f2)), moment=np.array((m0, m1, m2))), tables
+    return (ForceMoment(force=np.array((f0, f1, f2)), moment=np.array((m0, m1, m2))),
+            FlowTables(props, segs, (ffx, ffy, ffz)))
 
 
 def total_wrench(state: "RigidBodyState", act: ActuatorSet, vp: VehicleParams,

@@ -118,64 +118,48 @@ def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
     g = [0.0, 0.0, 0.0]
     for row, gain, cl_delta, cd_alpha2, kd, cm_delta, area, moment_scale \
             in aero._vehicle_tables(vp).surface_rows.get(actuator, ()):
-        lam = tab.seg_lam.item(row)
+        seg = tab.segs[row]
+        lam = seg.lam
         if lam <= 0.0:
             continue
-        V2 = tab.seg_speed.item(row) ** 2
+        V2 = seg.speed ** 2
         dz = gain * travel
         dcl = lam * cl_delta * dz
-        dcd = lam * cd_alpha2 * 2.0 \
-            * (tab.seg_alpha.item(row) + kd * gain * zeta_now) * kd * dz
+        dcd = lam * cd_alpha2 * 2.0 * (seg.alpha + kd * gain * zeta_now) * kd * dz
         dcm = lam * cm_delta * dz
         q_area = 0.5 * vp.rho * V2 * area
-        dF = [q_area * (dcl * lift + dcd * drag) for lift, drag
-              in zip(tab.seg_e_lift[row].tolist(), tab.seg_e_drag[row].tolist())]
+        dF = [q_area * (dcl * lift + dcd * drag)
+              for lift, drag in zip(seg.e_lift, seg.e_drag)]
         m = dcm * vp.rho * V2 * moment_scale
-        c = cross3(tab.seg_r[row].tolist(), dF).tolist()
-        g = [gi + (m * ey + ci) for gi, ey, ci in zip(g, tab.seg_ey[row].tolist(), c)]
+        c = cross3(seg.r, dF).tolist()
+        g = [gi + (m * ey + ci) for gi, ey, ci in zip(g, seg.ey, c)]
     return np.array(g)
 
 
-def _thrust_eta_derivative(prop, eta: float, v_ax: float, rho: float) -> float:
-    """dT/d(eta) of the clamped-advance-ratio thrust law."""
+def _prop_eta_derivatives(prop, eta: float, v_ax: float,
+                          rho: float) -> tuple[float, float]:
+    """(dT/d(eta), d(reactive torque magnitude)/d(eta)) of the
+    clamped-advance-ratio thrust and torque laws."""
     D = prop.diameter
-    if eta < aero.ETA_MIN:
-        return 2.0 * rho * D ** 4 * prop.ct0 * eta
-    J = v_ax / (eta * D)
+    J = 0.0 if eta < aero.ETA_MIN else v_ax / (eta * D)
     if J <= 0.0:
-        return 2.0 * rho * D ** 4 * prop.ct0 * eta
+        return 2.0 * rho * D ** 4 * prop.ct0 * eta, 2.0 * rho * D ** 5 * prop.cq0 * eta
     if J >= prop.advance_ratio_max:
-        return 0.0
-    return 2.0 * rho * D ** 4 * prop.ct0 * eta + rho * D ** 3 * prop.ct1 * v_ax
-
-
-def _torque_eta_derivative(prop, eta: float, v_ax: float, rho: float) -> float:
-    """d(reactive torque magnitude)/d(eta), same clamping as the thrust."""
-    D = prop.diameter
-    if eta < aero.ETA_MIN:
-        return 2.0 * rho * D ** 5 * prop.cq0 * eta
-    J = v_ax / (eta * D)
-    if J <= 0.0:
-        return 2.0 * rho * D ** 5 * prop.cq0 * eta
-    if J >= prop.advance_ratio_max:
-        return 2.0 * rho * D ** 5 * eta * (prop.cq0 + prop.cq1 * prop.advance_ratio_max)
-    return 2.0 * rho * D ** 5 * prop.cq0 * eta + rho * D ** 4 * prop.cq1 * v_ax
+        return 0.0, 2.0 * rho * D ** 5 * eta * (prop.cq0 + prop.cq1 * prop.advance_ratio_max)
+    return (2.0 * rho * D ** 4 * prop.ct0 * eta + rho * D ** 3 * prop.ct1 * v_ax,
+            2.0 * rho * D ** 5 * prop.cq0 * eta + rho * D ** 4 * prop.cq1 * v_ax)
 
 
 def _prop_moment_eta_gain(vp: VehicleParams, tab: aero.FlowTables,
                           idx: int) -> np.ndarray:
     """d(moment)/d(eta) of one propeller at its current inflow."""
-    prop = vp.propellers[idx]
-    eta = tab.prop_eta.item(idx)
-    v_ax = tab.prop_v_axial.item(idx)
-    dT = _thrust_eta_derivative(prop, eta, v_ax, vp.rho)
-    dQ = _torque_eta_derivative(prop, eta, v_ax, vp.rho)
-    nf = prop.normal_force_coeff * tab.prop_v_radial.item(idx)
-    axis = tab.prop_axis[idx].tolist()
-    dF = [dT * a - nf * r for a, r in zip(axis, tab.prop_radial[idx].tolist())]
-    c = cross3(tab.prop_r[idx].tolist(), dF).tolist()
+    prop, flow = vp.propellers[idx], tab.props[idx]
+    dT, dQ = _prop_eta_derivatives(prop, flow.eta, flow.v_axial, vp.rho)
+    nf = prop.normal_force_coeff * flow.v_radial
+    dF = [dT * a - nf * r for a, r in zip(flow.axis, flow.radial)]
+    c = cross3(flow.r, dF).tolist()
     q = -dQ * prop.handedness
-    return np.array([q * a + ci for a, ci in zip(axis, c)])
+    return np.array([q * a + ci for a, ci in zip(flow.axis, c)])
 
 
 def _solve_prop_speed(prop, thrust: float, v_ax: float, rho: float) -> float:
@@ -315,7 +299,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
         blocks[name] += fm.moment - M_cur
         M_cur = fm.moment
 
-    # propeller rows of the tables, by the name of the command driving each
+    # propeller records of the tables, by the name of the command driving each
     names = [p.name for p in vp.propellers]
     i_pl, i_pr, i_pt = (names.index(n) for n in ("pl", "pr", "pt"))
     pt = vp.propellers[i_pt]
@@ -371,12 +355,10 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
         # block 4: tail throttle + tail tilt, pitch strictly before yaw
         resid = target - M_cur
         if abs(resid[1]) > _EPS_DEMAND or abs(resid[2]) > _EPS_DEMAND:
-            r_t = tab.prop_r[i_pt]
-            x_t = r_t[0]
-            axis = tab.prop_axis[i_pt]
-            T_now = tab.prop_thrust[i_pt]
-            m_now = x_t * (T_now * -axis[2])  # pitch part of r x T axis, y_t = 0
-            n_now = x_t * (T_now * axis[1])
+            tail = tab.props[i_pt]
+            x_t = tail.r[0]
+            m_now = x_t * (tail.thrust * -tail.axis[2])  # pitch part of r x T axis, y_t = 0
+            n_now = x_t * (tail.thrust * tail.axis[1])
             m_abs = m_now + resid[1]
             n_abs = n_now + resid[2]
             # (cos, sin) of the tilt proportional to the absolute targets;
@@ -390,7 +372,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
                 zeta = min(max(zeta, lim_tt.lo * lim_tt.travel),
                            lim_tt.hi * lim_tt.travel)
                 thrust = cos_part / math.cos(zeta)
-                eta = _solve_prop_speed(pt, thrust, tab.prop_v_axial[i_pt], vp.rho)
+                eta = _solve_prop_speed(pt, thrust, tail.v_axial, vp.rho)
                 act.delta_tt = zeta / lim_tt.travel
                 act.delta_pt = min(max(eta / pt.max_speed, 0.0), 1.0)
                 book("tail_group")

@@ -50,11 +50,11 @@ def cmd_model_eval(args) -> int:
         raise ConfigError(f"actuator commands must be numbers: {exc}") from None
     act = actuation_from_commands(vp, **commands)
     fm, tab = aero.total_wrench(state, act, vp, wind)
-    rows = [(p.name, f, m, False) for p, f, m in
-            zip(vp.propellers, tab.prop_force, tab.prop_moment)]
-    rows += zip((s.name for s in vp.segments), tab.seg_force, tab.seg_moment,
-                tab.seg_stalled)
-    rows.append(("fuselage", tab.fus_force, np.zeros(3), False))
+    rows = [(p.name, f.force, f.moment, False)
+            for p, f in zip(vp.propellers, tab.props)]
+    rows += [(s.name, f.force, f.moment, f.stalled)
+             for s, f in zip(vp.segments, tab.segs)]
+    rows.append(("fuselage", tab.fus_force, (0.0, 0.0, 0.0), False))
     rows.append(("TOTAL", fm.force, fm.moment, False))
     print("source,fx,fy,fz,mx,my,mz,stalled")
     for name, force, moment, stalled in rows:
@@ -84,12 +84,11 @@ def cmd_trim_build(args) -> int:
 def cmd_trim_query(args) -> int:
     tmap = trim.load_trim_map(args.map)
     lut = trim.lookup_trim(tmap, args.va, args.gamma)
-    names = ("delta_w", "delta_plr", "delta_al", "delta_e", "delta_pt")
     if lut.clamped:
         print("WARNING: query outside grid hull, clamped to boundary",
               file=sys.stderr)
     print(f"va={args.va} gamma={args.gamma}")
-    for name, v in zip(names, lut.u):
+    for name, v in zip(trim.U_FIELDS, lut.u):
         print(f"  {name:10s} {v: .6f}")
     print(f"  {'theta_t':10s} {lut.theta: .6f}  ({math.degrees(lut.theta):.2f} deg)")
     return 0

@@ -104,11 +104,6 @@ def _projected_force(R: np.ndarray, heading: np.ndarray,
     return np.array([f_inertial @ heading, f_inertial[2]])
 
 
-def _source_forces(tab: aero.FlowTables, live: np.ndarray) -> list[np.ndarray]:
-    """Body forces of the propellers, the live segments and the fuselage."""
-    return [*tab.prop_force, *tab.seg_force[live], tab.fus_force]
-
-
 def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
                         wind: np.ndarray | None = None) -> np.ndarray:
     """J = d(f_x, f_z)/d(theta, delta_plr) by central differences [N/unit].
@@ -133,9 +128,12 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     h = FD_THETA
     R_p, _, tab_p = eval_at(pitch + h, act)
     R_m, _, tab_m = eval_at(pitch - h, act)
-    live = ~(tab_p.seg_stalled | tab_m.seg_stalled)
+    pairs = [(p.force, m.force) for p, m in zip(tab_p.props, tab_m.props)]
+    pairs += [(p.force, m.force) for p, m in zip(tab_p.segs, tab_m.segs)
+              if not (p.stalled or m.stalled)]
+    pairs.append((tab_p.fus_force, tab_m.fus_force))
     col = np.zeros(2)
-    for f_p, f_m in zip(_source_forces(tab_p, live), _source_forces(tab_m, live)):
+    for f_p, f_m in pairs:
         col += (_projected_force(R_p, heading, f_p)
                 - _projected_force(R_m, heading, f_m))
     J[:, 0] = col / (2.0 * h)

@@ -361,9 +361,10 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
                 fm, tab = alloc.evaluation
             else:
                 fm, tab = aero.total_wrench(state, act, vp, wind)
-            # z force per source group; +0.0 turns a signed zero into +0.0
-            group_fz = [0.0 + tab.prop_force.sum(axis=0)[2],
-                        0.0 + tab.seg_force.sum(axis=0)[2],
+            # z force per source group; sum's start 0 and +0.0 turn a signed
+            # zero into +0.0
+            group_fz = [sum(p.force[2] for p in tab.props),
+                        sum(s.force[2] for s in tab.segs),
                         0.0 + tab.fus_force[2]]
 
             roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)

@@ -1,7 +1,7 @@
 """Steady-state trim optimization and the trim-map.
 
 A trim point at operating point (airspeed v_a, flight-path angle gamma) is
-a longitudinally symmetric actuation u = (delta_w, delta_plr, delta_alr,
+a longitudinally symmetric actuation u = (delta_w, delta_plr, delta_al,
 delta_e, delta_pt) and pitch theta that zero the translational and pitch
 accelerations. Over-actuation is resolved by a secondary cost (net power,
 control-surface saturation, pitch-target deviation, neighbor deviation);
@@ -28,7 +28,8 @@ from .vehicle import ActuatorSet, VehicleParams
 
 log = logging.getLogger(__name__)
 
-U_FIELDS = ("delta_w", "delta_plr", "delta_alr", "delta_e", "delta_pt")
+# u's commands; delta_al drives the aileron pair in flap mode (`trim_actuation`)
+U_FIELDS = ("delta_w", "delta_plr", "delta_al", "delta_e", "delta_pt")
 U_LO = np.array([0.0, 0.0, -1.0, -1.0, 0.0])
 U_HI = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
 
@@ -37,7 +38,8 @@ U_HI = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
 MAX_ITER = 60
 COST_TOL = 1e-9      # cost drop that counts as a map-cell improvement
 
-CSV_HEADER = "va,gamma,feasible,theta_t,delta_w,delta_plr,delta_al,delta_e,delta_pt,cost,res_v,res_th"
+CSV_HEADER = ",".join(("va", "gamma", "feasible", "theta_t", *U_FIELDS,
+                       "cost", "res_v", "res_th"))
 
 
 class TrimError(RuntimeError):
@@ -143,14 +145,13 @@ def _cost_terms(u: np.ndarray, theta: float, th_star: float,
     return power, sat, pitch
 
 
-def trim_cost(u: np.ndarray, theta: float,
-              neighbors: list[np.ndarray] | None, th_star: float,
+def trim_cost(u: np.ndarray, theta: float, th_star: float,
               vp: VehicleParams) -> float:
     """Secondary cost q >= 0: net power, control-surface saturation
-    barriers, pitch-target deviation, and deviation from the mean of the
-    neighboring solutions. Without neighbors (None or empty) the cost is
-    comparable across cells and across the starts of one cell;
-    `TrimPoint.cost` stores that form.
+    barriers and pitch-target deviation. It is comparable across cells and
+    across the starts of one cell; `TrimPoint.cost` stores it. The
+    deviation from the neighboring solutions, which the solver also
+    minimizes, is a term of ``trim_residual`` only.
 
     The saturation barrier on the aileron pair and the elevator is
     w_sat * s * (max(0, |delta| - thr) / s)^3 with thr = sat_threshold and
@@ -158,11 +159,7 @@ def trim_cost(u: np.ndarray, theta: float,
     that its square root in ``trim_residual`` has a continuous first
     derivative."""
     power, sat, pitch = _cost_terms(u, theta, th_star, vp)
-    q = power + sum(sat) + pitch
-    if neighbors:
-        z = np.concatenate([u, [theta]])
-        q += WEIGHTS.w_neighbor * float(np.sum((z - np.mean(neighbors, axis=0)) ** 2))
-    return q
+    return power + sum(sat) + pitch
 
 
 def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
@@ -209,7 +206,7 @@ def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
     feasible = res_v < WEIGHTS.eps_v and res_th < WEIGHTS.eps_theta
     return TrimPoint(v_a=v_a, gamma=gamma, u=u, theta=theta,
                      res_v=res_v, res_theta=res_th,
-                     cost=trim_cost(u, theta, None, th_star, vp),
+                     cost=trim_cost(u, theta, th_star, vp),
                      feasible=feasible)
 
 

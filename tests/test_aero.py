@@ -335,9 +335,10 @@ def test_breakdown_sums_to_totals(vp):
             delta_r=rng.uniform(-1, 1), delta_tt=rng.uniform(-1, 1))
         fm, tab = total_wrench(state, act, vp)
         scale = max(np.abs(fm.force).max(), np.abs(fm.moment).max(), 1.0)
-        f_sum = (tab.prop_force.sum(axis=0) + tab.seg_force.sum(axis=0)
-                 + tab.fus_force)
-        m_sum = tab.prop_moment.sum(axis=0) + tab.seg_moment.sum(axis=0)
+        f_sum = (np.sum([p.force for p in tab.props], axis=0)
+                 + np.sum([s.force for s in tab.segs], axis=0) + tab.fus_force)
+        m_sum = (np.sum([p.moment for p in tab.props], axis=0)
+                 + np.sum([s.moment for s in tab.segs], axis=0))
         assert np.abs(f_sum - fm.force).max() < 1e-9 * scale
         assert np.abs(m_sum - fm.moment).max() < 1e-9 * scale
 
@@ -363,8 +364,8 @@ def test_single_element_ops_match_vector_path(vp):
         flow = decompose_at_propeller(
             local_airspeed(r_p, v_a_body, state.omega), axis)
         ref = propeller_wrench(prop, act.position(prop.name, vp), flow, vp.rho)
-        assert np.allclose(ref.force, tab.prop_force[i], atol=1e-12)
-        assert np.allclose(ref.moment, tab.prop_moment[i], atol=1e-12)
+        assert np.allclose(ref.force, tab.props[i].force, atol=1e-12)
+        assert np.allclose(ref.moment, tab.props[i].moment, atol=1e-12)
 
     # segments, including slipstream immersion
     prop_index = {p.name: i for i, p in enumerate(vp.propellers)}
@@ -373,17 +374,15 @@ def test_single_element_ops_match_vector_path(vp):
         slip = None
         if seg.slipstream != "none":
             i = prop_index[seg.slipstream]
-            prop = vp.propellers[i]
-            slip = propeller_slipstream(prop, tab.prop_eta[i],
-                                        tab.prop_thrust[i],
-                                        tab.prop_v_axial[i], vp.rho,
-                                        tab.prop_axis[i])
+            flow = tab.props[i]
+            slip = propeller_slipstream(vp.propellers[i], flow.eta, flow.thrust,
+                                        flow.v_axial, vp.rho, np.array(flow.axis))
         flow = decompose_at_segment(
             local_airspeed(r_cp, v_a_body, state.omega, slipstream=slip),
             ex, ey, ez)
         ref = segment_wrench(seg, flow, segment_deflection(vp, seg, act), vp.rho)
-        assert np.allclose(ref.force, tab.seg_force[k], atol=1e-10)
-        assert np.allclose(ref.moment, tab.seg_moment[k], atol=1e-10)
+        assert np.allclose(ref.force, tab.segs[k].force, atol=1e-10)
+        assert np.allclose(ref.moment, tab.segs[k].moment, atol=1e-10)
 
     ref = fuselage_wrench(v_a_body, vp.fuselage, vp.rho)
     assert np.allclose(ref.force, tab.fus_force, atol=1e-12)
@@ -434,7 +433,7 @@ def test_unbinding_slipstream_reproduces_free_stream(vp):
     _, tab1 = total_wrench(state, actuation_from_commands(vp, **act_kw), vp)
     _, tab2 = total_wrench(state, actuation_from_commands(vp2, **act_kw), vp2)
     k = next(k for k, s in enumerate(vp.segments) if s.name == "wing_l_in")
-    f1, f2 = tab1.seg_force[k], tab2.seg_force[k]
+    f1, f2 = tab1.segs[k].force, tab2.segs[k].force
     # bound segment feels the slipstream...
     assert not np.allclose(f1, f2)
     # ...and the unbound result equals a free-stream evaluation
@@ -455,7 +454,7 @@ def test_thrust_nonnegative_along_axis(vp):
                                       delta_plr=rng.uniform(0, 1),
                                       delta_pt=rng.uniform(0, 1))
         _, tab = body_wrench(v, np.zeros(3), act, vp)
-        assert np.all(tab.prop_thrust >= -1e-12)
+        assert all(p.thrust >= -1e-12 for p in tab.props)
 
 
 @pytest.mark.parametrize("where", ["v_a_body", "omega"])

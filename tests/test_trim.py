@@ -26,7 +26,7 @@ def exact_hover_trim(vp):
         return [v_dot[0], v_dot[2], th_dd]
 
     ig = hover_initial_guess(vp)
-    z = fsolve(balance, [0.0, ig[1], 0.1], full_output=False, xtol=1e-14)
+    z = fsolve(balance, [0.0, ig[1], 0.1], full_output=False, xtol=1e-12)
     u = np.array([1.0, z[1], 0.0, 0.0, z[2]])
     return u, float(z[0])
 
@@ -58,14 +58,14 @@ def test_qv_scaling_doubles_residual_block(vp):
 
 def test_cost_zero_at_ideal(vp):
     u = np.zeros(5)
-    assert trim_cost(u, 0.0, [], 0.0, vp) == pytest.approx(0.0, abs=1e-12)
+    assert trim_cost(u, 0.0, 0.0, vp) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cost_power_cubic(vp):
     u1 = np.array([0.0, 0.3, 0.0, 0.0, 0.2])
     u2 = np.array([0.0, 0.6, 0.0, 0.0, 0.4])
-    q1 = trim_cost(u1, 0.0, [], 0.0, vp)
-    q2 = trim_cost(u2, 0.0, [], 0.0, vp)
+    q1 = trim_cost(u1, 0.0, 0.0, vp)
+    q2 = trim_cost(u2, 0.0, 0.0, vp)
     assert q2 == pytest.approx(8.0 * q1, rel=1e-9)
 
 
@@ -81,7 +81,7 @@ def test_saturation_barrier_zero_below_threshold(vp):
 
     for k in (2, 3):
         def sat(delta):
-            return trim_cost(surface_u(k, delta), 0.0, [], 0.0, vp)
+            return trim_cost(surface_u(k, delta), 0.0, 0.0, vp)
 
         def sat_residual(delta):
             return trim_residual(surface_u(k, delta), 0.0, 0.0, 0.0, vp)[k + 2]
@@ -103,13 +103,19 @@ def test_saturation_barrier_zero_below_threshold(vp):
         assert (sat_residual(thr + h) - sat_residual(thr)) / h < 1e-3
 
 
-def test_cost_neighbor_zero_at_average(vp):
+def test_residual_neighbor_zero_at_average(vp):
+    """At the neighbors' mean the neighbor entries of the residual are 0
+    and the other entries are the residual without neighbors."""
     z = np.array([0.2, 0.5, 0.0, 0.1, 0.2, 0.05])
     neighbors = [z + np.array([0.1, 0, 0, 0, 0, 0]),
                  z - np.array([0.1, 0, 0, 0, 0, 0])]
-    q_with = trim_cost(z[:5], z[5], neighbors, 0.05, vp)
-    q_without = trim_cost(z[:5], z[5], [], 0.05, vp)
-    assert q_with == pytest.approx(q_without, abs=1e-12)
+    r_with = trim_residual(z[:5], z[5], 0.0, 0.0, vp, neighbors=neighbors,
+                           th_star=0.05)
+    r_without = trim_residual(z[:5], z[5], 0.0, 0.0, vp, th_star=0.05)
+    n = r_without.size
+    assert r_with.size == n + z.size
+    assert r_with[:n].tobytes() == r_without.tobytes()
+    assert np.abs(r_with[n:]).max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_theta_star_profile():
@@ -129,7 +135,7 @@ def test_hover_trim_identity(vp):
     assert tp.feasible
     act = trim_actuation(vp, tp.u)
     _, tab = body_wrench(np.zeros(3), np.zeros(3), act, vp)
-    assert tab.prop_thrust.sum() == pytest.approx(vp.weight, rel=0.01)
+    assert sum(p.thrust for p in tab.props) == pytest.approx(vp.weight, rel=0.01)
     zeta_w_deg = math.degrees(tp.u[0] * math.pi / 2.0)
     assert zeta_w_deg + math.degrees(tp.theta) == pytest.approx(90.0, abs=2.0)
 
