@@ -65,7 +65,7 @@ def deflection_incidence(seg: AirfoilSegmentParams) -> float:
 
 
 def airfoil_coefficients(seg: AirfoilSegmentParams, alpha: float,
-                         zeta_cs: float = 0.0) -> tuple[float, float, float, float]:
+                         zeta_cs: float) -> tuple[float, float, float, float]:
     """(C_L, C_D, C_M, lam), continuous in alpha over [-pi, pi].
 
     lam is the weight of the pre-stall model: 1 inside the stall band, 0 in
@@ -347,8 +347,6 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
 
 
 def total_wrench(state: "RigidBodyState", act: ActuatorSet, vp: VehicleParams,
-                 wind: np.ndarray | None = None) -> tuple[ForceMoment, FlowTables]:
-    """`body_wrench` for a rigid-body state and actuator state."""
-    v_air = state.v if wind is None else state.v - np.asarray(wind, dtype=float)
-    v_a_body = state.R_IB.T @ v_air
-    return body_wrench(v_a_body, state.omega, act, vp)
+                 wind: np.ndarray) -> tuple[ForceMoment, FlowTables]:
+    """`body_wrench` for a rigid-body state, actuator state and inertial wind."""
+    return body_wrench(state.R_IB.T @ (state.v - wind), state.omega, act, vp)

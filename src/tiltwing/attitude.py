@@ -53,12 +53,29 @@ class AttitudeSetpoint:
     yaw_rate: float = 0.0   # rad/s
 
 
+class Pid:
+    """Discrete PID on a vector error: kp e + ki I + kd de/dt, with the
+    integral I clamped to +-``limit`` and no derivative on the first call."""
+
+    def __init__(self, kp, ki, kd, limit: float):
+        self.kp, self.ki, self.kd, self.limit = kp, ki, kd, limit
+        self.integral = 0.0      # broadcasts to the error's shape
+        self._prev_err = None
+
+    def __call__(self, err: np.ndarray, dt: float) -> np.ndarray:
+        if not dt > 0.0:
+            raise ValueError(f"dt must be > 0, got {dt}")
+        self.integral = np.clip(self.integral + err * dt, -self.limit, self.limit)
+        deriv = 0.0 if self._prev_err is None else (err - self._prev_err) / dt
+        self._prev_err = err.copy()
+        return self.kp * err + self.ki * self.integral + self.kd * deriv
+
+
 class AttitudeController:
-    """Holds the rate-loop integrator; one instance per simulated vehicle."""
+    """Holds the rate-loop PID; one instance per simulated vehicle."""
 
     def __init__(self):
-        self._integral = np.zeros(3)
-        self._prev_rate_err = None
+        self.pid = Pid(RATE_P, RATE_I, RATE_D, INTEGRATOR_LIMIT)
 
     def attitude_error_control(self, state, sp: AttitudeSetpoint, zeta_w: float,
                                dt: float) -> np.ndarray:
@@ -67,8 +84,6 @@ class AttitudeController:
         The desired attitude is built at the current yaw (reduced attitude:
         only roll/pitch alignment is commanded; yaw is rate-driven).
         """
-        if not dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {dt}")
         R = state.R_IB
         yaw = math.atan2(R[1, 0], R[0, 0])
         R_des = rot_z(yaw) @ rot_y(sp.pitch) @ rot_x(sp.roll)
@@ -81,15 +96,7 @@ class AttitudeController:
             kp[1] *= 1.0 - (1.0 - PITCH_DOWN_FACTOR) * fade
 
         omega_des = kp * err + R.T @ np.array([0.0, 0.0, sp.yaw_rate])
-        rate_err = omega_des - state.omega
-        self._integral = np.clip(self._integral + rate_err * dt,
-                                 -INTEGRATOR_LIMIT, INTEGRATOR_LIMIT)
-        if self._prev_rate_err is None:
-            deriv = np.zeros(3)
-        else:
-            deriv = (rate_err - self._prev_rate_err) / dt
-        self._prev_rate_err = rate_err.copy()
-        return RATE_P * rate_err + RATE_I * self._integral + RATE_D * deriv
+        return self.pid(omega_des - state.omega, dt)
 
 
 def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
@@ -99,7 +106,7 @@ def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
 
 
 def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
-                            wind: np.ndarray | None = None) -> tuple:
+                            wind: np.ndarray) -> tuple:
     """Wrench and flow tables with nominal actuation (attitude effectors
     zero); the moment is M_hat(u_n). `daisy_chain_allocate` starts from this
     pair when given it with the same state, ``u_n`` and wind."""
@@ -271,7 +278,7 @@ def _apply_surface(act: ActuatorSet, vp: VehicleParams, name: str,
 
 
 def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
-                         vp: VehicleParams, wind: np.ndarray | None = None,
+                         vp: VehicleParams, wind: np.ndarray,
                          nominal: tuple | None = None) -> AllocationResult:
     """Distribute M_act over the redundant effectors.
 
@@ -282,8 +289,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     model. ``nominal``, if given, is `nominal_moment_estimate` of the same
     state, ``u_n`` and wind, read in place of evaluating ``u_n`` again.
     """
-    v_air = state.v if wind is None else state.v - np.asarray(wind, dtype=float)
-    v_a_body = state.R_IB.T @ v_air
+    v_a_body = state.R_IB.T @ (state.v - wind)
     omega = state.omega
 
     act = u_n.copy()
@@ -308,21 +314,15 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     for _ in range(PASSES):
         if np.abs(target - M_cur).max() < 1e-9 * demand_scale:
             break
-        # block 1: elevator takes the pitch demand
-        resid = target - M_cur
-        if abs(resid[1]) > _EPS_DEMAND:
-            gain = _surface_moment_gain(vp, tab, act, "e")
-            if abs(gain[1]) > _EPS_GAIN:
-                _apply_surface(act, vp, "e", resid[1] / gain[1])
-                book("elevator")
-
-        # block 2: rudder takes the yaw demand
-        resid = target - M_cur
-        if abs(resid[2]) > _EPS_DEMAND:
-            gain = _surface_moment_gain(vp, tab, act, "r")
-            if abs(gain[2]) > _EPS_GAIN:
-                _apply_surface(act, vp, "r", resid[2] / gain[2])
-                book("rudder")
+        # blocks 1 and 2: the elevator takes the pitch demand, then the
+        # rudder the yaw demand
+        for name, axis, block in (("e", 1, "elevator"), ("r", 2, "rudder")):
+            resid = target - M_cur
+            if abs(resid[axis]) > _EPS_DEMAND:
+                gain = _surface_moment_gain(vp, tab, act, name)
+                if abs(gain[axis]) > _EPS_GAIN:
+                    _apply_surface(act, vp, name, resid[axis] / gain[axis])
+                    book(block)
 
         # block 3: ailerons + differential main throttle trade roll vs yaw
         resid = target - M_cur

@@ -6,6 +6,7 @@ import argparse
 import logging
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import yaml
 from . import aero, sim, trim
 from .dynamics import RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix
-from .vehicle import (ConfigError, VehicleParams, _vec3,
+from .vehicle import (ConfigError, VehicleParams, _number, _vec3,
                       actuation_from_commands, default_vehicle,
                       load_vehicle_config, mirror_twin)
 
@@ -41,14 +42,9 @@ def cmd_model_eval(args) -> int:
     araw = yaml.safe_load(Path(args.actuators).read_text(encoding="utf-8")) or {}
     if not isinstance(araw, dict):
         raise ConfigError("actuator commands must be a mapping")
-    wind = araw.pop("wind", None)
-    if wind is not None:
-        wind = _vec3(wind, "wind")
-    try:
-        commands = {f"delta_{k}": float(v) for k, v in araw.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"actuator commands must be numbers: {exc}") from None
-    act = actuation_from_commands(vp, **commands)
+    wind = _vec3(araw.pop("wind", [0.0, 0.0, 0.0]), "wind")
+    act = actuation_from_commands(vp, **{
+        f"delta_{k}": _number(v, f"actuators.{k}") for k, v in araw.items()})
     fm, tab = aero.total_wrench(state, act, vp, wind)
     rows = [(p.name, f.force, f.moment, False)
             for p, f in zip(vp.propellers, tab.props)]
@@ -126,7 +122,7 @@ def _check_rk4_order(vp) -> tuple[bool, str]:
     def run(dt, steps):
         s = s0.copy()
         for _ in range(steps):
-            s = integrate_step(s, act, vp0, dt=dt)
+            s = integrate_step(s, act, vp0, np.zeros(3), dt)
         return s.omega
 
     base, n = 0.016, 25
@@ -141,29 +137,24 @@ def _check_rk4_order(vp) -> tuple[bool, str]:
 
 def _drag_free(vp: VehicleParams) -> VehicleParams:
     # torque-free variant: keep inertia, remove gravity and air forces
-    import copy
-    vp2 = copy.deepcopy(vp)
-    vp2.gravity = np.zeros(3)
-    vp2.rho = 1e-12
-    vp2.__post_init__()
-    return vp2
+    return replace(vp, gravity=np.zeros(3), rho=1e-12)
 
 
-def _check_orthonormality(vp, steps=10_000) -> tuple[bool, str]:
+def _check_orthonormality(vp) -> tuple[bool, str]:
     act = actuation_from_commands(vp)
     vp0 = _drag_free(vp)
     s = RigidBodyState(omega=np.array([3.0, -2.0, 1.5]))
-    for _ in range(steps):
-        s = integrate_step(s, act, vp0, dt=0.004)
+    for _ in range(10_000):
+        s = integrate_step(s, act, vp0, np.zeros(3), 0.004)
     err = np.abs(s.R_IB.T @ s.R_IB - np.eye(3)).max()
-    return err < 1e-8, f"orthonormality drift {err:.2e} after {steps} steps"
+    return err < 1e-8, f"orthonormality drift {err:.2e} after 10000 steps"
 
 
-def _check_allocation(vp, n=100) -> tuple[bool, str]:
+def _check_allocation(vp) -> tuple[bool, str]:
     from .attitude import daisy_chain_allocate
     rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         zw = rng.uniform(0.0, math.pi / 2)
         state = RigidBodyState(
             v=np.array([rng.uniform(0.0, 18.0), rng.uniform(-1, 1), rng.uniform(-2, 2)]),
@@ -172,7 +163,7 @@ def _check_allocation(vp, n=100) -> tuple[bool, str]:
         u_n = actuation_from_commands(vp, delta_w=zw / (math.pi / 2),
                                       delta_plr=rng.uniform(0.3, 0.8))
         M_act = rng.uniform(-0.5, 0.5, 3)
-        res = daisy_chain_allocate(M_act, state, u_n, vp)
+        res = daisy_chain_allocate(M_act, state, u_n, vp, np.zeros(3))
         err = np.abs(res.allocated + res.residual - M_act).max()
         worst = max(worst, err)
     return worst < 1e-9, f"allocation accounting worst error {worst:.2e}"
@@ -192,14 +183,14 @@ def _check_continuity(vp) -> tuple[bool, str]:
     return worst < 1e-7, f"coefficient jump across blend edges {worst:.2e}"
 
 
-def _check_mirror(vp, n=100) -> tuple[bool, str]:
+def _check_mirror(vp) -> tuple[bool, str]:
     # a symmetric state and actuation are their own mirror images, so the
     # mirror twin must give the reflected wrench: (F_y, M_x, M_z) negated
     twin = mirror_twin(vp)
     reflect = np.array([1.0, -1.0, 1.0])
     rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         v = np.array([rng.uniform(-2, 20), 0.0, rng.uniform(-3, 3)])
         omega = np.array([0.0, rng.uniform(-1, 1), 0.0])
         act = actuation_from_commands(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aero
-from .attitude import AttitudeSetpoint
+from .attitude import AttitudeSetpoint, Pid
 from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap, lookup_trim
 from .vehicle import ActuatorSet, VehicleParams, nominal_actuation
@@ -84,7 +84,7 @@ def turn_coordination(roll_des: float, v_ax: float, gravity: float) -> float:
 
 def wls_allocate(J: np.ndarray, F_c: np.ndarray, W: np.ndarray, K: np.ndarray,
                  theta_c_max: float,
-                 throttle_bounds: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
+                 throttle_bounds: tuple[float, float]) -> np.ndarray:
     """Regularized weighted least squares u = (J'WJ + K)^-1 J'W F.
 
     The corrective pitch is clamped to +-theta_c_max and the corrective
@@ -105,7 +105,7 @@ def _projected_force(R: np.ndarray, heading: np.ndarray,
 
 
 def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
-                        wind: np.ndarray | None = None) -> np.ndarray:
+                        wind: np.ndarray) -> np.ndarray:
     """J = d(f_x, f_z)/d(theta, delta_plr) by central differences [N/unit].
 
     f_x is the aerodynamic force along the horizontal heading, f_z the
@@ -113,13 +113,12 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     segments to the pitch column are ignored: their post-stall coefficient
     slopes reverse sign and corrupt the local linearization.
     """
-    w = np.zeros(3) if wind is None else np.asarray(wind, dtype=float)
     roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
     heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
 
     def eval_at(theta: float, act_eval: ActuatorSet):
         R = euler_zyx_to_matrix(roll, theta, yaw)
-        fm, tab = aero.body_wrench(R.T @ (state.v - w), state.omega, act_eval, vp)
+        fm, tab = aero.body_wrench(R.T @ (state.v - wind), state.omega, act_eval, vp)
         return R, fm, tab
 
     J = np.empty((2, 2))
@@ -166,30 +165,21 @@ class CruiseOutput:
 
 
 class CruiseController:
-    """Holds the velocity PID state; one instance per run."""
+    """Holds the velocity PID; one instance per run."""
 
     def __init__(self):
-        self._integral = np.zeros(2)
-        self._prev_err = None
+        self.pid = Pid(KP, KI, KD, INTEGRATOR_LIMIT)
 
     def velocity_feedback(self, v_err: np.ndarray, mass: float,
                           dt: float) -> np.ndarray:
         """Corrective force from the velocity error PID."""
-        if not dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        self._integral = np.clip(self._integral + v_err * dt,
-                                 -INTEGRATOR_LIMIT, INTEGRATOR_LIMIT)
-        deriv = np.zeros(2) if self._prev_err is None \
-            else (v_err - self._prev_err) / dt
-        self._prev_err = np.asarray(v_err, dtype=float).copy()
-        return mass * (KP * v_err + KI * self._integral + KD * deriv)
+        return mass * self.pid(v_err, dt)
 
     def step(self, state, sp: CruiseSetpoint, tmap: TrimMap,
              vp: VehicleParams, current_act: ActuatorSet, dt: float,
-             wind: np.ndarray | None = None) -> CruiseOutput:
+             wind: np.ndarray) -> CruiseOutput:
         """One cruise update: feed-forward lookup plus feedback allocation."""
-        w = np.zeros(3) if wind is None else np.asarray(wind, dtype=float)
-        v_air = state.v - w
+        v_air = state.v - wind
         _, _, yaw = matrix_to_euler_zyx(state.R_IB)
         heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
         v_actual = np.array([v_air @ heading, v_air[2]])
@@ -204,7 +194,7 @@ class CruiseController:
 
         act_lin = nominal_actuation(vp, current_act, delta_plr=delta_plr_t,
                                     delta_w=delta_w_t)
-        J = control_derivatives(state, act_lin, vp, wind=w)
+        J = control_derivatives(state, act_lin, vp, wind)
         F_c = self.velocity_feedback(v_des - v_actual, vp.mass, dt)
         W = weight_schedule(v_actual[0])
         u_c = wls_allocate(J, F_c, W, REGULARIZATION, THETA_C_MAX,

@@ -69,24 +69,23 @@ def _deriv(x, v, R, omega, act, vp, wind):
 
 
 def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
-                   wind: np.ndarray | None = None, dt: float = 0.004,
+                   wind: np.ndarray, dt: float,
                    wrench: ForceMoment | None = None) -> RigidBodyState:
-    """One RK4 step with actuation held constant; R re-orthonormalized. A given
-    ``wrench`` must be the one at ``s``, ``act`` and ``wind``: it is the first stage."""
+    """One RK4 step of ``dt`` in ``wind``, actuation held, R re-orthonormalized.
+    A given ``wrench``, the first stage, must be the one at ``s``, ``act``, ``wind``."""
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
-    w = np.zeros(3) if wind is None else np.asarray(wind, dtype=float)
     x0, v0, R0, om0 = s.x, s.v, s.R_IB, s.omega
 
     try:
-        k1 = _deriv(x0, v0, R0, om0, act, vp, w) if wrench is None \
+        k1 = _deriv(x0, v0, R0, om0, act, vp, wind) if wrench is None \
             else state_derivative(s, wrench, vp)
         k2 = _deriv(x0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-                    R0 + 0.5 * dt * k1[2], om0 + 0.5 * dt * k1[3], act, vp, w)
+                    R0 + 0.5 * dt * k1[2], om0 + 0.5 * dt * k1[3], act, vp, wind)
         k3 = _deriv(x0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-                    R0 + 0.5 * dt * k2[2], om0 + 0.5 * dt * k2[3], act, vp, w)
+                    R0 + 0.5 * dt * k2[2], om0 + 0.5 * dt * k2[3], act, vp, wind)
         k4 = _deriv(x0 + dt * k3[0], v0 + dt * k3[1],
-                    R0 + dt * k3[2], om0 + dt * k3[3], act, vp, w)
+                    R0 + dt * k3[2], om0 + dt * k3[3], act, vp, wind)
     except FloatingPointError as exc:
         raise IntegrationFault(f"non-finite derivative: {exc}") from exc
 

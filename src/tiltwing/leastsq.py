@@ -31,12 +31,9 @@ class LeastSquaresResult:
     message: str
 
 
-def numerical_jacobian(fun, x: np.ndarray,
-                       r0: np.ndarray | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a residual function."""
+def numerical_jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of ``fun`` at ``x``, where it is ``r0``."""
     x = np.asarray(x, dtype=float)
-    if r0 is None:
-        r0 = np.asarray(fun(x), dtype=float)
     m, n = r0.size, x.size
     J = np.empty((m, n))
     for j in range(n):

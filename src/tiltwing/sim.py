@@ -24,7 +24,7 @@ from .dynamics import IntegrationFault, RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap
 from .vehicle import (ACTUATOR_ORDER, ActuatorSet, ConfigError,
-                      VehicleParams, _vec3, actuation_from_commands,
+                      VehicleParams, _number, _vec3, actuation_from_commands,
                       apply_actuator_rates, nominal_actuation)
 
 SIM_RATE = 250.0           # Hz, dynamics and attitude
@@ -134,13 +134,6 @@ class Scenario:
         return t_change
 
 
-def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
-
-
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("a scenario must be a mapping")
@@ -212,8 +205,9 @@ def state_from_dict(raw: dict) -> RigidBodyState:
 
 def initial_state_and_actuation(sc: Scenario,
                                 vp: VehicleParams) -> tuple[RigidBodyState, ActuatorSet]:
-    act = actuation_from_commands(vp, **{cmd: float(sc.initial.get(key, 0.0))
-                                         for key, cmd in INITIAL_COMMANDS.items()})
+    act = actuation_from_commands(vp, **{
+        cmd: _number(sc.initial.get(key, 0.0), f"initial.{key}")
+        for key, cmd in INITIAL_COMMANDS.items()})
     return state_from_dict(sc.initial), act
 
 
@@ -263,7 +257,8 @@ class RunLog:
         fault = None
         columns: list[str] | None = None
         rows = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
             if line.startswith("#"):
                 if "scenario=" in line:
                     scenario = line.split("scenario=", 1)[1].strip()
@@ -274,7 +269,14 @@ class RunLog:
                 columns = line.split(",")
                 continue
             if line.strip():
-                rows.append([float(tok) for tok in line.split(",")])
+                try:
+                    row = [float(tok) for tok in line.split(",")]
+                except ValueError:
+                    row = []
+                if len(row) != len(columns):
+                    raise ScenarioError(f"{path} line {lineno}: not "
+                                        f"{len(columns)} numbers: {line!r}")
+                rows.append(row)
         if columns is None:
             raise ScenarioError(f"no header in log {path}")
         arr = np.array(rows, dtype=float) if rows \
@@ -469,9 +471,9 @@ def compute_metrics(log: RunLog, sc: Scenario | None = None) -> dict[str, float]
     return metrics
 
 
-def emit_report(log: RunLog, out_prefix: str | Path | None = None,
-                sc: Scenario | None = None) -> dict[str, float]:
-    """Compute metrics; optionally write <prefix>.csv and <prefix>.txt."""
+def emit_report(log: RunLog, out_prefix: str | Path | None,
+                sc: Scenario | None) -> dict[str, float]:
+    """Compute metrics; write <prefix>.csv and <prefix>.txt if given a prefix."""
     if log.rows.size == 0:
         raise ScenarioError("cannot report on an empty log")
     metrics = compute_metrics(log, sc)

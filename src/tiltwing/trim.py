@@ -163,14 +163,12 @@ def trim_cost(u: np.ndarray, theta: float, th_star: float,
 
 
 def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
-                  vp: VehicleParams,
-                  neighbors: list[np.ndarray] | None = None,
-                  th_star: float | None = None) -> np.ndarray:
+                  vp: VehicleParams, neighbors: list[np.ndarray] | None,
+                  th_star: float) -> np.ndarray:
     """Weighted residual vector [sqrt(Q_v) v_dot_xz, sqrt(Q_theta)
-    theta_ddot, sqrt(cost terms)] whose squared norm is the trim objective."""
+    theta_ddot, sqrt(cost terms)] whose squared norm is the trim objective;
+    ``th_star`` is the pitch target, ``theta_star(v_a, gamma)`` in a solve."""
     w = WEIGHTS
-    if th_star is None:
-        th_star = theta_star(v_a, gamma)
     v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp)
     sq_v = math.sqrt(w.q_v)
     parts = [sq_v * v_dot[0], sq_v * v_dot[2], math.sqrt(w.q_theta) * th_dd]
@@ -194,8 +192,7 @@ def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
     ub = np.concatenate([U_HI, [math.pi / 2]])
 
     def residual(z):
-        return trim_residual(z[:5], z[5], v_a, gamma, vp,
-                             neighbors=neighbors, th_star=th_star)
+        return trim_residual(z[:5], z[5], v_a, gamma, vp, neighbors, th_star)
 
     res = least_squares_lm(residual, np.asarray(ig, dtype=float), lb, ub,
                            max_iter=MAX_ITER)
@@ -439,7 +436,9 @@ def save_trim_map(tmap: TrimMap, path: str | Path) -> None:
 def load_trim_map(path: str | Path) -> TrimMap:
     meta: dict[str, float] = {}
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    n_cols = len(CSV_HEADER.split(","))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -456,7 +455,13 @@ def load_trim_map(path: str | Path) -> TrimMap:
             if line != CSV_HEADER:
                 raise TrimError(f"unexpected trim map header: {line}")
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != n_cols:
+            raise TrimError(f"{path} line {lineno}: not {n_cols} numbers: {line!r}")
+        rows.append(row)
     if not rows:
         raise TrimError(f"no rows in trim map {path}")
 

@@ -11,9 +11,8 @@ actuator value from its command.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +53,7 @@ class PropellerParams:
     cq0: float                 # C_Q(J) = cq0 + cq1 * J
     cq1: float
     normal_force_coeff: float  # mu_N, N s^2 / (rev m)
-    handedness: int            # +1 right-handed about the forward axis
+    handedness: float          # +1 right-handed about the forward axis, or -1
     max_speed: float           # rev/s
 
     @property
@@ -331,12 +330,24 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(value, where: str) -> float:
+    """A config or scenario value as a float; anything else is a ConfigError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _field(mapping: dict, key: str, where: str) -> float:
+    return _number(_require(mapping, key, where), where + key)
+
+
 def _angle(mapping: dict, base: str, where: str) -> float:
     """Read a required angle given either as `<base>_rad` or `<base>_deg`."""
     if f"{base}_rad" in mapping:
-        return float(mapping[f"{base}_rad"])
+        return _number(mapping[f"{base}_rad"], f"{where}{base}_rad")
     if f"{base}_deg" in mapping:
-        return math.radians(float(mapping[f"{base}_deg"]))
+        return math.radians(_number(mapping[f"{base}_deg"], f"{where}{base}_deg"))
     raise ConfigError(f"missing required field: {where}{base}_deg (or _rad)")
 
 
@@ -365,35 +376,43 @@ def load_vehicle_config(path: str | Path) -> VehicleParams:
     return vehicle_from_dict(raw)
 
 
+def _pair(value, where: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be a list of 2 numbers, got {value!r}")
+    return _number(value[0], where), _number(value[1], where)
+
+
 def vehicle_from_dict(raw: dict) -> VehicleParams:
-    mass = float(_require(raw, "mass", ""))
-    inertia = np.asarray(_require(raw, "inertia", ""), dtype=float)
+    mass = _field(raw, "mass", "")
+    try:
+        inertia = np.asarray(_require(raw, "inertia", ""), dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("inertia must be a 3x3 list of numbers") from None
     gravity = _vec3(raw.get("gravity", [0.0, 0.0, 9.81]), "gravity")
-    rho = float(_require(raw, "air_density", ""))
+    rho = _field(raw, "air_density", "")
 
     wraw = _require(raw, "wing", "")
     wing = WingParams(
         pivot=_vec3(_require(wraw, "pivot", "wing."), "wing.pivot"),
-        tilt_up_time=float(_require(wraw, "tilt_up_time", "wing.")),
-        tilt_down_time=float(_require(wraw, "tilt_down_time", "wing.")),
+        tilt_up_time=_field(wraw, "tilt_up_time", "wing."),
+        tilt_down_time=_field(wraw, "tilt_down_time", "wing."),
     )
 
     props = []
     for praw in _require(raw, "propellers", ""):
         name = _require(praw, "name", "propellers[].")
         where = f"propellers.{name}."
-        ct = _require(praw, "ct", where)
-        cq = _require(praw, "cq", where)
+        ct0, ct1 = _pair(_require(praw, "ct", where), where + "ct")
+        cq0, cq1 = _pair(_require(praw, "cq", where), where + "cq")
         props.append(PropellerParams(
             name=name,
             mount=_require(praw, "mount", where),
             hub_offset=_vec3(_require(praw, "hub_offset", where), where + "hub_offset"),
-            diameter=float(_require(praw, "diameter", where)),
-            ct0=float(ct[0]), ct1=float(ct[1]),
-            cq0=float(cq[0]), cq1=float(cq[1]),
-            normal_force_coeff=float(_require(praw, "normal_force_coeff", where)),
-            handedness=int(_require(praw, "handedness", where)),
-            max_speed=float(_require(praw, "max_speed", where)),
+            diameter=_field(praw, "diameter", where),
+            ct0=ct0, ct1=ct1, cq0=cq0, cq1=cq1,
+            normal_force_coeff=_field(praw, "normal_force_coeff", where),
+            handedness=_field(praw, "handedness", where),
+            max_speed=_field(praw, "max_speed", where),
         ))
 
     segs = []
@@ -406,33 +425,33 @@ def vehicle_from_dict(raw: dict) -> VehicleParams:
             name=name,
             kind=_require(sraw, "kind", where),
             cp=_vec3(_require(sraw, "cp", where), where + "cp"),
-            chord=float(_require(sraw, "chord", where)),
-            span=float(_require(sraw, "span", where)),
-            cl0=float(_require(coeffs, "cl0", where + "coefficients.")),
-            cl_alpha=float(_require(coeffs, "cl_alpha", where + "coefficients.")),
-            cl_delta=float(coeffs.get("cl_delta", 0.0)),
-            cd0=float(_require(coeffs, "cd0", where + "coefficients.")),
-            cd_alpha2=float(_require(coeffs, "cd_alpha2", where + "coefficients.")),
-            cm0=float(coeffs.get("cm0", 0.0)),
-            cm_alpha=float(coeffs.get("cm_alpha", 0.0)),
-            cm_delta=float(coeffs.get("cm_delta", 0.0)),
+            chord=_field(sraw, "chord", where),
+            span=_field(sraw, "span", where),
+            cl0=_field(coeffs, "cl0", where + "coefficients."),
+            cl_alpha=_field(coeffs, "cl_alpha", where + "coefficients."),
+            cl_delta=_number(coeffs.get("cl_delta", 0.0), where + "coefficients.cl_delta"),
+            cd0=_field(coeffs, "cd0", where + "coefficients."),
+            cd_alpha2=_field(coeffs, "cd_alpha2", where + "coefficients."),
+            cm0=_number(coeffs.get("cm0", 0.0), where + "coefficients.cm0"),
+            cm_alpha=_number(coeffs.get("cm_alpha", 0.0), where + "coefficients.cm_alpha"),
+            cm_delta=_number(coeffs.get("cm_delta", 0.0), where + "coefficients.cm_delta"),
             alpha_stall_neg=_angle(sraw, "alpha_stall_neg", where),
             alpha_stall_pos=_angle(sraw, "alpha_stall_pos", where),
             blend_halfwidth=_angle(sraw, "blend_halfwidth", where),
-            fp_cl45=float(_require(fp, "cl45", where + "flat_plate.")),
-            fp_cd_min=float(_require(fp, "cd_min", where + "flat_plate.")),
-            fp_cd90=float(_require(fp, "cd90", where + "flat_plate.")),
-            fp_cm_max=float(_require(fp, "cm_max", where + "flat_plate.")),
+            fp_cl45=_field(fp, "cl45", where + "flat_plate."),
+            fp_cd_min=_field(fp, "cd_min", where + "flat_plate."),
+            fp_cd90=_field(fp, "cd90", where + "flat_plate."),
+            fp_cm_max=_field(fp, "cm_max", where + "flat_plate."),
             control=sraw.get("control", "none"),
-            control_gain=float(sraw.get("control_gain", 1.0)),
+            control_gain=_number(sraw.get("control_gain", 1.0), where + "control_gain"),
             slipstream=sraw.get("slipstream", "none"),
         ))
 
     fraw = _require(raw, "fuselage", "")
     fus = FuselageParams(
-        cd_x=float(_require(fraw, "cd_x", "fuselage.")),
-        cd_y=float(_require(fraw, "cd_y", "fuselage.")),
-        cd_z=float(_require(fraw, "cd_z", "fuselage.")),
+        cd_x=_field(fraw, "cd_x", "fuselage."),
+        cd_y=_field(fraw, "cd_y", "fuselage."),
+        cd_z=_field(fraw, "cd_z", "fuselage."),
     )
 
     araw = _require(raw, "actuators", "")
@@ -462,12 +481,10 @@ def mirror_twin(vp: VehicleParams) -> VehicleParams:
     spins as the mirrored right one, and the single tail rotor has its
     handedness flipped. Evaluating the twin at the mirrored state and
     actuation gives the mirrored wrench."""
-    twin = copy.deepcopy(vp)
     mirrored = {"pl": "pr", "pr": "pl", "pt": "pt"}
-    for p in twin.propellers:
-        p.handedness = -vp.prop[mirrored[p.name]].handedness
-    twin.__post_init__()
-    return twin
+    return replace(vp, propellers=[
+        replace(p, handedness=-vp.prop[mirrored[p.name]].handedness)
+        for p in vp.propellers])
 
 
 def default_vehicle() -> VehicleParams:

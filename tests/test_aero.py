@@ -183,13 +183,13 @@ def test_induced_velocity_negative_thrust_returns_zero():
 
 def test_flat_plate_cl_at_45deg():
     s = _test_segment()
-    cl, _, _, _ = airfoil_coefficients(s, math.pi / 4.0)
+    cl, _, _, _ = airfoil_coefficients(s, math.pi / 4.0, 0.0)
     assert cl == pytest.approx(s.fp_cl45, rel=1e-12)
 
 
 def test_flat_plate_cd_at_90deg():
     s = _test_segment()
-    _, cd, _, _ = airfoil_coefficients(s, math.pi / 2.0)
+    _, cd, _, _ = airfoil_coefficients(s, math.pi / 2.0, 0.0)
     assert cd == pytest.approx(s.fp_cd90, rel=1e-12)
 
 
@@ -225,8 +225,8 @@ def test_coefficient_continuity_dense_sweep():
 
 def test_coefficient_periodicity_at_pi():
     s = _test_segment()
-    lo = airfoil_coefficients(s, -math.pi)[:3]
-    hi = airfoil_coefficients(s, math.pi)[:3]
+    lo = airfoil_coefficients(s, -math.pi, 0.0)[:3]
+    hi = airfoil_coefficients(s, math.pi, 0.0)[:3]
     for a, b in zip(lo, hi):
         assert abs(a - b) < 1e-12
 
@@ -294,7 +294,7 @@ def test_fuselage_hand_evaluated():
 def test_total_wrench_all_zero(vp):
     state = RigidBodyState()
     act = actuation_from_commands(vp)
-    fm, _ = total_wrench(state, act, vp)
+    fm, _ = total_wrench(state, act, vp, np.zeros(3))
     assert np.allclose(fm.force, 0.0)
     assert np.allclose(fm.moment, 0.0)
 
@@ -304,7 +304,7 @@ def test_total_wrench_symmetric_state(vp):
     # so a mirror-invariant actuation keeps it off
     state = RigidBodyState(v=np.array([12.0, 0.0, 0.5]))
     act = actuation_from_commands(vp, delta_w=0.1, delta_plr=0.6, delta_e=0.1)
-    fm, _ = total_wrench(state, act, vp)
+    fm, _ = total_wrench(state, act, vp, np.zeros(3))
     assert abs(fm.force[1]) < 1e-9
     assert abs(fm.moment[0]) < 1e-9
     assert abs(fm.moment[2]) < 1e-9
@@ -316,7 +316,7 @@ def test_total_wrench_hover_thrust_balance(vp):
     eta = math.sqrt(vp.weight / (2.0 * vp.rho * main.diameter ** 4 * main.ct0))
     state = RigidBodyState()
     act = actuation_from_commands(vp, delta_w=1.0, delta_plr=eta / main.max_speed)
-    fm, _ = total_wrench(state, act, vp)
+    fm, _ = total_wrench(state, act, vp, np.zeros(3))
     # inertial z force balances weight to within the (small) downloads
     assert abs(fm.force[2] + vp.weight) < 0.05 * vp.weight
 
@@ -333,7 +333,7 @@ def test_breakdown_sums_to_totals(vp):
             delta_pt=rng.uniform(0, 1), delta_al=rng.uniform(-1, 1),
             delta_ar=rng.uniform(-1, 1), delta_e=rng.uniform(-1, 1),
             delta_r=rng.uniform(-1, 1), delta_tt=rng.uniform(-1, 1))
-        fm, tab = total_wrench(state, act, vp)
+        fm, tab = total_wrench(state, act, vp, np.zeros(3))
         scale = max(np.abs(fm.force).max(), np.abs(fm.moment).max(), 1.0)
         f_sum = (np.sum([p.force for p in tab.props], axis=0)
                  + np.sum([s.force for s in tab.segs], axis=0) + tab.fus_force)
@@ -430,8 +430,9 @@ def test_unbinding_slipstream_reproduces_free_stream(vp):
 
     act_kw = dict(delta_w=0.8, delta_plr=0.7)
     state = RigidBodyState(v=np.array([4.0, 0.0, 0.0]))
-    _, tab1 = total_wrench(state, actuation_from_commands(vp, **act_kw), vp)
-    _, tab2 = total_wrench(state, actuation_from_commands(vp2, **act_kw), vp2)
+    _, tab1 = total_wrench(state, actuation_from_commands(vp, **act_kw), vp, np.zeros(3))
+    _, tab2 = total_wrench(state, actuation_from_commands(vp2, **act_kw), vp2,
+                           np.zeros(3))
     k = next(k for k, s in enumerate(vp.segments) if s.name == "wing_l_in")
     f1, f2 = tab1.segs[k].force, tab2.segs[k].force
     # bound segment feels the slipstream...

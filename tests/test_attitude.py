@@ -88,7 +88,7 @@ def test_integrator_clamped():
     sp = AttitudeSetpoint(roll=1.0)
     for _ in range(10000):
         ctl.attitude_error_control(hover_state(), sp, math.pi / 2, 0.004)
-    assert np.all(np.abs(ctl._integral) <= INTEGRATOR_LIMIT + 1e-12)
+    assert np.all(np.abs(ctl.pid.integral) <= INTEGRATOR_LIMIT + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_di_hand_evaluated_cross_term():
 # ---------------------------------------------------------------------------
 
 def test_nominal_moment_symmetric_state(vp):
-    fm, _ = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp)
+    fm, _ = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp, np.zeros(3))
     m_hat = fm.moment
     assert abs(m_hat[0]) < 1e-9
     assert abs(m_hat[2]) < 1e-9
@@ -126,7 +126,7 @@ def test_nominal_moment_symmetric_state(vp):
 
 def test_m_act_reconstruction(vp):
     rng = np.random.default_rng(0)
-    fm, _ = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp)
+    fm, _ = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp, np.zeros(3))
     m_hat = fm.moment
     for _ in range(10):
         m_des = rng.uniform(-1, 1, 3)
@@ -143,7 +143,7 @@ def test_hover_nominal_pitch_moment_matches_moment_arm(vp):
         s.slipstream = "none"   # isolate the pure thrust moment
     vp2.__post_init__()
     u_n = actuation_from_commands(vp2, delta_w=1.0, delta_plr=0.78)
-    m_hat = nominal_moment_estimate(hover_state(), u_n, vp2)[0].moment
+    m_hat = nominal_moment_estimate(hover_state(), u_n, vp2, np.zeros(3))[0].moment
     main = vp2.prop["pl"]
     eta = 0.78 * main.max_speed
     thrust = vp2.rho * eta ** 2 * main.diameter ** 4 * main.ct0
@@ -157,7 +157,7 @@ def test_hover_nominal_pitch_moment_matches_moment_arm(vp):
 
 def test_zero_demand_keeps_nominal(vp):
     u_n = cruise_nominal(vp)
-    res = daisy_chain_allocate(np.zeros(3), cruise_state(), u_n, vp)
+    res = daisy_chain_allocate(np.zeros(3), cruise_state(), u_n, vp, np.zeros(3))
     for name in ("delta_al", "delta_ar", "delta_e", "delta_r", "delta_tt",
                  "delta_pt"):
         assert getattr(res.commanded, name) == pytest.approx(0.0, abs=1e-12)
@@ -167,7 +167,7 @@ def test_zero_demand_keeps_nominal(vp):
 
 def test_small_pitch_demand_uses_elevator_only(vp):
     res = daisy_chain_allocate(np.array([0.0, -0.15, 0.0]), cruise_state(),
-                               cruise_nominal(vp), vp)
+                               cruise_nominal(vp), vp, np.zeros(3))
     cmd = res.commanded
     assert abs(cmd.delta_e) > 1e-3
     assert abs(cmd.delta_e) < 0.9
@@ -179,7 +179,7 @@ def test_small_pitch_demand_uses_elevator_only(vp):
 def test_large_pitch_demand_engages_tail(vp):
     slow = RigidBodyState(v=np.array([4.0, 0.0, 0.0]))
     u_n = actuation_from_commands(vp, delta_w=0.7, delta_plr=0.7)
-    res = daisy_chain_allocate(np.array([0.0, -0.8, 0.0]), slow, u_n, vp)
+    res = daisy_chain_allocate(np.array([0.0, -0.8, 0.0]), slow, u_n, vp, np.zeros(3))
     assert res.commanded.delta_e == pytest.approx(1.0)   # saturated
     assert res.commanded.delta_pt > 0.01                 # thrust vectoring assists
     assert abs(res.residual[1]) < 0.2
@@ -195,7 +195,7 @@ def test_accounting_random_demands(vp):
         u_n = actuation_from_commands(vp, delta_w=rng.uniform(0, 1),
                                       delta_plr=rng.uniform(0.2, 0.9))
         M_act = rng.uniform(-0.6, 0.6, 3)
-        res = daisy_chain_allocate(M_act, state, u_n, vp)
+        res = daisy_chain_allocate(M_act, state, u_n, vp, np.zeros(3))
         assert np.abs(res.allocated + res.residual - M_act).max() < 1e-9
 
 
@@ -211,7 +211,8 @@ def test_accounting_holds_against_applied_actuation(vp_uneven_mains):
             omega=rng.uniform(-0.5, 0.5, 3))
         u_n = actuation_from_commands(vp2, delta_w=rng.uniform(0, 1),
                                       delta_plr=rng.uniform(0.2, 0.9))
-        res = daisy_chain_allocate(rng.uniform(-0.6, 0.6, 3), state, u_n, vp2)
+        res = daisy_chain_allocate(rng.uniform(-0.6, 0.6, 3), state, u_n, vp2,
+                                   np.zeros(3))
         applied = apply_actuator_rates(res.commanded, res.commanded, 0.004, vp2)
         v_a_body = state.R_IB.T @ state.v
         m_n = body_wrench(v_a_body, state.omega, u_n, vp2)[0].moment
@@ -226,7 +227,7 @@ def test_allocation_respects_ranges(vp):
         u_n = actuation_from_commands(vp, delta_w=rng.uniform(0, 1),
                                       delta_plr=rng.uniform(0.2, 0.9))
         M_act = rng.uniform(-3, 3, 3)  # often saturating
-        cmd = daisy_chain_allocate(M_act, state, u_n, vp).commanded
+        cmd = daisy_chain_allocate(M_act, state, u_n, vp, np.zeros(3)).commanded
         for name in ("al", "ar", "e", "r", "tt"):
             assert -1.0 - 1e-12 <= getattr(cmd, f"delta_{name}") <= 1.0 + 1e-12
         for name in ("pl", "pr", "pt"):
@@ -261,8 +262,8 @@ def test_chain_monotonicity_elevator_limit(vp):
         u_n = actuation_from_commands(vp, delta_w=0.5, delta_plr=0.7)
         u_n2 = actuation_from_commands(vp_big, delta_w=0.5, delta_plr=0.7)
         demand = np.array([0.0, m_pitch, 0.0])
-        small = daisy_chain_allocate(demand, state, u_n, vp)
-        big = daisy_chain_allocate(demand, state, u_n2, vp_big)
+        small = daisy_chain_allocate(demand, state, u_n, vp, np.zeros(3))
+        big = daisy_chain_allocate(demand, state, u_n2, vp_big, np.zeros(3))
         assert big.commanded.delta_pt <= small.commanded.delta_pt + 1e-9
 
 
@@ -294,11 +295,11 @@ def test_closed_loop_linearization_sample(vp):
         state, u_n = flight_consistent_sample(vp, rng)
         omega_dot_des = rng.uniform(-3.0, 3.0, 3)
         M_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
-        m_hat = nominal_moment_estimate(state, u_n, vp)[0].moment
-        res = daisy_chain_allocate(M_des - m_hat, state, u_n, vp)
+        m_hat = nominal_moment_estimate(state, u_n, vp, np.zeros(3))[0].moment
+        res = daisy_chain_allocate(M_des - m_hat, state, u_n, vp, np.zeros(3))
         if np.abs(res.residual).max() > 1e-5:
             continue  # authority-limited case
-        fm, _ = total_wrench(state, res.commanded, vp)
+        fm, _ = total_wrench(state, res.commanded, vp, np.zeros(3))
         omega_dot = vp.inertia_inv @ (fm.moment
                                       - np.cross(state.omega,
                                                  vp.inertia @ state.omega))
@@ -356,7 +357,7 @@ def test_allocation_carries_the_evaluation_at_its_commands(vp):
 
 def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch):
     state, u_n = cruise_state(), cruise_nominal(vp)
-    nominal = nominal_moment_estimate(state, u_n, vp)
+    nominal = nominal_moment_estimate(state, u_n, vp, np.zeros(3))
     calls = []
     real = aero.body_wrench
 
@@ -365,7 +366,7 @@ def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch)
         return real(*args)
 
     monkeypatch.setattr(aero, "body_wrench", counting)
-    res = daisy_chain_allocate(np.zeros(3), state, u_n, vp, None, nominal)
+    res = daisy_chain_allocate(np.zeros(3), state, u_n, vp, np.zeros(3), nominal)
     assert len(calls) == 0
     assert _bytes(res.commanded) == _bytes(u_n)
 
@@ -465,7 +466,7 @@ def test_gains_match_per_row_numpy_reference(vp):
         for name in ("al", "ar", "e", "r", "tt"):
             setattr(act, f"delta_{name}", rng.uniform(-1.0, 1.0))
         act.delta_pt = rng.uniform(0.0, 1.0)
-        _, tab = total_wrench(state, act, vp)
+        _, tab = total_wrench(state, act, vp, np.zeros(3))
         for name in ("al", "ar", "e", "r"):
             new = _surface_moment_gain(vp, tab, act, name)
             ref = _surface_moment_gain_reference(vp, tab, act, name)

@@ -3,8 +3,10 @@ import pytest
 import yaml
 
 from tiltwing import cli
-from tiltwing.trim import load_trim_map
+from tiltwing.trim import CSV_HEADER, load_trim_map
 from tiltwing.vehicle import DEFAULT_CONFIG
+
+VEHICLE_TEXT = DEFAULT_CONFIG.read_text()
 
 
 def test_check_all_pass(capsys):
@@ -47,6 +49,19 @@ def test_model_eval_accepts_wind(capsys, tmp_path):
     assert not np.allclose(calm, windy)
 
 
+def test_model_eval_without_wind_is_zero_wind(capsys, tmp_path):
+    """An actuator file without ``wind:`` prints the bytes of zero wind."""
+    (tmp_path / "s.yaml").write_text("velocity: [8.0, 0.5, 1.0]\n"
+                                     "attitude_deg: [2.0, 5.0, 10.0]\n")
+    outputs = []
+    for wind in ("", "wind: [0, 0, 0]\n"):
+        (tmp_path / "a.yaml").write_text("w: 0.6\nplr: 0.7\npt: 0.2\n" + wind)
+        assert cli.main(["model", "eval", "--state", str(tmp_path / "s.yaml"),
+                         "--actuators", str(tmp_path / "a.yaml")]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_config_validate(capsys, tmp_path):
     assert cli.main(["config", "validate", str(DEFAULT_CONFIG)]) == 0
     assert capsys.readouterr().out.startswith("OK: ")
@@ -56,6 +71,16 @@ def test_config_validate(capsys, tmp_path):
     broken.write_text(yaml.safe_dump(raw))
     assert cli.main(["config", "validate", str(broken)]) == 1
     assert capsys.readouterr().out.startswith("INVALID: mass must be > 0")
+
+
+@pytest.mark.parametrize("old, new", [("mass: 1.9", "mass: heavy"),
+                                      ("ct: [0.11, -0.12]", "ct: 0.1")])
+def test_config_validate_rejects_non_numbers(capsys, tmp_path, old, new):
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(VEHICLE_TEXT.replace(old, new))
+    assert new in broken.read_text()
+    assert cli.main(["config", "validate", str(broken)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: ")
 
 
 def test_trim_query_inside_and_outside_hull(capsys, committed_map_path):
@@ -153,11 +178,22 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
     ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
      {"sc.yaml": "mode: attitude\nduration: 0.1\n"
                  "timeline:\n  - {t: 0, ramp: no_thanks, roll_deg: 5}\n"}),
+    ("check --vehicle {d}/v.yaml",
+     {"v.yaml": VEHICLE_TEXT.replace("mass: 1.9", "mass: heavy")}),
+    ("model eval --vehicle {d}/v.yaml --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"v.yaml": VEHICLE_TEXT.replace("ct: [0.11, -0.12]", "ct: 0.1"),
+      "s.yaml": "{}\n", "a.yaml": "w: 1\n"}),
+    ("report --log {d}/log.csv", {"log.csv": "t,x\n0.0,1.0\n0.004,fast\n"}),
+    ("report --log {d}/log.csv", {"log.csv": "t,x\n0.0,1.0\n0.004\n"}),
+    ("trim query --map {d}/map.csv --va 1 --gamma 0",
+     {"map.csv": CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,fast\n"}),
 ], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
         "unknown_command", "wind_2_vector", "velocity_2_vector", "state_list",
         "timeline_entry_without_t", "timeline_value_not_a_number",
         "velocity_not_numbers", "actuators_list", "actuator_not_a_number",
-        "wind_not_a_mapping", "wind_steps_not_a_list", "ramp_not_a_bool"])
+        "wind_not_a_mapping", "wind_steps_not_a_list", "ramp_not_a_bool",
+        "vehicle_mass_not_a_number", "vehicle_ct_not_a_list",
+        "log_value_not_a_number", "log_row_short", "map_value_not_a_number"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -165,3 +201,16 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("report --log", "log.csv", "# tiltwing run log\nt,x\n0.004\n"),
+    ("trim query --va 1 --gamma 0 --map", "map.csv",
+     "# tiltwing trim map\n" + CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,x\n")],
+    ids=["log", "map"])
+def test_malformed_row_error_names_file_and_line(capsys, tmp_path, command, name,
+                                                 text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main([*command.split(), str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} line 3: ")

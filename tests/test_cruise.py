@@ -76,7 +76,7 @@ def test_feedback_integrator_clamped():
     cc = CruiseController()
     for _ in range(100000):
         cc.velocity_feedback(np.array([100.0, 100.0]), 1.9, 0.02)
-    assert np.all(np.abs(cc._integral) <= cruise.INTEGRATOR_LIMIT + 1e-9)
+    assert np.all(np.abs(cc.pid.integral) <= cruise.INTEGRATOR_LIMIT + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_feedback_integrator_clamped():
 def test_hover_throttle_force_derivative_sign(vp):
     state = RigidBodyState()
     act = actuation_from_commands(vp, delta_w=1.0, delta_plr=0.78)
-    J = control_derivatives(state, act, vp)
+    J = control_derivatives(state, act, vp, np.zeros(3))
     assert J[1, 1] < 0.0  # more throttle at hover pushes up (negative down-force)
 
 
@@ -94,7 +94,7 @@ def test_unstalled_cruise_matches_plain_differences(vp):
     state = RigidBodyState(v=np.array([18.0, 0.0, 0.0]),
                            R_IB=euler_zyx_to_matrix(0.0, 0.03, 0.0))
     act = actuation_from_commands(vp, delta_w=0.05, delta_plr=0.6)
-    J = control_derivatives(state, act, vp)
+    J = control_derivatives(state, act, vp, np.zeros(3))
 
     # independent route: plain differences of the projected total force
     from tiltwing.aero import body_wrench
@@ -118,7 +118,7 @@ def test_stall_exclusion_changes_pitch_column(vp):
     # deep-stall: slow flight with the wing level -> large alpha on the wing
     state = RigidBodyState(v=np.array([5.0, 0.0, 3.0]))
     act = actuation_from_commands(vp, delta_w=0.0, delta_plr=0.3)
-    J = control_derivatives(state, act, vp)
+    J = control_derivatives(state, act, vp, np.zeros(3))
 
     from tiltwing.aero import body_wrench
     heading = np.array([1.0, 0.0, 0.0])
@@ -140,7 +140,7 @@ def test_stall_exclusion_changes_pitch_column(vp):
 
 def test_wls_zero_force_zero_correction():
     J = np.array([[30.0, 5.0], [-8.0, -40.0]])
-    u = wls_allocate(J, np.zeros(2), np.eye(2), np.eye(2), 0.3)
+    u = wls_allocate(J, np.zeros(2), np.eye(2), np.eye(2), 0.3, (-1.0, 1.0))
     assert np.allclose(u, 0.0)
 
 
@@ -256,7 +256,7 @@ def test_priority_vertical_over_horizontal(vp):
     # transition-like coupled derivatives, conflicting demands
     state = RigidBodyState(v=np.array([8.0, 0.0, 0.0]))
     act = actuation_from_commands(vp, delta_w=0.5, delta_plr=0.65)
-    J = control_derivatives(state, act, vp)
+    J = control_derivatives(state, act, vp, np.zeros(3))
     W = np.diag([0.01, 1.0])
     F = np.array([8.0, 8.0])
     u = wls_allocate(J, F, W, cruise.REGULARIZATION, cruise.THETA_C_MAX,
@@ -280,7 +280,7 @@ def test_cruise_step_consistent_on_trim_node(vp, coarse_map):
     act = trim_actuation(vp, p.u)
     cc = CruiseController()
     out = cc.step(state, CruiseSetpoint(v_ax=12.0, v_az=0.0), coarse_map,
-                  vp, act, 0.02)
+                  vp, act, 0.02, np.zeros(3))
     assert np.allclose(out.force_correction, 0.0, atol=1e-9)
     assert np.allclose(out.u_correction, 0.0, atol=1e-9)
     assert out.delta_w == pytest.approx(p.u[0], abs=1e-9)
@@ -294,6 +294,6 @@ def test_cruise_step_gamma_conversion(vp, coarse_map):
     act = actuation_from_commands(vp, delta_w=0.1, delta_plr=0.5)
     cc = CruiseController()
     out = cc.step(state, CruiseSetpoint(v_ax=12.0, v_az=-1.0), coarse_map,
-                  vp, act, 0.02)
+                  vp, act, 0.02, np.zeros(3))
     # climbing lookup: gamma > 0 selects a climb trim (more throttle than level)
     assert out.v_lookup[1] == pytest.approx(-1.0)

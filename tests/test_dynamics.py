@@ -63,7 +63,7 @@ def test_zero_wrench_drift_exact(vp):
     act = actuation_from_commands(vp2)
     v = np.array([3.0, -1.0, 0.5])
     s = RigidBodyState(v=v.copy())
-    out = integrate_step(s, act, vp2, dt=0.01)
+    out = integrate_step(s, act, vp2, np.zeros(3), dt=0.01)
     assert np.allclose(out.x, v * 0.01, rtol=1e-15)
     assert np.array_equal(out.v, v)
 
@@ -76,7 +76,7 @@ def test_conservation_torque_free(vp):
     h0 = s.R_IB @ (vp2.inertia @ s.omega)
     v0 = np.linalg.norm(s.v)
     for _ in range(1000):
-        s = integrate_step(s, act, vp2, dt=0.004)
+        s = integrate_step(s, act, vp2, np.zeros(3), dt=0.004)
     assert np.linalg.norm(s.v) == pytest.approx(v0, rel=1e-12)
     h1 = s.R_IB @ (vp2.inertia @ s.omega)
     assert np.allclose(h1, h0, rtol=1e-7)
@@ -87,7 +87,7 @@ def test_orthonormality_maintained(vp):
     act = actuation_from_commands(vp2)
     s = RigidBodyState(omega=np.array([3.0, -2.0, 1.5]))
     for _ in range(10_000):
-        s = integrate_step(s, act, vp2, dt=0.004)
+        s = integrate_step(s, act, vp2, np.zeros(3), dt=0.004)
     assert np.abs(s.R_IB.T @ s.R_IB - np.eye(3)).max() < 1e-8
     assert np.linalg.det(s.R_IB) == pytest.approx(1.0, abs=1e-9)
 
@@ -102,7 +102,7 @@ def test_rk4_convergence_order(vp):
     def run(dt, steps):
         s = RigidBodyState(omega=np.array([4.0, 1.0, -2.5]))
         for _ in range(steps):
-            s = integrate_step(s, act, vp2, dt=dt)
+            s = integrate_step(s, act, vp2, np.zeros(3), dt=dt)
         return np.concatenate([s.omega, s.R_IB.ravel()])
 
     base, n = 0.016, 50
@@ -122,7 +122,7 @@ def test_determinism(vp):
         s = RigidBodyState(v=np.array([5.0, 0.2, -0.5]),
                            omega=np.array([0.3, -0.2, 0.1]))
         for _ in range(200):
-            s = integrate_step(s, act, vp, dt=0.004)
+            s = integrate_step(s, act, vp, np.zeros(3), dt=0.004)
         return s
 
     a, b = run(), run()
@@ -135,16 +135,16 @@ def test_determinism(vp):
 def test_dt_bounds(vp):
     act = actuation_from_commands(vp)
     with pytest.raises(ValueError):
-        integrate_step(RigidBodyState(), act, vp, dt=0.0)
+        integrate_step(RigidBodyState(), act, vp, np.zeros(3), dt=0.0)
     with pytest.raises(ValueError):
-        integrate_step(RigidBodyState(), act, vp, dt=0.05)
+        integrate_step(RigidBodyState(), act, vp, np.zeros(3), dt=0.05)
 
 
 def test_nonfinite_state_faults(vp):
     act = actuation_from_commands(vp)
     s = RigidBodyState(v=np.array([1e200, 0.0, 0.0]))
     with pytest.raises(IntegrationFault):
-        integrate_step(s, act, vp, dt=0.004)
+        integrate_step(s, act, vp, np.zeros(3), dt=0.004)
 
 
 def test_step_given_start_wrench_matches_evaluating_it(vp):

@@ -50,7 +50,7 @@ def test_numerical_jacobian_accuracy():
         return np.array([x[0] ** 2 + np.sin(x[1]), x[0] * x[1]])
 
     x = np.array([1.3, 0.7])
-    J = numerical_jacobian(f, x)
+    J = numerical_jacobian(f, x, f(x))
     J_true = np.array([[2.0 * x[0], np.cos(x[1])], [x[1], x[0]]])
     assert np.allclose(J, J_true, atol=1e-7)
 

@@ -47,7 +47,7 @@ def test_zero_actuation_free_fall(vp):
 def test_qv_scaling_doubles_residual_block(vp):
     u, theta = np.array([0.3, 0.5, 0.0, 0.1, 0.2]), 0.05
     v_dot, _ = trim_accelerations(u, theta, 8.0, 0.0, vp)
-    r = trim_residual(u, theta, 8.0, 0.0, vp)
+    r = trim_residual(u, theta, 8.0, 0.0, vp, None, theta_star(8.0, 0.0))
     assert np.allclose(r[:2], math.sqrt(WEIGHTS.q_v) * v_dot[[0, 2]],
                        rtol=1e-12, atol=0.0)
 
@@ -84,7 +84,8 @@ def test_saturation_barrier_zero_below_threshold(vp):
             return trim_cost(surface_u(k, delta), 0.0, 0.0, vp)
 
         def sat_residual(delta):
-            return trim_residual(surface_u(k, delta), 0.0, 0.0, 0.0, vp)[k + 2]
+            return trim_residual(surface_u(k, delta), 0.0, 0.0, 0.0, vp, None,
+                                 theta_star(0.0, 0.0))[k + 2]
 
         for delta in (0.0, 0.5, thr):
             assert sat(delta) == 0.0
@@ -109,9 +110,8 @@ def test_residual_neighbor_zero_at_average(vp):
     z = np.array([0.2, 0.5, 0.0, 0.1, 0.2, 0.05])
     neighbors = [z + np.array([0.1, 0, 0, 0, 0, 0]),
                  z - np.array([0.1, 0, 0, 0, 0, 0])]
-    r_with = trim_residual(z[:5], z[5], 0.0, 0.0, vp, neighbors=neighbors,
-                           th_star=0.05)
-    r_without = trim_residual(z[:5], z[5], 0.0, 0.0, vp, th_star=0.05)
+    r_with = trim_residual(z[:5], z[5], 0.0, 0.0, vp, neighbors, 0.05)
+    r_without = trim_residual(z[:5], z[5], 0.0, 0.0, vp, None, 0.05)
     n = r_without.size
     assert r_with.size == n + z.size
     assert r_with[:n].tobytes() == r_without.tobytes()
@@ -160,7 +160,7 @@ def test_local_optimality(vp):
     assert tp.feasible
 
     def objective(z):
-        r = trim_residual(z[:5], z[5], 16.0, 0.0, vp)
+        r = trim_residual(z[:5], z[5], 16.0, 0.0, vp, None, theta_star(16.0, 0.0))
         return float(r @ r)
 
     base = objective(tp.z)
