@@ -17,10 +17,19 @@ its loops build as they go, one `PropFlow` per propeller and one `SegFlow`
 per segment, each holding that source's geometry, local flow, force and
 moment as Python floats, plus the fuselage force. `advance_ratio` and
 `airfoil_coefficients` are the per-element laws it calls.
+
+Given ``prior``, the pair of an earlier call at the same airspeed, rate and
+wing tilt, `body_wrench` rebuilds only the records that the changed commands
+move (a throttle its propeller and the segments in its slipstream, ``tt``
+the tail propeller and its slipstream, a surface the segments it deflects)
+and sums all records again, so that a step of a few commands costs a
+fraction of a full evaluation and gives its bits.
 """
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -35,6 +44,11 @@ if TYPE_CHECKING:
 # Below this speed a propeller is treated as stopped and its advance ratio
 # is defined as zero.
 ETA_MIN = 1.0  # rev/s
+
+# the commands `body_wrench` reads, in the order `FlowTables.inputs` holds them
+_COMMANDS = ("pl", "pr", "pt", "al", "ar", "e", "r", "tt")
+_commands_of = operator.attrgetter(*(f"delta_{n}" for n in _COMMANDS))
+_wrench_of = operator.attrgetter("force", "moment")
 
 
 @dataclass
@@ -142,6 +156,14 @@ class _VehicleTables:
                 self.surface_rows.setdefault(seg.actuator, []).append(
                     (i, seg.gain, s.cl_delta, s.cd_alpha2, deflection_incidence(s),
                      s.cm_delta, seg.area, seg.moment_scale))
+        # per command of _COMMANDS, the propeller and segment rows it moves: a throttle
+        # its propeller (tt the tail one) and that slipstream, a surface what it deflects
+        self.moves = []
+        for name in _COMMANDS:
+            p_rows = {i for i, p in enumerate(vp.propellers)
+                      if p.name == name or (name == "tt" and p.mount != "wing")}
+            self.moves.append((p_rows, {i for i, seg in enumerate(self.segs)
+                                        if seg.slip in p_rows or seg.actuator == name}))
 
 
 def _vehicle_tables(vp: VehicleParams) -> _VehicleTables:
@@ -165,10 +187,15 @@ class PropFlow(NamedTuple):
     v_axial: float
     v_radial: float
     thrust: float
+    wake: Vec3       # slipstream velocity added behind the disk
 
 
 class SegFlow(NamedTuple):
-    """One airfoil segment of an evaluation: frame, local flow and wrench."""
+    """One airfoil segment of an evaluation: frame, local flow and wrench.
+
+    Re-evaluating from a ``prior`` pair keeps this record unless a changed
+    command deflects the segment or drives the propeller it sits behind.
+    """
 
     r: Vec3          # centre of pressure
     ey: Vec3         # span axis
@@ -190,15 +217,27 @@ class FlowTables(NamedTuple):
     without re-deriving geometry; the run log and the cruise linearization
     read the per-source forces. The net wrench is the sum of the propeller
     and segment wrenches and ``fus_force`` (the fuselage has no moment).
+    ``inputs`` records the operating point and commands of the evaluation,
+    so that `body_wrench` given this pair as ``prior`` finds what moved.
     """
 
     props: list[PropFlow]
     segs: list[SegFlow]
     fus_force: Vec3
+    inputs: bytes    # airspeed, rate, zeta_w and _COMMANDS as 15 packed doubles
+
+
+def _sum_wrenches(records) -> tuple[float, ...]:
+    """Force and moment sums of the records, added in order from +0.0."""
+    fx = fy = fz = mx = my = mz = 0.0
+    for (f0, f1, f2), (m0, m1, m2) in map(_wrench_of, records):
+        fx, fy, fz, mx, my, mz = fx + f0, fy + f1, fz + f2, mx + m0, my + m1, mz + m2
+    return fx, fy, fz, mx, my, mz
 
 
 def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
-                vp: VehicleParams) -> tuple[ForceMoment, FlowTables]:
+                vp: VehicleParams, prior: tuple | None = None
+                ) -> tuple[ForceMoment, FlowTables]:
     """Net wrench in body axes from body-frame airspeed and angular rate,
     and the per-source records of the evaluation.
 
@@ -208,6 +247,12 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     propeller and segment runs in Python float arithmetic, with one
     `np.arctan2` over the segments' angles of attack. A non-finite wrench
     raises `FloatingPointError`.
+
+    ``prior`` is a pair this function returned for the same vehicle. If it
+    holds this call's airspeed, rate and ``zeta_w`` bit for bit, the loops
+    rebuild only the records of the sources that the commands whose bits
+    differ move, and reuse the others; if no command differs, ``prior`` is
+    the result. Either way the result is the full evaluation's, bit for bit.
     """
     t = _vehicle_tables(vp)
     rho = vp.rho
@@ -215,12 +260,21 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     ox, oy, oz = float(omega[0]), float(omega[1]), float(omega[2])
     px, py, pz = t.pivot
     cw, sw = math.cos(act.zeta_w), math.sin(act.zeta_w)
+    inputs = struct.pack("15d", vbx, vby, vbz, ox, oy, oz, act.zeta_w, *_commands_of(act))
+    prop_rows, seg_rows = range(len(t.props)), range(len(t.segs))
+    props, segs = [None] * len(t.props), [None] * len(t.segs)
+    if prior is not None and inputs[:56] == prior[1].inputs[:56]:
+        prop_rows, seg_rows = set(), set()
+        for k, (p, s) in enumerate(t.moves, 7):
+            if inputs[8 * k:8 * k + 8] != prior[1].inputs[8 * k:8 * k + 8]:
+                prop_rows |= p
+                seg_rows |= s
+        if not prop_rows and not seg_rows:
+            return prior
+        props, segs = list(prior[1].props), list(prior[1].segs)
 
-    props = []
-    fx = fy = fz = mx = my = mz = 0.0
-    slip_w = []
-
-    for prop, hx, hy, hz in t.props:
+    for i in prop_rows:
+        prop, hx, hy, hz = t.props[i]
         if prop.mount == "wing":
             rx = px + cw * hx + sw * hz
             ry = py + hy
@@ -250,32 +304,25 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         pmx = torque * ax + ry * pfz - rz * pfy
         pmy = torque * ay + rz * pfx - rx * pfz
         pmz = torque * az + rx * pfy - ry * pfx
-        fx += pfx
-        fy += pfy
-        fz += pfz
-        mx += pmx
-        my += pmy
-        mz += pmz
         wx = wy = wz = 0.0
         if eta >= ETA_MIN and (thrust > 0.0 or v_ax < 0.0):
             radicand = v_ax * v_ax + 2.0 * max(thrust, 0.0) / (rho * prop.disk_area)
             w_mag = 0.5 * (-v_ax + math.sqrt(radicand)) if radicand > 0.0 else 0.5 * -v_ax
             wx, wy, wz = ax * w_mag, ay * w_mag, az * w_mag
-        slip_w.append((wx, wy, wz))
         if v_rad > 1e-12:
             nx, ny, nz = urx / v_rad, ury / v_rad, urz / v_rad
         else:
             nx = ny = nz = 0.0
-        props.append(PropFlow((rx, ry, rz), (ax, ay, az), (nx, ny, nz),
-                              (pfx, pfy, pfz), (pmx, pmy, pmz),
-                              eta, v_ax, v_rad, thrust))
+        props[i] = PropFlow((rx, ry, rz), (ax, ay, az), (nx, ny, nz),
+                            (pfx, pfy, pfz), (pmx, pmy, pmz),
+                            eta, v_ax, v_rad, thrust, (wx, wy, wz))
 
     # segment flow at the current wing tilt: wing axes take the tilt
     # rotation's columns, since their pre-tilt axes are the body axes
     flows = []
     tan_alpha = ([], [])
-    for (_, is_wing, (cx, cy, cz), e_x, (ey0, ey1, ey2), e_z,
-         slip, _, _, _, _) in t.segs:
+    for i in seg_rows:
+        _, is_wing, (cx, cy, cz), e_x, (ey0, ey1, ey2), e_z, slip, _, _, _, _ = t.segs[i]
         if is_wing:
             rx = px + cw * cx + sw * cz
             ry = py + cy
@@ -290,7 +337,7 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         u1 = vby + oz * rx - ox * rz
         u2 = vbz + ox * ry - oy * rx
         if slip >= 0:
-            wx, wy, wz = slip_w[slip]
+            wx, wy, wz = props[slip].wake
             u0, u1, u2 = u0 + wx, u1 + wy, u2 + wz
         u_ey = u0 * ey0 + u1 * ey1 + u2 * ey2
         l0, l1, l2 = u0 - u_ey * ey0, u1 - u_ey * ey1, u2 - u_ey * ey2
@@ -300,18 +347,14 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         ed0, ed1, ed2 = -l0 / d, -l1 / d, -l2 / d
         tan_alpha[0].append(l0 * ez0 + l1 * ez1 + l2 * ez2)
         tan_alpha[1].append(l0 * ex0 + l1 * ex1 + l2 * ex2)
-        flows.append((rx, ry, rz, ey0, ey1, ey2,
+        flows.append((i, rx, ry, rz, ey0, ey1, ey2,
                       ed1 * ey2 - ed2 * ey1, ed2 * ey0 - ed0 * ey2, ed0 * ey1 - ed1 * ey0,
                       ed0, ed1, ed2, V, V2))
     alpha = np.arctan2(*tan_alpha)
 
-    # segment wrenches; the net wrench adds them in row order, then the
-    # fuselage force, then the propeller sums: that order fixes its last bits
-    segs = []
-    sfx = sfy = sfz = smx = smy = smz = 0.0
-    for (seg, _, _, _, _, _, _, actuator, gain, area, moment_scale), flow, a \
-            in zip(t.segs, flows, alpha.tolist()):
-        rx, ry, rz, ey0, ey1, ey2, el0, el1, el2, ed0, ed1, ed2, V, V2 = flow
+    for (i, rx, ry, rz, ey0, ey1, ey2, el0, el1, el2, ed0, ed1, ed2, V, V2), a \
+            in zip(flows, alpha.tolist()):
+        seg, _, _, _, _, _, _, actuator, gain, area, moment_scale = t.segs[i]
         zeta = gain * act.position(actuator, vp) if actuator is not None else 0.0
         cl, cd, cm, lam = airfoil_coefficients(seg, a, zeta)
         q_area = 0.5 * rho * V2 * area
@@ -322,31 +365,30 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         m0 = mom_span * ey0 + (ry * f2 - rz * f1)
         m1 = mom_span * ey1 + (rz * f0 - rx * f2)
         m2 = mom_span * ey2 + (rx * f1 - ry * f0)
-        sfx += f0
-        sfy += f1
-        sfz += f2
-        smx += m0
-        smy += m1
-        smz += m2
         stalled = not (seg.alpha_stall_neg < a < seg.alpha_stall_pos)
-        segs.append(SegFlow((rx, ry, rz), (ey0, ey1, ey2), (el0, el1, el2),
-                            (ed0, ed1, ed2), (f0, f1, f2), (m0, m1, m2),
-                            V, a, lam, stalled))
+        segs[i] = SegFlow((rx, ry, rz), (ey0, ey1, ey2), (el0, el1, el2),
+                          (ed0, ed1, ed2), (f0, f1, f2), (m0, m1, m2),
+                          V, a, lam, stalled)
 
     ffx = -0.5 * rho * vp.fuselage.cd_x * vbx * abs(vbx)
     ffy = -0.5 * rho * vp.fuselage.cd_y * vby * abs(vby)
     ffz = -0.5 * rho * vp.fuselage.cd_z * vbz * abs(vbz)
 
+    # the net wrench adds the segments in row order, then the fuselage
+    # force, then the propeller sums: that order fixes its last bits
+    sfx, sfy, sfz, smx, smy, smz = _sum_wrenches(segs)
+    fx, fy, fz, mx, my, mz = _sum_wrenches(props)
     f0, f1, f2 = sfx + ffx + fx, sfy + ffy + fy, sfz + ffz + fz
     m0, m1, m2 = smx + mx, smy + my, smz + mz
     if not math.isfinite(f0 + f1 + f2) or not math.isfinite(m0 + m1 + m2):
         raise FloatingPointError("non-finite aerodynamic wrench")
 
     return (ForceMoment(force=np.array((f0, f1, f2)), moment=np.array((m0, m1, m2))),
-            FlowTables(props, segs, (ffx, ffy, ffz)))
+            FlowTables(props, segs, (ffx, ffy, ffz), inputs))
 
 
 def total_wrench(state: "RigidBodyState", act: ActuatorSet, vp: VehicleParams,
-                 wind: np.ndarray) -> tuple[ForceMoment, FlowTables]:
+                 wind: np.ndarray, prior: tuple | None = None
+                 ) -> tuple[ForceMoment, FlowTables]:
     """`body_wrench` for a rigid-body state, actuator state and inertial wind."""
-    return body_wrench(state.R_IB.T @ (state.v - wind), state.omega, act, vp)
+    return body_wrench(state.R_IB.T @ (state.v - wind), state.omega, act, vp, prior)

@@ -301,7 +301,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
 
     def book(name: str) -> None:
         nonlocal M_cur, fm, tab
-        fm, tab = aero.body_wrench(v_a_body, omega, act, vp)
+        fm, tab = aero.body_wrench(v_a_body, omega, act, vp, (fm, tab))
         blocks[name] += fm.moment - M_cur
         M_cur = fm.moment
 

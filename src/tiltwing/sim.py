@@ -279,6 +279,9 @@ class RunLog:
                 rows.append(row)
         if columns is None:
             raise ScenarioError(f"no header in log {path}")
+        missing = [c for c in LOG_COLUMNS if c not in columns]
+        if missing:
+            raise ScenarioError(f"{path}: header lacks the run-log columns {missing}")
         arr = np.array(rows, dtype=float) if rows \
             else np.empty((0, len(columns)))
         return cls(columns=columns, rows=arr, scenario=scenario, fault=fault)
@@ -287,13 +290,6 @@ class RunLog:
 # ---------------------------------------------------------------------------
 # Scenario execution
 # ---------------------------------------------------------------------------
-
-def _same_actuation(a: ActuatorSet, b: ActuatorSet) -> bool:
-    """Whether two actuator states hold the same bits (``==`` would take
-    -0.0 for 0.0)."""
-    return np.array(list(vars(a).values())).tobytes() \
-        == np.array(list(vars(b).values())).tobytes()
-
 
 def run_scenario(sc: Scenario, vp: VehicleParams,
                  tmap: TrimMap | None = None) -> RunLog:
@@ -358,11 +354,10 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
 
             act = apply_actuator_rates(act, cmd, dt, vp)
 
-            if alloc is not None and _same_actuation(act, alloc.commanded):
-                # the allocator evaluated this state, actuation and wind last
-                fm, tab = alloc.evaluation
-            else:
-                fm, tab = aero.total_wrench(state, act, vp, wind)
+            # the allocator's last evaluation is of this state and wind, and
+            # is the result itself when the wing does not slew
+            fm, tab = aero.total_wrench(state, act, vp, wind,
+                                        alloc.evaluation if alloc else None)
             # z force per source group; sum's start 0 and +0.0 turn a signed
             # zero into +0.0
             group_fz = [sum(p.force[2] for p in tab.props),

@@ -324,10 +324,24 @@ def apply_actuator_rates(current: ActuatorSet, command: ActuatorSet, dt: float,
 DEFAULT_CONFIG = Path(__file__).parent / "data" / "vehicle_default.yaml"
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'a vehicle'} must be a mapping, "
+                          f"got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+    if key not in _mapping(mapping, where):
         raise ConfigError(f"missing required field: {where}{key}")
     return mapping[key]
+
+
+def _list(mapping: dict, key: str) -> list:
+    value = _require(mapping, key, "")
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -344,7 +358,7 @@ def _field(mapping: dict, key: str, where: str) -> float:
 
 def _angle(mapping: dict, base: str, where: str) -> float:
     """Read a required angle given either as `<base>_rad` or `<base>_deg`."""
-    if f"{base}_rad" in mapping:
+    if f"{base}_rad" in _mapping(mapping, where):
         return _number(mapping[f"{base}_rad"], f"{where}{base}_rad")
     if f"{base}_deg" in mapping:
         return math.radians(_number(mapping[f"{base}_deg"], f"{where}{base}_deg"))
@@ -399,7 +413,7 @@ def vehicle_from_dict(raw: dict) -> VehicleParams:
     )
 
     props = []
-    for praw in _require(raw, "propellers", ""):
+    for praw in _list(raw, "propellers"):
         name = _require(praw, "name", "propellers[].")
         where = f"propellers.{name}."
         ct0, ct1 = _pair(_require(praw, "ct", where), where + "ct")
@@ -416,7 +430,7 @@ def vehicle_from_dict(raw: dict) -> VehicleParams:
         ))
 
     segs = []
-    for sraw in _require(raw, "segments", ""):
+    for sraw in _list(raw, "segments"):
         name = _require(sraw, "name", "segments[].")
         where = f"segments.{name}."
         coeffs = _require(sraw, "coefficients", where)

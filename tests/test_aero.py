@@ -473,3 +473,91 @@ def test_non_finite_or_overflowing_input_raises_floating_point_error(vp, where, 
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="non-finite aerodynamic wrench"):
                 body_wrench(inputs["v_a_body"], inputs["omega"], act, vp)
+
+
+# ---------------------------------------------------------------------------
+# re-evaluation from a prior pair
+# ---------------------------------------------------------------------------
+
+COMMANDS = ("pl", "pr", "pt", "al", "ar", "e", "r", "tt")
+# each command alone, then the allocator's wing group and tail group
+STEPS = [(c,) for c in COMMANDS] + [("al", "ar", "pl", "pr"), ("pt", "tt")]
+
+
+def _random_actuation(vp, rng):
+    act = actuation_from_commands(vp, delta_w=rng.uniform(0, 1))
+    for c in COMMANDS:
+        lim = vp.actuators[c]
+        setattr(act, f"delta_{c}", rng.uniform(lim.lo, lim.hi))
+    return act
+
+
+def _assert_same_evaluation(got, want):
+    assert got[0].force.tobytes() == want[0].force.tobytes()
+    assert got[0].moment.tobytes() == want[0].moment.tobytes()
+    # repr round-trips every float and tells -0.0 from 0.0
+    assert repr(got[1]) == repr(want[1])
+
+
+def test_prior_reevaluation_matches_full_bit_for_bit(vp):
+    """Given a prior pair at the same airspeed, rate and wing tilt, a step of
+    any command or command group gives the full evaluation's force, moment
+    and records bit for bit; a step that changes no command bit (clamped
+    at a limit) returns the prior pair itself."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        v, omega = rng.uniform(-3, 18, 3), rng.uniform(-1, 1, 3)
+        act = _random_actuation(vp, rng)
+        prior = body_wrench(v, omega, act, vp)
+        for names in STEPS:
+            stepped = act.copy()
+            for c in names:
+                lim = vp.actuators[c]
+                key = f"delta_{c}"
+                setattr(stepped, key, min(max(getattr(act, key)
+                                              + rng.uniform(-0.5, 0.5), lim.lo), lim.hi))
+            _assert_same_evaluation(body_wrench(v, omega, stepped, vp, prior),
+                                    body_wrench(v, omega, stepped, vp))
+        for c in COMMANDS:
+            at_limit = act.copy()
+            setattr(at_limit, f"delta_{c}", vp.actuators[c].hi)
+            limited = body_wrench(v, omega, at_limit, vp)
+            stepped = at_limit.copy()
+            setattr(stepped, f"delta_{c}", min(vp.actuators[c].hi + 0.3, vp.actuators[c].hi))
+            assert body_wrench(v, omega, stepped, vp, limited) is limited
+
+
+@pytest.mark.parametrize("c", COMMANDS)
+def test_prior_reevaluation_tells_signed_zeros_apart(vp, c):
+    """A command flipped between +0.0 and -0.0 is a moved command: the
+    result carries the signs of a full evaluation at the new command."""
+    v, omega = np.array([0.0, 0.0, 0.0]), np.zeros(3)
+    act = actuation_from_commands(vp, delta_w=0.0)
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        setattr(act, f"delta_{c}", first)
+        prior = body_wrench(v, omega, act, vp)
+        flipped = act.copy()
+        setattr(flipped, f"delta_{c}", second)
+        got = body_wrench(v, omega, flipped, vp, prior)
+        assert got is not prior
+        _assert_same_evaluation(got, body_wrench(v, omega, flipped, vp))
+
+
+@pytest.mark.parametrize("moved", ["v_a_body", "omega", "zeta_w"])
+def test_prior_at_another_operating_point_is_a_full_evaluation(vp, moved):
+    """A prior whose airspeed, rate or wing tilt differs from this call's by
+    one bit is not reused, whatever commands moved."""
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        v, omega = rng.uniform(-3, 18, 3), rng.uniform(-1, 1, 3)
+        act = _random_actuation(vp, rng)
+        prior = body_wrench(v, omega, act, vp)
+        v2, omega2, act2 = v.copy(), omega.copy(), act.copy()
+        act2.delta_r = -act.delta_r
+        if moved == "zeta_w":
+            act2.zeta_w = np.nextafter(act.zeta_w, 2.0)
+        else:
+            arr = v2 if moved == "v_a_body" else omega2
+            arr[1] = np.nextafter(arr[1], 10.0)
+        _assert_same_evaluation(body_wrench(v2, omega2, act2, vp, prior),
+                                body_wrench(v2, omega2, act2, vp))

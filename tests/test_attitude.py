@@ -355,6 +355,29 @@ def test_allocation_carries_the_evaluation_at_its_commands(vp):
         assert repr(tab) == repr(tab_ref)
 
 
+def test_allocation_matches_full_evaluations(vp, monkeypatch):
+    """Booking from the previous evaluation changes no bit of the allocation:
+    the commands, the block moments, the residual and the evaluation equal
+    those of a run in which every `body_wrench` call drops its prior."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(30):
+        state, u_n = flight_consistent_sample(vp, rng)
+        cases.append((rng.uniform(-0.6, 0.6, 3), state, u_n, rng.uniform(-2.0, 2.0, 3)))
+    reused = [daisy_chain_allocate(m, s, u, vp, w) for m, s, u, w in cases]
+    real = aero.body_wrench
+    monkeypatch.setattr(aero, "body_wrench",
+                        lambda v, omega, act, vp, prior=None: real(v, omega, act, vp))
+    for (m, s, u, w), got in zip(cases, reused):
+        want = daisy_chain_allocate(m, s, u, vp, w)
+        assert _bytes(got.commanded) == _bytes(want.commanded)
+        for name in want.blocks:
+            assert got.blocks[name].tobytes() == want.blocks[name].tobytes()
+        assert got.residual.tobytes() == want.residual.tobytes()
+        assert got.evaluation[0].moment.tobytes() == want.evaluation[0].moment.tobytes()
+        assert repr(got.evaluation[1]) == repr(want.evaluation[1])
+
+
 def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch):
     state, u_n = cruise_state(), cruise_nominal(vp)
     nominal = nominal_moment_estimate(state, u_n, vp, np.zeros(3))

@@ -214,3 +214,29 @@ def test_malformed_row_error_names_file_and_line(capsys, tmp_path, command, name
     path.write_text(text)
     assert cli.main([*command.split(), str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path} line 3: ")
+
+
+@pytest.mark.parametrize("key", ["propellers", "wing", "segments"])
+def test_vehicle_section_of_the_wrong_structure_is_a_config_error(capsys, tmp_path,
+                                                                   key):
+    """A vehicle section that is a number, not the list or mapping the parser
+    expects, is reported like any other config error: INVALID with exit 1
+    under `config validate`, error: with exit 2 under --vehicle."""
+    raw = yaml.safe_load(VEHICLE_TEXT)
+    raw[key] = 5
+    path = tmp_path / "v.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["config", "validate", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"INVALID: {key} must be a ")
+    assert cli.main(["check", "--vehicle", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be a ") and "Traceback" not in err
+
+
+def test_report_names_the_run_log_columns_a_log_lacks(capsys, tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("t,x\n0.0,1.0\n")
+    assert cli.main(["report", "--log", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: header lacks the run-log columns ['y', 'z', ")
+    assert "'fault']" in err

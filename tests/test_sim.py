@@ -136,30 +136,49 @@ def test_attitude_tick_integrates_with_three_evaluations(vp, monkeypatch):
     assert len(calls) == 3 * ticks
 
 
+def _drop_priors(monkeypatch):
+    """Make every `aero.body_wrench` call a full evaluation."""
+    real = aero.body_wrench
+    monkeypatch.setattr(aero, "body_wrench",
+                        lambda v, omega, act, vp, prior=None: real(v, omega, act, vp))
+
+
 def test_tick_logs_the_allocators_last_evaluation(vp, monkeypatch):
     """When the applied actuation is the allocator's commanded one bit for
-    bit, the log and RK4's first stage take the allocator's last evaluation:
-    one model evaluation fewer on every tick of hover_steps, and the same log
-    bytes as evaluating the tick's wrench again."""
-    calls = []
-    real = aero.body_wrench
+    bit, the log and RK4's first stage take the allocator's last evaluation
+    as it is: on every tick of hover_steps, whose wing does not slew. The log
+    bytes are those of a run in which every evaluation is a full one."""
+    reused = []
+    real = aero.total_wrench
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def recording(state, act, vp, wind, prior=None):
+        result = real(state, act, vp, wind, prior)
+        if prior is not None:
+            reused.append(result is prior)
+        return result
 
-    monkeypatch.setattr(aero, "body_wrench", counting)
+    monkeypatch.setattr(aero, "total_wrench", recording)
     sc = load_scenario("hover_steps")
     sc.duration = 0.2
     ticks = round(sc.duration * SIM_RATE)
     log = run_scenario(sc, vp)
-    reused = len(calls)
-    calls.clear()
-    monkeypatch.setattr(sim, "_same_actuation", lambda a, b: False)
-    evaluated = run_scenario(sc, vp)
     assert log.fault is None and log.rows.shape[0] == ticks
-    assert len(calls) - reused == ticks
-    assert log.rows.tobytes() == evaluated.rows.tobytes()
+    assert reused == [True] * ticks
+    _drop_priors(monkeypatch)
+    assert run_scenario(sc, vp).rows.tobytes() == log.rows.tobytes()
+
+
+def test_cruise_log_matches_full_evaluations(vp, committed_map_path, monkeypatch):
+    """Re-evaluating from prior pairs changes no bit of 0.5 s of
+    forward_transition in cruise mode, cruise updates included."""
+    tmap = load_trim_map(committed_map_path)
+    sc = load_scenario("forward_transition")
+    sc.duration = 0.5
+    log = run_scenario(sc, vp, tmap)
+    _drop_priors(monkeypatch)
+    full = run_scenario(sc, vp, tmap)
+    assert log.fault is None and log.rows.shape[0] == round(sc.duration * SIM_RATE)
+    assert log.rows.tobytes() == full.rows.tobytes()
 
 
 def _scenario(mode="attitude", initial=None, timeline=(), wind=None) -> dict:
