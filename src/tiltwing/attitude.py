@@ -13,7 +13,10 @@ The controller tracks (roll, pitch, yaw-rate) references in three stages:
    yaw, wing group only for roll. Ailerons + differential main throttle
    (wing group) and tail throttle + tail tilt (tail group) are allocated
    jointly; the wing group solves a small box-constrained QP trading roll
-   against yaw, the tail group attains pitch strictly before yaw.
+   against yaw, the tail group attains pitch strictly before yaw. The
+   chain re-runs on the remaining full-model residual, at most ``PASSES``
+   times, until no axis misses by more than ``RESIDUAL_TOL``, which is
+   finer than one 0.1 % command step of the effectors in forward flight.
 
 Per-actuator demands come from the local aero model (linear in surface
 deflection, quadratic in propeller speed); every block's achieved moment is
@@ -34,7 +37,12 @@ from .vehicle import ActuatorSet, VehicleParams
 _EPS_GAIN = 1e-9        # minimum actuator authority worth engaging [N m / unit]
 _EPS_DEMAND = 1e-9      # moment demand treated as already met [N m]
 _EPS_TAIL_THRUST = 1e-7  # minimum tail thrust demand worth engaging [N]
-PASSES = 6              # chain passes over the remaining full-model residual
+PASSES = 6              # cap on chain passes over the remaining full-model residual
+# residual below which no further pass starts [N m]: under the moment of one
+# 0.1 % command step (a 10-bit servo or ESC) at 8 m/s, where that step moves
+# yaw by 0.39e-3 (rudder), pitch by 0.83e-3 (elevator) and roll by 2.3e-3
+# (differential main throttle)
+RESIDUAL_TOL = 3e-4
 W_ROLL, W_YAW = 2.0, 1.0  # wing-group QP weights on roll and yaw error
 ATT_P = 6.0             # outer attitude loop [1/s]
 RATE_P = np.array([8.0, 8.0, 8.0])  # inner rate PID, per body axis
@@ -255,14 +263,16 @@ def solve_block3(l_target: float, n_target: float, gain_ail: np.ndarray,
 
 @dataclass
 class AllocationResult:
-    """Allocated commands, the moment each block booked, the residual, and
+    """Allocated commands, the moment each block booked, the residual,
     ``evaluation``: the `body_wrench` pair at ``commanded`` (the last
-    booked one, or the nominal one if no block booked)."""
+    booked one, or the nominal one if no block booked), and the number of
+    chain ``passes`` run."""
 
     commanded: ActuatorSet
     blocks: dict[str, np.ndarray] = field(default_factory=dict)
     residual: np.ndarray = field(default_factory=lambda: np.zeros(3))
     evaluation: tuple | None = None
+    passes: int = 0
 
     @property
     def allocated(self) -> np.ndarray:
@@ -283,10 +293,10 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     """Distribute M_act over the redundant effectors.
 
     Chain order: pitch via elevator, yaw via rudder, then the wing group
-    (roll/yaw QP), then the tail group (pitch strictly before yaw). The
-    chain is re-run on the remaining full-model residual for up to
-    ``PASSES`` passes so that unsaturated demands converge on the exact
-    model. ``nominal``, if given, is `nominal_moment_estimate` of the same
+    (roll/yaw QP), then the tail group (pitch strictly before yaw). A pass
+    starts only while the full-model residual exceeds ``RESIDUAL_TOL`` on
+    some axis, and at most ``PASSES`` run, so a saturated demand runs all
+    of them. ``nominal``, if given, is `nominal_moment_estimate` of the same
     state, ``u_n`` and wind, read in place of evaluating ``u_n`` again.
     """
     v_a_body = state.R_IB.T @ (state.v - wind)
@@ -310,10 +320,9 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     i_pl, i_pr, i_pt = (names.index(n) for n in ("pl", "pr", "pt"))
     pt = vp.propellers[i_pt]
 
-    demand_scale = max(float(np.abs(M_act).max()), 1e-3)
-    for _ in range(PASSES):
-        if np.abs(target - M_cur).max() < 1e-9 * demand_scale:
-            break
+    passes = 0
+    while passes < PASSES and np.abs(target - M_cur).max() > RESIDUAL_TOL:
+        passes += 1
         # blocks 1 and 2: the elevator takes the pitch demand, then the
         # rudder the yaw demand
         for name, axis, block in (("e", 1, "elevator"), ("r", 2, "rudder")):
@@ -384,4 +393,4 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
 
     residual = target - M_cur
     return AllocationResult(commanded=act, blocks=blocks, residual=residual,
-                            evaluation=(fm, tab))
+                            evaluation=(fm, tab), passes=passes)

@@ -78,6 +78,9 @@ def cmd_trim_build(args) -> int:
 
 
 def cmd_trim_query(args) -> int:
+    if not (math.isfinite(args.va) and math.isfinite(args.gamma)):
+        raise trim.TrimError(f"--va and --gamma must be finite, got "
+                             f"{args.va} and {args.gamma}")
     tmap = trim.load_trim_map(args.map)
     lut = trim.lookup_trim(tmap, args.va, args.gamma)
     if lut.clamped:
@@ -151,11 +154,14 @@ def _check_orthonormality(vp) -> tuple[bool, str]:
 
 
 def _check_allocation(vp) -> tuple[bool, str]:
-    # the books telescope to M_act, and what they allocated is the model's
-    # own moment change M(commanded) - M(u_n), evaluated afresh
-    from .attitude import daisy_chain_allocate
+    # the books telescope to M_act, what they allocated is the model's own
+    # moment change M(commanded) - M(u_n), evaluated afresh, and the chain
+    # stopped only below the residual tolerance or at the pass cap
+    from .attitude import PASSES, RESIDUAL_TOL, daisy_chain_allocate
     rng = np.random.default_rng(7)
     worst = worst_model = 0.0
+    early_stops = 0
+    passes = []
     for _ in range(100):
         zw = rng.uniform(0.0, math.pi / 2)
         state = RigidBodyState(
@@ -170,9 +176,14 @@ def _check_allocation(vp) -> tuple[bool, str]:
         delta = (aero.total_wrench(state, res.commanded, vp, np.zeros(3))[0].moment
                  - aero.total_wrench(state, u_n, vp, np.zeros(3))[0].moment)
         worst_model = max(worst_model, np.abs(res.allocated - delta).max())
-    return (worst < 1e-9 and worst_model < 1e-9,
+        early_stops += (np.abs(res.residual).max() > RESIDUAL_TOL
+                        and res.passes != PASSES)
+        passes.append(res.passes)
+    return (worst < 1e-9 and worst_model < 1e-9 and early_stops == 0,
             f"allocation accounting worst error {worst:.2e}, "
-            f"against full evaluations {worst_model:.2e}")
+            f"against full evaluations {worst_model:.2e}; "
+            f"{np.mean(passes):.2f} passes on average, "
+            f"{early_stops} stopped above {RESIDUAL_TOL:g} N m")
 
 
 def _check_continuity(vp) -> tuple[bool, str]:

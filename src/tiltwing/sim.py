@@ -228,7 +228,7 @@ LOG_COLUMNS = (
        "trim_dw", "trim_dplr", "trim_theta", "lookup_clamped"]
     + ["f_x", "f_y", "f_z", "m_x", "m_y", "m_z",
        "f_props_z", "f_segments_z", "f_fuselage_z"]
-    + ["fault"]
+    + ["alloc_passes", "fault"]
 )
 
 
@@ -378,7 +378,7 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
                     float(co.lookup_clamped)] if co is not None
                    else [np.nan] * 9 + [0.0])
                 + [*fm.force, *fm.moment, *group_fz]
-                + [0.0]
+                + [alloc.passes if alloc else 0, 0.0]
             )
             n_logged = k + 1
             state = integrate_step(state, act, vp, wind, dt, wrench=fm)
@@ -415,7 +415,8 @@ def _settling(t: np.ndarray, err: np.ndarray, band: float) -> float:
 
 
 def compute_metrics(log: RunLog, sc: Scenario | None = None) -> dict[str, float]:
-    """Tracking, altitude, settling, and feed-forward share metrics."""
+    """Tracking, altitude, allocation, settling, and feed-forward share
+    metrics."""
     t = log.column("t")
     metrics: dict[str, float] = {
         "duration": float(t[-1] - t[0]) if t.size else 0.0,
@@ -434,6 +435,11 @@ def compute_metrics(log: RunLog, sc: Scenario | None = None) -> dict[str, float]
     metrics["pitch_err_p90"] = _percentile(np.abs(pitch_err), 90.0)
     metrics["roll_err_rms"] = float(np.sqrt(np.mean(roll_err ** 2)))
     metrics["roll_err_max"] = float(np.abs(roll_err).max())
+
+    # the residual's norm per row, RMS over the rows
+    res_sq = sum(log.column(f"alloc_res_{axis}") ** 2 for axis in "xyz")
+    metrics["alloc_passes_mean"] = float(log.column("alloc_passes").mean())
+    metrics["alloc_res_rms"] = float(np.sqrt(np.mean(res_sq)))
 
     sp_vaz = log.column("sp_vaz")
     if np.isfinite(sp_vaz).any():

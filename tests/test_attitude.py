@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tiltwing import aero
+from tiltwing import aero, attitude
 from tiltwing.aero import body_wrench, total_wrench
 from tiltwing.attitude import (INTEGRATOR_LIMIT, AttitudeController,
                                AttitudeSetpoint, _prop_eta_derivatives,
@@ -173,7 +173,7 @@ def test_small_pitch_demand_uses_elevator_only(vp):
     assert abs(cmd.delta_e) < 0.9
     assert cmd.delta_pt == 0.0
     assert cmd.delta_tt == 0.0
-    assert np.abs(res.residual).max() < 1e-8
+    assert np.abs(res.residual).max() <= attitude.RESIDUAL_TOL
 
 
 def test_large_pitch_demand_engages_tail(vp):
@@ -297,7 +297,7 @@ def test_closed_loop_linearization_sample(vp):
         M_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
         m_hat = nominal_moment_estimate(state, u_n, vp, np.zeros(3))[0].moment
         res = daisy_chain_allocate(M_des - m_hat, state, u_n, vp, np.zeros(3))
-        if np.abs(res.residual).max() > 1e-5:
+        if np.abs(res.residual).max() > attitude.RESIDUAL_TOL:
             continue  # authority-limited case
         fm, _ = total_wrench(state, res.commanded, vp, np.zeros(3))
         omega_dot = vp.inertia_inv @ (fm.moment
@@ -308,6 +308,42 @@ def test_closed_loop_linearization_sample(vp):
         assert err < 0.01
         checked += 1
     assert checked >= 30
+
+
+def test_allocation_stops_below_resolution(vp, monkeypatch):
+    """The chain starts no pass once the residual is within RESIDUAL_TOL on
+    every axis, runs all PASSES on a saturating demand, and leaves a demand
+    already within the tolerance to the nominal actuation."""
+    u_n = hover_nominal(vp)
+    M_act = np.array([0.05, -0.1, 0.02])
+    res = daisy_chain_allocate(M_act, hover_state(), u_n, vp, np.zeros(3))
+    k = res.passes
+    assert 1 < k < attitude.PASSES
+    assert np.abs(res.residual).max() <= attitude.RESIDUAL_TOL
+    monkeypatch.setattr(attitude, "PASSES", k)
+    capped = daisy_chain_allocate(M_act, hover_state(), u_n, vp, np.zeros(3))
+    assert _bytes(capped.commanded) == _bytes(res.commanded)
+    assert capped.residual.tobytes() == res.residual.tobytes()
+    for name in res.blocks:
+        assert capped.blocks[name].tobytes() == res.blocks[name].tobytes()
+    # the k-th pass was needed
+    monkeypatch.setattr(attitude, "PASSES", k - 1)
+    short = daisy_chain_allocate(M_act, hover_state(), u_n, vp, np.zeros(3))
+    assert np.abs(short.residual).max() > attitude.RESIDUAL_TOL
+    monkeypatch.undo()
+
+    saturating = daisy_chain_allocate(np.array([2.0, 0.0, 0.0]), hover_state(),
+                                      u_n, vp, np.zeros(3))
+    assert saturating.passes == attitude.PASSES
+    assert np.abs(saturating.residual).max() > attitude.RESIDUAL_TOL
+
+    nominal = nominal_moment_estimate(hover_state(), u_n, vp, np.zeros(3))
+    tiny = daisy_chain_allocate(np.array([1e-4, -2e-4, 5e-5]), hover_state(),
+                                u_n, vp, np.zeros(3), nominal)
+    assert tiny.passes == 0
+    assert _bytes(tiny.commanded) == _bytes(u_n)
+    assert all(a is b for a, b in zip(tiny.evaluation, nominal))
+    assert not any(block.any() for block in tiny.blocks.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import yaml
 
-from tiltwing import cli
+from tiltwing import cli, sim
+from tiltwing.attitude import PASSES
 from tiltwing.trim import CSV_HEADER, load_trim_map
 from tiltwing.vehicle import DEFAULT_CONFIG
 
@@ -138,6 +139,26 @@ def test_sim_run_then_report(capsys, tmp_path):
     assert prefix.with_suffix(".txt").read_text().startswith("scenario: short\n")
 
 
+def test_report_carries_the_allocation_record(capsys, tmp_path, vp):
+    """A hover_steps log records the chain passes of every tick, and the
+    report prints their mean and the RMS of the residual's per-row norm."""
+    log = tmp_path / "log.csv"
+    scenario = sim.load_scenario("hover_steps")
+    scenario.duration = 0.4
+    sim.run_scenario(scenario, vp).save(log)
+    loaded = sim.RunLog.load(log)
+    passes = loaded.column("alloc_passes")
+    assert np.all((passes >= 0) & (passes <= PASSES) & (passes == np.round(passes)))
+    assert passes.max() > 0
+    assert cli.main(["report", "--log", str(log)]) == 0
+    metrics = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert float(metrics["alloc_passes_mean"]) == pytest.approx(passes.mean(), rel=1e-5)
+    res = np.stack([loaded.column(f"alloc_res_{axis}") for axis in "xyz"], axis=1)
+    rms = np.sqrt(np.mean(np.linalg.norm(res, axis=1) ** 2))
+    assert rms > 0.0
+    assert float(metrics["alloc_res_rms"]) == pytest.approx(rms, rel=1e-5)
+
+
 def test_sim_run_fault_exits_1(capsys, tmp_path):
     scenario = _scenario_file(tmp_path, "{velocity: [1.0e160, 0, 0]}")
     assert cli.main(["sim", "run", "--scenario", scenario,
@@ -187,13 +208,18 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
     ("report --log {d}/log.csv", {"log.csv": "t,x\n0.0,1.0\n0.004\n"}),
     ("trim query --map {d}/map.csv --va 1 --gamma 0",
      {"map.csv": CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,fast\n"}),
+    ("trim query --map {d}/map.csv --va nan --gamma 0",
+     {"map.csv": CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"}),
+    ("trim query --map {d}/map.csv --va 1 --gamma inf",
+     {"map.csv": CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"}),
 ], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
         "unknown_command", "wind_2_vector", "velocity_2_vector", "state_list",
         "timeline_entry_without_t", "timeline_value_not_a_number",
         "velocity_not_numbers", "actuators_list", "actuator_not_a_number",
         "wind_not_a_mapping", "wind_steps_not_a_list", "ramp_not_a_bool",
         "vehicle_mass_not_a_number", "vehicle_ct_not_a_list",
-        "log_value_not_a_number", "log_row_short", "map_value_not_a_number"])
+        "log_value_not_a_number", "log_row_short", "map_value_not_a_number",
+        "query_va_nan", "query_gamma_inf"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
