@@ -60,10 +60,10 @@ def cmd_model_eval(args) -> int:
 
 
 def cmd_trim_build(args) -> int:
-    if not (args.va_step > 0.0 and args.gamma_step_deg > 0.0):
-        raise trim.TrimError("grid steps must be > 0")
-    if not (args.va_max >= 0.0 and args.gamma_max_deg >= 0.0):
-        raise trim.TrimError("grid maxima must be >= 0")
+    if not (0.0 < args.va_step < math.inf and 0.0 < args.gamma_step_deg < math.inf):
+        raise trim.TrimError("grid steps must be finite and > 0")
+    if not (0.0 <= args.va_max < math.inf and 0.0 <= args.gamma_max_deg < math.inf):
+        raise trim.TrimError("grid maxima must be finite and >= 0")
     vp = _load_vehicle(args.vehicle)
     va_axis = np.arange(0.0, args.va_max + 1e-9, args.va_step)
     gamma_axis = np.radians(np.arange(-args.gamma_max_deg,

@@ -6,6 +6,9 @@ delta_e, delta_pt) and pitch theta that zero the translational and pitch
 accelerations. Over-actuation is resolved by a secondary cost (net power,
 control-surface saturation, pitch-target deviation, neighbor deviation);
 the whole problem is solved as bound-constrained nonlinear least squares.
+A solve hands the model evaluation of its current iterate to the next
+ones, so that a Jacobian probe of one throttle or surface command rebuilds
+only the propellers and segments that command moves (`solve_trim_point`).
 
 The map over a (v_a, gamma) grid is built as one continuation front from
 a seed cell: ring by ring outward from it, each cell is solved once from
@@ -100,20 +103,28 @@ _ZERO3 = np.zeros(3)
 
 
 def trim_accelerations(u: np.ndarray, theta: float, v_a: float, gamma: float,
-                       vp: VehicleParams) -> tuple[np.ndarray, float]:
-    """(v_dot inertial, theta_ddot) of the steady candidate at omega = 0."""
-    act = trim_actuation(vp, u)
+                       vp: VehicleParams, prior: tuple | None = None
+                       ) -> tuple[np.ndarray, float]:
+    """(v_dot inertial, theta_ddot) of the steady candidate at omega = 0;
+    ``prior`` goes to `body_wrench` and does not change the result."""
+    return _steady_state(trim_actuation(vp, u), theta, v_a, gamma, vp, prior)[:2]
+
+
+def _steady_state(act: ActuatorSet, theta: float, v_a: float, gamma: float,
+                  vp: VehicleParams, prior: tuple | None
+                  ) -> tuple[np.ndarray, float, tuple]:
+    """`trim_accelerations` of an actuation, and the `body_wrench` pair."""
     ct, st = math.cos(theta), math.sin(theta)
     cg, sg = math.cos(gamma), math.sin(gamma)
     # body airspeed = R_y(theta)^T (v_a cos(g), 0, -v_a sin(g))
     v_a_body = np.array([v_a * (ct * cg + st * sg), 0.0,
                          v_a * (st * cg - ct * sg)])
-    fm, _ = body_wrench(v_a_body, _ZERO3, act, vp)
-    f = fm.force
+    pair = body_wrench(v_a_body, _ZERO3, act, vp, prior)
+    f = pair[0].force
     v_dot = vp.gravity + np.array([ct * f[0] + st * f[2], f[1],
                                    -st * f[0] + ct * f[2]]) / vp.mass
-    theta_ddot = float(vp.inertia_inv[1] @ fm.moment)
-    return v_dot, theta_ddot
+    theta_ddot = float(vp.inertia_inv[1] @ pair[0].moment)
+    return v_dot, theta_ddot, pair
 
 
 def theta_star(v_a: float, gamma: float) -> float:
@@ -121,12 +132,11 @@ def theta_star(v_a: float, gamma: float) -> float:
     return gamma * min(max(v_a / WEIGHTS.theta_star_ramp, 0.0), 1.0)
 
 
-def shaft_power(vp: VehicleParams, u: np.ndarray) -> float:
+def shaft_power(vp: VehicleParams, act: ActuatorSet) -> float:
     """Static shaft-power proxy sum(rho eta^3 D^5 C_Q0) over all props.
 
     |eta| keeps the proxy nonnegative when a finite-difference probe steps
     a throttle command marginally below zero."""
-    act = trim_actuation(vp, u)
     total = 0.0
     for prop in vp.propellers:
         eta = act.position(prop.name, vp)
@@ -134,13 +144,13 @@ def shaft_power(vp: VehicleParams, u: np.ndarray) -> float:
     return total
 
 
-def _cost_terms(u: np.ndarray, theta: float, th_star: float,
+def _cost_terms(act: ActuatorSet, theta: float, th_star: float,
                 vp: VehicleParams) -> tuple[float, list[float], float]:
     w = WEIGHTS
-    power = w.w_power * shaft_power(vp, u)
+    power = w.w_power * shaft_power(vp, act)
     sat = [w.w_sat * w.sat_scale
-           * (max(abs(u[k]) - w.sat_threshold, 0.0) / w.sat_scale) ** 3
-           for k in (2, 3)]
+           * (max(abs(delta) - w.sat_threshold, 0.0) / w.sat_scale) ** 3
+           for delta in (act.delta_al, act.delta_e)]
     pitch = w.w_pitch * (theta - th_star) ** 2
     return power, sat, pitch
 
@@ -158,46 +168,66 @@ def trim_cost(u: np.ndarray, theta: float, th_star: float,
     s = sat_scale: exactly zero up to the threshold, and cubic beyond it, so
     that its square root in ``trim_residual`` has a continuous first
     derivative."""
-    power, sat, pitch = _cost_terms(u, theta, th_star, vp)
+    power, sat, pitch = _cost_terms(trim_actuation(vp, u), theta, th_star, vp)
     return power + sum(sat) + pitch
 
 
 def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
-                  vp: VehicleParams, neighbors: list[np.ndarray] | None,
-                  th_star: float) -> np.ndarray:
+                  vp: VehicleParams, neighbor_mean: np.ndarray | None,
+                  th_star: float, prior: tuple | None
+                  ) -> tuple[np.ndarray, tuple]:
     """Weighted residual vector [sqrt(Q_v) v_dot_xz, sqrt(Q_theta)
-    theta_ddot, sqrt(cost terms)] whose squared norm is the trim objective;
-    ``th_star`` is the pitch target, ``theta_star(v_a, gamma)`` in a solve."""
+    theta_ddot, sqrt(cost terms)] whose squared norm is the trim objective,
+    and the `body_wrench` pair of its evaluation. ``th_star`` is the pitch
+    target, ``theta_star(v_a, gamma)`` in a solve; ``neighbor_mean`` is the
+    mean z of the neighboring solutions, None for no neighbor term; ``prior``
+    is as in `trim_accelerations`."""
     w = WEIGHTS
-    v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp)
+    act = trim_actuation(vp, u)
+    v_dot, th_dd, pair = _steady_state(act, theta, v_a, gamma, vp, prior)
     sq_v = math.sqrt(w.q_v)
     parts = [sq_v * v_dot[0], sq_v * v_dot[2], math.sqrt(w.q_theta) * th_dd]
-    power, sat, pitch = _cost_terms(u, theta, th_star, vp)
+    power, sat, pitch = _cost_terms(act, theta, th_star, vp)
     parts.append(math.sqrt(power))
     parts.extend(math.sqrt(s) for s in sat)
     parts.append(math.sqrt(w.w_pitch) * (theta - th_star))
-    if neighbors:
-        z = np.concatenate([u, [theta]])
-        dev = z - np.mean(neighbors, axis=0)
+    if neighbor_mean is not None:
+        dev = np.concatenate([u, [theta]]) - neighbor_mean
         parts.extend(math.sqrt(w.w_neighbor) * dev)
-    return np.array(parts)
+    return np.array(parts), pair
 
 
 def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
                      vp: VehicleParams,
                      neighbors: list[np.ndarray] | None = None) -> TrimPoint:
-    """Solve one operating point from an initial guess z = (u, theta)."""
+    """Solve one operating point from an initial guess z = (u, theta).
+
+    Every residual evaluation hands `body_wrench` the pair of the current
+    LM iterate as ``prior``. The iterate is the last evaluated z that is not
+    a one-coordinate offset of the iterate before it: the Jacobian's
+    central-difference probes are such offsets, so a probe of delta_plr,
+    delta_al, delta_e or delta_pt rebuilds only the sources that command
+    moves, and a probe of delta_w or theta, which changes the wing tilt or
+    the body airspeed, is a full evaluation. Results are those of full
+    evaluations, bit for bit."""
     th_star = theta_star(v_a, gamma)
+    neighbor_mean = np.mean(neighbors, axis=0) if neighbors else None
     lb = np.concatenate([U_LO, [-math.pi / 2]])
     ub = np.concatenate([U_HI, [math.pi / 2]])
+    it_z = it_pair = None
 
     def residual(z):
-        return trim_residual(z[:5], z[5], v_a, gamma, vp, neighbors, th_star)
+        nonlocal it_z, it_pair
+        r, pair = trim_residual(z[:5], z[5], v_a, gamma, vp, neighbor_mean,
+                                th_star, it_pair)
+        if it_z is None or np.count_nonzero(z != it_z) > 1:
+            it_z, it_pair = z.copy(), pair
+        return r
 
     res = least_squares_lm(residual, np.asarray(ig, dtype=float), lb, ub,
                            max_iter=MAX_ITER)
     u, theta = res.x[:5], float(res.x[5])
-    v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp)
+    v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp, it_pair)
     res_v = float(np.linalg.norm(v_dot))
     res_th = abs(th_dd)
     feasible = res_v < WEIGHTS.eps_v and res_th < WEIGHTS.eps_theta
@@ -435,7 +465,7 @@ def save_trim_map(tmap: TrimMap, path: str | Path) -> None:
 
 def load_trim_map(path: str | Path) -> TrimMap:
     meta: dict[str, float] = {}
-    rows = []
+    rows, row_lines = [], []
     n_cols = len(CSV_HEADER.split(","))
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, 1):
@@ -462,6 +492,7 @@ def load_trim_map(path: str | Path) -> TrimMap:
         if len(row) != n_cols:
             raise TrimError(f"{path} line {lineno}: not {n_cols} numbers: {line!r}")
         rows.append(row)
+        row_lines.append(lineno)
     if not rows:
         raise TrimError(f"no rows in trim map {path}")
 
@@ -470,9 +501,12 @@ def load_trim_map(path: str | Path) -> TrimMap:
     gamma_axis = np.unique(arr[:, 1])
     points: list[list[TrimPoint | None]] = \
         [[None] * gamma_axis.size for _ in range(va_axis.size)]
-    for row in arr:
+    for row, lineno in zip(arr, row_lines):
         i = int(np.argmin(np.abs(va_axis - row[0])))
         j = int(np.argmin(np.abs(gamma_axis - row[1])))
+        if points[i][j] is not None:
+            raise TrimError(f"{path} line {lineno}: second row for the cell "
+                            f"va={float(row[0])!r}, gamma={float(row[1])!r}")
         points[i][j] = TrimPoint(
             v_a=row[0], gamma=row[1], u=row[4:9].copy(), theta=row[3],
             res_v=row[10], res_theta=row[11], cost=row[9],

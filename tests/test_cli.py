@@ -107,7 +107,9 @@ def test_trim_build_one_cell(capsys, tmp_path):
 
 @pytest.mark.parametrize("grid", [
     ["--va-step", "0"], ["--gamma-step-deg", "0"], ["--va-step", "-1"],
-    ["--va-max", "-1"], ["--gamma-max-deg", "-5"]])
+    ["--va-max", "-1"], ["--gamma-max-deg", "-5"], ["--va-max", "inf"],
+    ["--gamma-max-deg", "inf"], ["--va-max", "nan"], ["--va-step", "inf"],
+    ["--gamma-step-deg", "inf"]])
 def test_trim_build_rejects_bad_grid(capsys, tmp_path, grid):
     out = tmp_path / "map.csv"
     assert cli.main(["trim", "build", "--out", str(out), *grid]) == 2
@@ -232,8 +234,11 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
 @pytest.mark.parametrize("command, name, text", [
     ("report --log", "log.csv", "# tiltwing run log\nt,x\n0.004\n"),
     ("trim query --va 1 --gamma 0 --map", "map.csv",
-     "# tiltwing trim map\n" + CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,x\n")],
-    ids=["log", "map"])
+     "# tiltwing trim map\n" + CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,x\n"),
+    ("trim query --va 1 --gamma 0 --map", "map.csv",
+     CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"
+     "0.0,0.0,0,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n")],
+    ids=["log", "map", "map_duplicate_cell"])
 def test_malformed_row_error_names_file_and_line(capsys, tmp_path, command, name,
                                                  text):
     path = tmp_path / name

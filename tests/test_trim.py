@@ -9,6 +9,7 @@ from scipy.optimize import fsolve
 
 from tiltwing import trim
 from tiltwing.aero import body_wrench
+from tiltwing.leastsq import REL_STEP
 from tiltwing.trim import (WEIGHTS, TrimError, TrimMap, TrimPoint, TrimWeights,
                            build_trim_map, hover_initial_guess, load_trim_map, lookup_trim,
                            save_trim_map, shaft_power, solve_trim_point,
@@ -47,7 +48,7 @@ def test_zero_actuation_free_fall(vp):
 def test_qv_scaling_doubles_residual_block(vp):
     u, theta = np.array([0.3, 0.5, 0.0, 0.1, 0.2]), 0.05
     v_dot, _ = trim_accelerations(u, theta, 8.0, 0.0, vp)
-    r = trim_residual(u, theta, 8.0, 0.0, vp, None, theta_star(8.0, 0.0))
+    r, _ = trim_residual(u, theta, 8.0, 0.0, vp, None, theta_star(8.0, 0.0), None)
     assert np.allclose(r[:2], math.sqrt(WEIGHTS.q_v) * v_dot[[0, 2]],
                        rtol=1e-12, atol=0.0)
 
@@ -85,7 +86,7 @@ def test_saturation_barrier_zero_below_threshold(vp):
 
         def sat_residual(delta):
             return trim_residual(surface_u(k, delta), 0.0, 0.0, 0.0, vp, None,
-                                 theta_star(0.0, 0.0))[k + 2]
+                                 theta_star(0.0, 0.0), None)[0][k + 2]
 
         for delta in (0.0, 0.5, thr):
             assert sat(delta) == 0.0
@@ -110,8 +111,9 @@ def test_residual_neighbor_zero_at_average(vp):
     z = np.array([0.2, 0.5, 0.0, 0.1, 0.2, 0.05])
     neighbors = [z + np.array([0.1, 0, 0, 0, 0, 0]),
                  z - np.array([0.1, 0, 0, 0, 0, 0])]
-    r_with = trim_residual(z[:5], z[5], 0.0, 0.0, vp, neighbors, 0.05)
-    r_without = trim_residual(z[:5], z[5], 0.0, 0.0, vp, None, 0.05)
+    r_with, _ = trim_residual(z[:5], z[5], 0.0, 0.0, vp,
+                              np.mean(neighbors, axis=0), 0.05, None)
+    r_without, _ = trim_residual(z[:5], z[5], 0.0, 0.0, vp, None, 0.05, None)
     n = r_without.size
     assert r_with.size == n + z.size
     assert r_with[:n].tobytes() == r_without.tobytes()
@@ -160,7 +162,7 @@ def test_local_optimality(vp):
     assert tp.feasible
 
     def objective(z):
-        r = trim_residual(z[:5], z[5], 16.0, 0.0, vp, None, theta_star(16.0, 0.0))
+        r, _ = trim_residual(z[:5], z[5], 16.0, 0.0, vp, None, theta_star(16.0, 0.0), None)
         return float(r @ r)
 
     base = objective(tp.z)
@@ -169,6 +171,67 @@ def test_local_optimality(vp):
             z = tp.z.copy()
             z[k] += sign * 0.01 * max(abs(z[k]), 0.1)
             assert objective(z) > base - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# evaluation reuse
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("v_a", [0.0, 8.0, 16.0])
+def test_probe_from_the_iterates_pair_matches_full_evaluation(vp, v_a):
+    """A Jacobian probe, z offset by +-h in one coordinate, evaluated with the
+    iterate's pair as prior gives the full evaluation's residual, wrench and
+    records bit for bit, for each of the 6 coordinates."""
+    rng = np.random.default_rng(15)
+    lo = np.concatenate([trim.U_LO, [-0.3]])
+    hi = np.concatenate([trim.U_HI, [0.3]])
+    gamma, th_star = 0.05, theta_star(v_a, 0.05)
+    for _ in range(3):
+        z = rng.uniform(lo, hi)
+        _, pair = trim_residual(z[:5], z[5], v_a, gamma, vp, z, th_star, None)
+        for k in range(z.size):
+            for sign in (1.0, -1.0):
+                zp = z.copy()
+                zp[k] += sign * REL_STEP * max(abs(z[k]), 1.0)
+                got = trim_residual(zp[:5], zp[5], v_a, gamma, vp, z, th_star, pair)
+                want = trim_residual(zp[:5], zp[5], v_a, gamma, vp, z, th_star, None)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1][0].force.tobytes() == want[1][0].force.tobytes()
+                assert got[1][0].moment.tobytes() == want[1][0].moment.tobytes()
+                # repr round-trips every float and tells -0.0 from 0.0
+                assert repr(got[1][1]) == repr(want[1][1])
+
+
+def _map_bytes(tmap: TrimMap) -> bytes:
+    return np.array([[p.v_a, p.gamma, float(p.feasible), p.theta, *p.u,
+                      p.cost, p.res_v, p.res_theta]
+                     for row in tmap.points for p in row]).tobytes()
+
+
+def test_map_build_matches_full_evaluations(vp, monkeypatch):
+    """The benchmark's 3x3 grid built as usual and with every trim model
+    evaluation a full one: the same map bytes, and every LM solve stops
+    after the same evaluations and iterations with the same message."""
+    va, ga = np.array([0.0, 4.0, 8.0]), np.radians([-5.0, 0.0, 5.0])
+    real_lm, real_wrench = trim.least_squares_lm, trim.body_wrench
+
+    def build():
+        records = []
+
+        def recording(*args, **kwargs):
+            res = real_lm(*args, **kwargs)
+            records.append((res.n_fev, res.n_iter, res.message))
+            return res
+
+        monkeypatch.setattr(trim, "least_squares_lm", recording)
+        return _map_bytes(build_trim_map(vp, va_axis=va, gamma_axis=ga)), records
+
+    reused = build()
+    monkeypatch.setattr(trim, "body_wrench",
+                        lambda v, omega, act, vp, prior=None: real_wrench(v, omega, act, vp))
+    full = build()
+    assert len(reused[1]) == 15
+    assert reused == full
 
 
 # ---------------------------------------------------------------------------
@@ -496,4 +559,4 @@ def test_trim_positions_use_each_main_travel(vp_uneven_mains):
         assert act.position(name, vp2) == pytest.approx(eta, rel=1e-15)
     power = sum(vp2.rho * speeds[p.name] ** 3 * p.diameter ** 5 * p.cq0
                 for p in vp2.propellers)
-    assert shaft_power(vp2, u) == pytest.approx(power, rel=1e-12)
+    assert shaft_power(vp2, act) == pytest.approx(power, rel=1e-12)
