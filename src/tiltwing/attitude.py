@@ -17,6 +17,8 @@ The controller tracks (roll, pitch, yaw-rate) references in three stages:
    chain re-runs on the remaining full-model residual, at most ``PASSES``
    times, until no axis misses by more than ``RESIDUAL_TOL``, which is
    finer than one 0.1 % command step of the effectors in forward flight.
+   The chain and the QP compute in Python floats; numpy arrays are built
+   only for the `AllocationResult`.
 
 Per-actuator demands come from the local aero model (linear in surface
 deflection, quadratic in propeller speed); every block's achieved moment is
@@ -126,11 +128,11 @@ def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
 # ---------------------------------------------------------------------------
 
 def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
-                         act: ActuatorSet, actuator: str) -> np.ndarray:
+                         act: ActuatorSet, actuator: str) -> aero.Vec3:
     """d(moment)/d(command) of one aerodynamic surface [N m per unit]."""
     travel = vp.actuators[actuator].travel
     zeta_now = act.position(actuator, vp)
-    g = [0.0, 0.0, 0.0]
+    g0 = g1 = g2 = 0.0
     for row, gain, cl_delta, cd_alpha2, kd, cm_delta, area, moment_scale \
             in aero._vehicle_tables(vp).surface_rows.get(actuator, ()):
         seg = tab.segs[row]
@@ -143,12 +145,14 @@ def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
         dcd = lam * cd_alpha2 * 2.0 * (seg.alpha + kd * gain * zeta_now) * kd * dz
         dcm = lam * cm_delta * dz
         q_area = 0.5 * vp.rho * V2 * area
-        dF = [q_area * (dcl * lift + dcd * drag)
-              for lift, drag in zip(seg.e_lift, seg.e_drag)]
+        f0, f1, f2 = (q_area * (dcl * lift + dcd * drag)
+                      for lift, drag in zip(seg.e_lift, seg.e_drag))
         m = dcm * vp.rho * V2 * moment_scale
-        c = cross3(seg.r, dF).tolist()
-        g = [gi + (m * ey + ci) for gi, ey, ci in zip(g, seg.ey, c)]
-    return np.array(g)
+        (rx, ry, rz), (ey0, ey1, ey2) = seg.r, seg.ey
+        g0 += m * ey0 + (ry * f2 - rz * f1)
+        g1 += m * ey1 + (rz * f0 - rx * f2)
+        g2 += m * ey2 + (rx * f1 - ry * f0)
+    return g0, g1, g2
 
 
 def _prop_eta_derivatives(prop, eta: float, v_ax: float,
@@ -156,7 +160,7 @@ def _prop_eta_derivatives(prop, eta: float, v_ax: float,
     """(dT/d(eta), d(reactive torque magnitude)/d(eta)) of the
     clamped-advance-ratio thrust and torque laws."""
     D = prop.diameter
-    J = 0.0 if eta < aero.ETA_MIN else v_ax / (eta * D)
+    J = aero.advance_ratio(prop, eta, v_ax)
     if J <= 0.0:
         return 2.0 * rho * D ** 4 * prop.ct0 * eta, 2.0 * rho * D ** 5 * prop.cq0 * eta
     if J >= prop.advance_ratio_max:
@@ -166,92 +170,71 @@ def _prop_eta_derivatives(prop, eta: float, v_ax: float,
 
 
 def _prop_moment_eta_gain(vp: VehicleParams, tab: aero.FlowTables,
-                          idx: int) -> np.ndarray:
+                          idx: int) -> aero.Vec3:
     """d(moment)/d(eta) of one propeller at its current inflow."""
     prop, flow = vp.propellers[idx], tab.props[idx]
     dT, dQ = _prop_eta_derivatives(prop, flow.eta, flow.v_axial, vp.rho)
     nf = prop.normal_force_coeff * flow.v_radial
-    dF = [dT * a - nf * r for a, r in zip(flow.axis, flow.radial)]
-    c = cross3(flow.r, dF).tolist()
+    f0, f1, f2 = (dT * a - nf * r for a, r in zip(flow.axis, flow.radial))
+    (rx, ry, rz), (a0, a1, a2) = flow.r, flow.axis
     q = -dQ * prop.handedness
-    return np.array([q * a + ci for a, ci in zip(flow.axis, c)])
+    return (q * a0 + (ry * f2 - rz * f1), q * a1 + (rz * f0 - rx * f2),
+            q * a2 + (rx * f1 - ry * f0))
 
 
 def _solve_prop_speed(prop, thrust: float, v_ax: float, rho: float) -> float:
-    """Speed achieving a thrust: smaller-magnitude valid root of the
-    quadratic rho D^4 ct0 eta^2 + rho D^3 ct1 v_ax eta = T; no valid real
-    root saturates at the speed limit."""
+    """Speed achieving a thrust: the nonnegative root of the quadratic
+    rho D^4 ct0 eta^2 + rho D^3 ct1 v_ax eta = T, capped at the speed limit.
+    With ct0 > 0 and T > 0 the other root is negative."""
     if thrust <= 0.0:
         return 0.0
     a = rho * prop.diameter ** 4 * prop.ct0
     b = rho * prop.diameter ** 3 * prop.ct1 * max(v_ax, 0.0)
-    disc = b * b + 4.0 * a * thrust
-    if disc < 0.0:
-        return prop.max_speed
-    sq = math.sqrt(disc)
-    roots = [(-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)]
-    valid = sorted((r for r in roots if 0.0 <= r <= prop.max_speed),
-                   key=abs)
-    if valid:
-        return valid[0]
-    return prop.max_speed
+    return min((-b + math.sqrt(b * b + 4.0 * a * thrust)) / (2.0 * a), prop.max_speed)
 
 
 # ---------------------------------------------------------------------------
 # Block 3: wing group (ailerons + differential main throttle)
 # ---------------------------------------------------------------------------
 
-def block3_objective(a: float, d: float, l_target: float, n_target: float,
-                     gain_ail: np.ndarray, gain_thr: np.ndarray,
-                     w_roll: float, w_yaw: float) -> float:
-    """Weighted squared roll/yaw moment error of the wing-group increments."""
-    l_hat = gain_ail[0] * a + gain_thr[0] * d
-    n_hat = gain_ail[2] * a + gain_thr[2] * d
-    return w_roll * (l_hat - l_target) ** 2 + w_yaw * (n_hat - n_target) ** 2
-
-
-def solve_block3(l_target: float, n_target: float, gain_ail: np.ndarray,
-                 gain_thr: np.ndarray, a_box: tuple[float, float],
+def solve_block3(l_target: float, n_target: float, gain_ail: aero.Vec3,
+                 gain_thr: aero.Vec3, a_box: tuple[float, float],
                  d_box: tuple[float, float]) -> tuple[float, float]:
-    """Exact minimizer of the wing-group QP over its box constraints.
+    """Exact minimizer (a, d) over the box of the wing-group QP
+    W_ROLL (l_hat - l_target)^2 + W_YAW (n_hat - n_target)^2 in floats, the
+    2-variable case of Härkegård's active-set WLS (CDC 2002).
 
-    Enumerates the unconstrained stationary point, the four edges (1-D
-    minimization with the other variable fixed at a bound), and the four
-    corners; the objective is convex so the best feasible candidate is the
-    global box-constrained minimum.
+    The objective is convex, so the best of these candidates, each clamped
+    to the box, is the global minimum (the earlier wins within 1e-15): the
+    solution of (H + 1e-15 I) x = rhs by Cramer's rule if its determinant is
+    > 0 (the 1e-15 keeps a = 0 without aileron authority), the 1-D
+    minimizers on the two a-edges and the two d-edges, and the four corners.
     """
-    G = np.array([[gain_ail[0], gain_thr[0]], [gain_ail[2], gain_thr[2]]])
-    W = np.diag([W_ROLL, W_YAW])
-    H = G.T @ W @ G
-    rhs = G.T @ W @ np.array([l_target, n_target])
+    ga_l, _, ga_n = gain_ail
+    gt_l, _, gt_n = gain_thr
+    h_aa = W_ROLL * ga_l * ga_l + W_YAW * ga_n * ga_n
+    h_ad = W_ROLL * ga_l * gt_l + W_YAW * ga_n * gt_n
+    h_dd = W_ROLL * gt_l * gt_l + W_YAW * gt_n * gt_n
+    r_a = W_ROLL * ga_l * l_target + W_YAW * ga_n * n_target
+    r_d = W_ROLL * gt_l * l_target + W_YAW * gt_n * n_target
     (a_lo, a_hi), (d_lo, d_hi) = a_box, d_box
-    candidates: list[tuple[float, float]] = []
+    candidates = []
+    det = (h_aa + 1e-15) * (h_dd + 1e-15) - h_ad * h_ad
+    if det > 0.0:  # Python floats raise on a zero divisor
+        candidates.append(((r_a * (h_dd + 1e-15) - h_ad * r_d) / det,
+                           ((h_aa + 1e-15) * r_d - h_ad * r_a) / det))
+    # on an edge, min_x h x^2 - 2 r x is at x = r / h
+    for a in (a_lo, a_hi):
+        candidates.append((a, (r_d - h_ad * a) / h_dd if h_dd > 1e-18 else 0.0))
+    for d in (d_lo, d_hi):
+        candidates.append(((r_a - h_ad * d) / h_aa if h_aa > 1e-18 else 0.0, d))
+    candidates += [(a_lo, d_lo), (a_lo, d_hi), (a_hi, d_lo), (a_hi, d_hi)]
 
-    try:
-        sol = np.linalg.solve(H + 1e-15 * np.eye(2), rhs)
-        candidates.append((float(sol[0]), float(sol[1])))
-    except np.linalg.LinAlgError:
-        pass
-
-    def minimize_1d(h: float, r: float) -> float:
-        # min_x h x^2 - 2 r x  ->  x = r / h
-        return r / h if h > 1e-18 else 0.0
-
-    for a_fix in (a_lo, a_hi):
-        r = rhs[1] - H[0, 1] * a_fix
-        candidates.append((a_fix, minimize_1d(H[1, 1], r)))
-    for d_fix in (d_lo, d_hi):
-        r = rhs[0] - H[0, 1] * d_fix
-        candidates.append((minimize_1d(H[0, 0], r), d_fix))
-    candidates.extend([(a_lo, d_lo), (a_lo, d_hi), (a_hi, d_lo), (a_hi, d_hi)])
-
-    best = (0.0, 0.0)
-    best_val = math.inf
+    best, best_val = (0.0, 0.0), math.inf
     for a, d in candidates:
-        a = min(max(a, a_lo), a_hi)
-        d = min(max(d, d_lo), d_hi)
-        val = block3_objective(a, d, l_target, n_target, gain_ail, gain_thr,
-                               W_ROLL, W_YAW)
+        a, d = min(max(a, a_lo), a_hi), min(max(d, d_lo), d_hi)
+        val = W_ROLL * (ga_l * a + gt_l * d - l_target) ** 2 \
+            + W_YAW * (ga_n * a + gt_n * d - n_target) ** 2
         if val < best_val - 1e-15:
             best, best_val = (a, d), val
     return best
@@ -304,16 +287,19 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
 
     act = u_n.copy()
     fm, tab = nominal or aero.body_wrench(v_a_body, omega, act, vp)
-    M_cur = fm.moment
-    target = M_cur + np.asarray(M_act, dtype=float)
-    blocks = {"elevator": np.zeros(3), "rudder": np.zeros(3),
-              "wing_group": np.zeros(3), "tail_group": np.zeros(3)}
+    m_cur = fm.moment.tolist()
+    target = [m + float(d) for m, d in zip(m_cur, M_act)]
+    blocks = {name: [0.0] * 3 for name in ("elevator", "rudder", "wing_group", "tail_group")}
 
     def book(name: str) -> None:
-        nonlocal M_cur, fm, tab
+        nonlocal m_cur, fm, tab
         fm, tab = aero.body_wrench(v_a_body, omega, act, vp, (fm, tab))
-        blocks[name] += fm.moment - M_cur
-        M_cur = fm.moment
+        m_new = fm.moment.tolist()
+        blocks[name] = [b + (m - c) for b, m, c in zip(blocks[name], m_new, m_cur)]
+        m_cur = m_new
+
+    def resid(axis: int) -> float:
+        return target[axis] - m_cur[axis]
 
     # propeller records of the tables, by the name of the command driving each
     names = [p.name for p in vp.propellers]
@@ -321,60 +307,53 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     pt = vp.propellers[i_pt]
 
     passes = 0
-    while passes < PASSES and np.abs(target - M_cur).max() > RESIDUAL_TOL:
+    while passes < PASSES and max(abs(resid(i)) for i in range(3)) > RESIDUAL_TOL:
         passes += 1
         # blocks 1 and 2: the elevator takes the pitch demand, then the
         # rudder the yaw demand
         for name, axis, block in (("e", 1, "elevator"), ("r", 2, "rudder")):
-            resid = target - M_cur
-            if abs(resid[axis]) > _EPS_DEMAND:
-                gain = _surface_moment_gain(vp, tab, act, name)
-                if abs(gain[axis]) > _EPS_GAIN:
-                    _apply_surface(act, vp, name, resid[axis] / gain[axis])
+            if abs(resid(axis)) > _EPS_DEMAND:
+                gain = _surface_moment_gain(vp, tab, act, name)[axis]
+                if abs(gain) > _EPS_GAIN:
+                    _apply_surface(act, vp, name, resid(axis) / gain)
                     book(block)
 
         # block 3: ailerons + differential main throttle trade roll vs yaw
-        resid = target - M_cur
-        if abs(resid[0]) > _EPS_DEMAND or abs(resid[2]) > _EPS_DEMAND:
-            gain_ail = _surface_moment_gain(vp, tab, act, "al") \
-                + _surface_moment_gain(vp, tab, act, "ar")
+        if abs(resid(0)) > _EPS_DEMAND or abs(resid(2)) > _EPS_DEMAND:
+            gain_ail = [l + r for l, r in zip(_surface_moment_gain(vp, tab, act, "al"),
+                                              _surface_moment_gain(vp, tab, act, "ar"))]
             # d steps the left main's command by +d and the right one's by
             # -d, each scaled by its own travel; with alike mains the ratio
             # is 1 and this is (gain_pl - gain_pr) * travel
             travel = vp.actuators["pl"].travel
-            gain_thr = (_prop_moment_eta_gain(vp, tab, i_pl)
-                        - _prop_moment_eta_gain(vp, tab, i_pr)
-                        * (vp.actuators["pr"].travel / travel)) * travel
+            ratio = vp.actuators["pr"].travel / travel
+            gain_thr = [(l - r * ratio) * travel
+                        for l, r in zip(_prop_moment_eta_gain(vp, tab, i_pl),
+                                        _prop_moment_eta_gain(vp, tab, i_pr))]
             lim_al, lim_ar = vp.actuators["al"], vp.actuators["ar"]
             a_box = (max(lim_al.lo - act.delta_al, lim_ar.lo - act.delta_ar),
                      min(lim_al.hi - act.delta_al, lim_ar.hi - act.delta_ar))
             d_box = (max(-act.delta_pl, act.delta_pr - 1.0),
                      min(1.0 - act.delta_pl, act.delta_pr))
-            if np.linalg.norm(gain_ail) > _EPS_GAIN \
-                    or np.linalg.norm(gain_thr) > _EPS_GAIN:
-                a, d = solve_block3(resid[0], resid[2], gain_ail, gain_thr,
+            if math.hypot(*gain_ail) > _EPS_GAIN or math.hypot(*gain_thr) > _EPS_GAIN:
+                a, d = solve_block3(resid(0), resid(2), gain_ail, gain_thr,
                                     a_box, d_box)
                 if abs(a) > 0.0 or abs(d) > 0.0:
-                    _apply_surface(act, vp, "al", a)
-                    _apply_surface(act, vp, "ar", a)
-                    _apply_surface(act, vp, "pl", d)
-                    _apply_surface(act, vp, "pr", -d)
+                    for name, step in (("al", a), ("ar", a), ("pl", d), ("pr", -d)):
+                        _apply_surface(act, vp, name, step)
                     book("wing_group")
 
         # block 4: tail throttle + tail tilt, pitch strictly before yaw
-        resid = target - M_cur
-        if abs(resid[1]) > _EPS_DEMAND or abs(resid[2]) > _EPS_DEMAND:
+        if abs(resid(1)) > _EPS_DEMAND or abs(resid(2)) > _EPS_DEMAND:
             tail = tab.props[i_pt]
             x_t = tail.r[0]
             m_now = x_t * (tail.thrust * -tail.axis[2])  # pitch part of r x T axis, y_t = 0
             n_now = x_t * (tail.thrust * tail.axis[1])
-            m_abs = m_now + resid[1]
-            n_abs = n_now + resid[2]
             # (cos, sin) of the tilt proportional to the absolute targets;
             # a meaningful pitch budget is required before the tail engages
             # (zero thrust cannot yaw, and the tilt must not flail on noise)
-            cos_part = m_abs / x_t
-            sin_part = n_abs / x_t
+            cos_part = (m_now + resid(1)) / x_t
+            sin_part = (n_now + resid(2)) / x_t
             if cos_part > _EPS_TAIL_THRUST:
                 lim_tt = vp.actuators["tt"]
                 zeta = math.atan2(sin_part, cos_part)
@@ -391,6 +370,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
                 act.delta_tt = 0.0
                 book("tail_group")
 
-    residual = target - M_cur
-    return AllocationResult(commanded=act, blocks=blocks, residual=residual,
-                            evaluation=(fm, tab), passes=passes)
+    return AllocationResult(
+        commanded=act, blocks={name: np.array(b) for name, b in blocks.items()},
+        residual=np.array([resid(i) for i in range(3)]), evaluation=(fm, tab),
+        passes=passes)

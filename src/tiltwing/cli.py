@@ -19,6 +19,8 @@ from .vehicle import (ConfigError, VehicleParams, _number, _vec3,
                       actuation_from_commands, default_vehicle,
                       load_vehicle_config, mirror_twin)
 
+MAX_GRID_NODES = 10_000  # trim map size limit: one LM solve per node, ~0.25 s each
+
 
 def _load_vehicle(path: str | None) -> VehicleParams:
     return default_vehicle() if path is None else load_vehicle_config(path)
@@ -64,6 +66,10 @@ def cmd_trim_build(args) -> int:
         raise trim.TrimError("grid steps must be finite and > 0")
     if not (0.0 <= args.va_max < math.inf and 0.0 <= args.gamma_max_deg < math.inf):
         raise trim.TrimError("grid maxima must be finite and >= 0")
+    nodes = ((args.va_max + 1e-9) / args.va_step + 1.0) \
+        * ((2.0 * args.gamma_max_deg + 1e-9) / args.gamma_step_deg + 1.0)  # >= the sizes
+    if nodes > MAX_GRID_NODES:
+        raise trim.TrimError(f"grid of about {nodes:.3g} nodes exceeds {MAX_GRID_NODES}")
     vp = _load_vehicle(args.vehicle)
     va_axis = np.arange(0.0, args.va_max + 1e-9, args.va_step)
     gamma_axis = np.radians(np.arange(-args.gamma_max_deg,

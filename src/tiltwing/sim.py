@@ -25,7 +25,7 @@ from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap
 from .vehicle import (ACTUATOR_ORDER, ActuatorSet, ConfigError,
                       VehicleParams, _number, _vec3, actuation_from_commands,
-                      apply_actuator_rates, nominal_actuation)
+                      apply_actuator_rates, nominal_actuation, read_csv_table)
 
 SIM_RATE = 250.0           # Hz, dynamics and attitude
 CRUISE_DIVIDER = 5         # cruise runs every 5th tick (50 Hz)
@@ -253,38 +253,14 @@ class RunLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":
-        scenario = ""
-        fault = None
-        columns: list[str] | None = None
-        rows = []
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, 1):
-            if line.startswith("#"):
-                if "scenario=" in line:
-                    scenario = line.split("scenario=", 1)[1].strip()
-                if "fault=" in line:
-                    fault = line.split("fault=", 1)[1].strip()
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            if line.strip():
-                try:
-                    row = [float(tok) for tok in line.split(",")]
-                except ValueError:
-                    row = []
-                if len(row) != len(columns):
-                    raise ScenarioError(f"{path} line {lineno}: not "
-                                        f"{len(columns)} numbers: {line!r}")
-                rows.append(row)
-        if columns is None:
-            raise ScenarioError(f"no header in log {path}")
+        comments, columns, rows, _ = read_csv_table(path, ScenarioError)
         missing = [c for c in LOG_COLUMNS if c not in columns]
         if missing:
             raise ScenarioError(f"{path}: header lacks the run-log columns {missing}")
-        arr = np.array(rows, dtype=float) if rows \
-            else np.empty((0, len(columns)))
-        return cls(columns=columns, rows=arr, scenario=scenario, fault=fault)
+        meta = {key: line.split(key + "=", 1)[1].strip() for line in comments
+                for key in ("scenario", "fault") if key + "=" in line}
+        return cls(columns=columns, rows=rows, scenario=meta.get("scenario", ""),
+                   fault=meta.get("fault"))
 
 
 # ---------------------------------------------------------------------------

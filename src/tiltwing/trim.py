@@ -27,7 +27,7 @@ import numpy as np
 
 from .aero import body_wrench
 from .leastsq import least_squares_lm
-from .vehicle import ActuatorSet, VehicleParams
+from .vehicle import ActuatorSet, VehicleParams, read_csv_table
 
 log = logging.getLogger(__name__)
 
@@ -464,39 +464,19 @@ def save_trim_map(tmap: TrimMap, path: str | Path) -> None:
 
 
 def load_trim_map(path: str | Path) -> TrimMap:
-    meta: dict[str, float] = {}
-    rows, row_lines = [], []
-    n_cols = len(CSV_HEADER.split(","))
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    try:
-                        meta[k] = float(v)
-                    except ValueError:
-                        pass
-            continue
-        if line.startswith("va,"):
-            if line != CSV_HEADER:
-                raise TrimError(f"unexpected trim map header: {line}")
-            continue
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != n_cols:
-            raise TrimError(f"{path} line {lineno}: not {n_cols} numbers: {line!r}")
-        rows.append(row)
-        row_lines.append(lineno)
-    if not rows:
+    comments, header, arr, row_lines = read_csv_table(path, TrimError)
+    if ",".join(header) != CSV_HEADER:
+        raise TrimError(f"unexpected trim map header: {','.join(header)}")
+    if not row_lines:
         raise TrimError(f"no rows in trim map {path}")
+    meta: dict[str, float] = {}
+    for tok in " ".join(comments).split():
+        k, _, v = tok.partition("=")
+        try:
+            meta[k] = float(v)
+        except ValueError:
+            pass
 
-    arr = np.array(rows)
     va_axis = np.unique(arr[:, 0])
     gamma_axis = np.unique(arr[:, 1])
     points: list[list[TrimPoint | None]] = \

@@ -375,6 +375,34 @@ def _vec3(value, where: str) -> np.ndarray:
     return arr
 
 
+def read_csv_table(path: str | Path, error: type[Exception]
+                   ) -> tuple[list[str], list[str], np.ndarray, list[int]]:
+    """The comment lines (after their ``#``), the header's names, the float
+    rows as an (n, len(header)) array and each row's line number of a CSV
+    table. A missing header, or a row that is not one number per name,
+    raises ``error`` naming the file (and line)."""
+    comments, header, rows, linenos = [], None, [], []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line.startswith("#"):
+            comments.append(line[1:])
+        elif line and header is None:
+            header = line.split(",")
+        elif line:
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != len(header):
+                raise error(f"{path} line {lineno}: not {len(header)} numbers: {line!r}")
+            rows.append(row)
+            linenos.append(lineno)
+    if header is None:
+        raise error(f"no header in {path}")
+    return comments, header, np.array(rows, dtype=float).reshape(-1, len(header)), linenos
+
+
 def load_vehicle_config(path: str | Path) -> VehicleParams:
     """Load and fully validate a vehicle config file."""
     path = Path(path)

@@ -10,7 +10,6 @@ from tiltwing.aero import body_wrench, total_wrench
 from tiltwing.attitude import (INTEGRATOR_LIMIT, AttitudeController,
                                AttitudeSetpoint, _prop_eta_derivatives,
                                _prop_moment_eta_gain, _surface_moment_gain,
-                               block3_objective,
                                daisy_chain_allocate, dynamic_inversion,
                                nominal_moment_estimate, solve_block3)
 from tiltwing.dynamics import RigidBodyState
@@ -234,23 +233,58 @@ def test_allocation_respects_ranges(vp):
             assert -1e-12 <= getattr(cmd, f"delta_{name}") <= 1.0 + 1e-12
 
 
-def test_block3_qp_matches_grid_search():
+def block3_objective(a, d, l_target, n_target, gain_ail, gain_thr):
+    """Weighted squared roll/yaw moment error of the wing-group increments."""
+    l_hat = gain_ail[0] * a + gain_thr[0] * d
+    n_hat = gain_ail[2] * a + gain_thr[2] * d
+    return attitude.W_ROLL * (l_hat - l_target) ** 2 \
+        + attitude.W_YAW * (n_hat - n_target) ** 2
+
+
+def _block3_cases():
     rng = np.random.default_rng(9)
     for _ in range(30):
         gain_ail = rng.uniform(-2, 2, 3)
         gain_thr = rng.uniform(-2, 2, 3)
         l_t, n_t = rng.uniform(-1, 1, 2)
-        a_box = tuple(sorted(rng.uniform(-1, 1, 2)))
-        d_box = tuple(sorted(rng.uniform(-0.5, 0.5, 2)))
+        yield (l_t, n_t, gain_ail, gain_thr, tuple(sorted(rng.uniform(-1, 1, 2))),
+               tuple(sorted(rng.uniform(-0.5, 0.5, 2))))
+    # degenerate gains as Python floats, as the chain passes them
+    for _ in range(10):
+        l_t, n_t, s = rng.uniform(-1, 1, 3).tolist()
+        g = rng.uniform(-2, 2, 3).tolist()
+        a_box = tuple(sorted(rng.uniform(-1, 1, 2).tolist()))
+        d_box = tuple(sorted(rng.uniform(-0.5, 0.5, 2).tolist()))
+        yield l_t, n_t, [0.0, 0.0, 0.0], g, a_box, d_box           # no aileron authority
+        yield l_t, n_t, g, [0.0, 0.0, 0.0], a_box, d_box           # no throttle authority
+        yield l_t, n_t, g, [s * x for x in g], a_box, d_box        # collinear gains
+        yield l_t, n_t, g, g[::-1], a_box, (d_box[0], d_box[0])    # zero-width boxes
+        yield l_t, n_t, g, g[::-1], (a_box[1], a_box[1]), d_box
+    yield 0.5, -0.3, [0.0] * 3, [0.0] * 3, (-1.0, 1.0), (-0.5, 0.5)
+
+
+def test_block3_qp_matches_grid_search():
+    for l_t, n_t, gain_ail, gain_thr, a_box, d_box in _block3_cases():
         a, d = solve_block3(l_t, n_t, gain_ail, gain_thr, a_box, d_box)
-        best = block3_objective(a, d, l_t, n_t, gain_ail, gain_thr, 2.0, 1.0)
+        assert a_box[0] <= a <= a_box[1] and d_box[0] <= d <= d_box[1]
+        best = block3_objective(a, d, l_t, n_t, gain_ail, gain_thr)
         grid_a = np.linspace(a_box[0], a_box[1], 101)
         grid_d = np.linspace(d_box[0], d_box[1], 101)
-        vals = np.array([[block3_objective(ga, gd, l_t, n_t, gain_ail,
-                                           gain_thr, 2.0, 1.0)
+        vals = np.array([[block3_objective(ga, gd, l_t, n_t, gain_ail, gain_thr)
                           for gd in grid_d] for ga in grid_a])
         # the exact QP solution is at least as good as any grid point
         assert best <= vals.min() + 1e-9
+
+
+def test_block3_without_aileron_authority_leaves_the_ailerons():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        l_t, n_t = rng.uniform(-1, 1, 2).tolist()
+        a_box = (-rng.uniform(0, 1), rng.uniform(0, 1))
+        d_box = (-rng.uniform(0, 0.5), rng.uniform(0, 0.5))
+        a, _ = solve_block3(l_t, n_t, [0.0, 0.0, 0.0],
+                            rng.uniform(-2, 2, 3).tolist(), a_box, d_box)
+        assert a == 0.0
 
 
 def test_chain_monotonicity_elevator_limit(vp):
@@ -503,14 +537,14 @@ def test_gains_match_central_differences_of_the_model(vp):
             p, m = (body_wrench(v_a_body, state.omega, _step(act, prop.name, s), vp)[1]
                     .props[idx] for s in (h, -h))
             fd = (np.array(p.moment) - np.array(m.moment)) / (p.eta - m.eta)
-            g = _prop_moment_eta_gain(vp, tab, idx)
+            g = np.array(_prop_moment_eta_gain(vp, tab, idx))
             assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g), prop.name
             n_prop += 1
         for name in ("al", "ar", "e", "r"):
             h = 1e-5
             p, m = (body_wrench(v_a_body, state.omega, _step(act, name, s), vp)[0]
                     .moment for s in (h, -h))
-            g = _surface_moment_gain(vp, tab, act, name)
+            g = np.array(_surface_moment_gain(vp, tab, act, name))
             # a surface whose segments are all in deep stall has no authority
             assert np.linalg.norm(g - (p - m) / (2.0 * h)) <= 1e-6 * np.linalg.norm(g), name
             n_surf += np.linalg.norm(g) > 0.0
@@ -527,10 +561,10 @@ def test_gains_match_per_row_numpy_reference(vp):
         act.delta_pt = rng.uniform(0.0, 1.0)
         _, tab = total_wrench(state, act, vp, np.zeros(3))
         for name in ("al", "ar", "e", "r"):
-            new = _surface_moment_gain(vp, tab, act, name)
+            new = np.array(_surface_moment_gain(vp, tab, act, name))
             ref = _surface_moment_gain_reference(vp, tab, act, name)
             assert new.tobytes() == ref.tobytes(), name
         for idx in range(len(vp.propellers)):
-            new = _prop_moment_eta_gain(vp, tab, idx)
+            new = np.array(_prop_moment_eta_gain(vp, tab, idx))
             ref = _prop_moment_eta_gain_reference(vp, tab, idx)
             assert new.tobytes() == ref.tobytes(), idx

@@ -109,7 +109,8 @@ def test_trim_build_one_cell(capsys, tmp_path):
     ["--va-step", "0"], ["--gamma-step-deg", "0"], ["--va-step", "-1"],
     ["--va-max", "-1"], ["--gamma-max-deg", "-5"], ["--va-max", "inf"],
     ["--gamma-max-deg", "inf"], ["--va-max", "nan"], ["--va-step", "inf"],
-    ["--gamma-step-deg", "inf"]])
+    ["--gamma-step-deg", "inf"], ["--va-max", "1e300"],
+    ["--va-max", "1e9", "--va-step", "1e-3"], ["--va-step", "1e-300"]])
 def test_trim_build_rejects_bad_grid(capsys, tmp_path, grid):
     out = tmp_path / "map.csv"
     assert cli.main(["trim", "build", "--out", str(out), *grid]) == 2
