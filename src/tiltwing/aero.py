@@ -10,8 +10,11 @@ quadratic-form fuselage drag.
 All public operations are pure functions. `body_wrench` (and
 `total_wrench`, its rigid-body-state front end) evaluates the whole vehicle
 in one pass of Python float arithmetic, one propeller and one segment at a
-time; on arrays of three propellers and a dozen segments, numpy's fixed
-cost per call would outweigh the arithmetic. It returns one result shape:
+time, on per-vehicle constants kept as flat float tuples; on arrays of
+three propellers and a dozen segments, numpy's fixed cost per call would
+outweigh the arithmetic. Every caller that evaluates a state takes its body
+airspeed from `body_airspeed`, one float function, so that evaluations of
+one state agree bit for bit. `body_wrench` returns one result shape:
 the net wrench and the `FlowTables` of the evaluation. Those are the records
 its loops build as they go, one `PropFlow` per propeller and one `SegFlow`
 per segment, each holding that source's geometry, local flow, force and
@@ -68,16 +71,6 @@ def advance_ratio(prop: PropellerParams, eta: float, v_axial: float) -> float:
     return 0.0 if J < 0.0 else (jmax if J > jmax else J)
 
 
-def deflection_incidence(seg: AirfoilSegmentParams) -> float:
-    """Equivalent-incidence factor of a surface deflection, C_Ldelta/C_Lalpha.
-
-    A deflection shifts the lift curve; the quadratic drag term is evaluated
-    at the shifted effective incidence so that deflection-generated lift
-    carries its induced drag.
-    """
-    return seg.cl_delta / seg.cl_alpha if seg.cl_alpha != 0.0 else 0.0
-
-
 def airfoil_coefficients(seg: AirfoilSegmentParams, alpha: float,
                          zeta_cs: float) -> tuple[float, float, float, float]:
     """(C_L, C_D, C_M, lam), continuous in alpha over [-pi, pi].
@@ -86,20 +79,39 @@ def airfoil_coefficients(seg: AirfoilSegmentParams, alpha: float,
     deep stall, linear over [alpha_s - blend, alpha_s + blend] at both
     edges. The rest goes to the flat-plate laws, periodic in alpha at +-pi.
     """
+    return _airfoil_law(alpha, zeta_cs, _airfoil_constants(seg))
+
+
+def _airfoil_constants(seg: AirfoilSegmentParams) -> tuple[float, ...]:
+    """The law's blend edges and coefficients. A deflection shifts the lift
+    curve by kd = C_Ldelta/C_Lalpha per unit; the quadratic drag term takes
+    the shifted incidence, so deflection-generated lift carries its drag."""
     hw = seg.blend_halfwidth
-    t_pos = (alpha - (seg.alpha_stall_pos - hw)) / (2.0 * hw)
-    t_neg = ((seg.alpha_stall_neg + hw) - alpha) / (2.0 * hw)
+    kd = seg.cl_delta / seg.cl_alpha if seg.cl_alpha != 0.0 else 0.0
+    return (seg.alpha_stall_pos - hw, seg.alpha_stall_neg + hw, 2.0 * hw,
+            seg.cl0, seg.cl_alpha, seg.cl_delta, kd, seg.cd0,
+            seg.cd_alpha2, seg.cm0, seg.cm_alpha, seg.cm_delta, seg.fp_cl45,
+            seg.fp_cd_min, seg.fp_cd90 - seg.fp_cd_min, seg.fp_cm_max)
+
+
+def _airfoil_law(alpha: float, zeta_cs: float, c: tuple[float, ...]
+                 ) -> tuple[float, float, float, float]:
+    """`airfoil_coefficients` on the flat constants of `_airfoil_constants`."""
+    (edge_pos, edge_neg, width, cl0, cl_alpha, cl_delta, kd, cd0, cd_alpha2,
+     cm0, cm_alpha, cm_delta, fp_cl45, fp_cd_min, fp_dcd, fp_cm_max) = c
+    t_pos = (alpha - edge_pos) / width
+    t_neg = (edge_neg - alpha) / width
     t = t_pos if t_pos > t_neg else t_neg
     lam = 1.0 - (0.0 if t < 0.0 else (1.0 if t > 1.0 else t))
-    cl_pre = seg.cl0 + seg.cl_alpha * alpha + seg.cl_delta * zeta_cs
-    incidence = alpha + deflection_incidence(seg) * zeta_cs
-    cd_pre = seg.cd0 + seg.cd_alpha2 * (incidence * incidence)
-    cm_pre = seg.cm0 + seg.cm_alpha * alpha + seg.cm_delta * zeta_cs
+    cl_pre = cl0 + cl_alpha * alpha + cl_delta * zeta_cs
+    incidence = alpha + kd * zeta_cs
+    cd_pre = cd0 + cd_alpha2 * (incidence * incidence)
+    cm_pre = cm0 + cm_alpha * alpha + cm_delta * zeta_cs
     s = math.sin(alpha)
-    cl_fp = seg.fp_cl45 * math.sin(2.0 * alpha)
-    cd_fp = seg.fp_cd_min + (seg.fp_cd90 - seg.fp_cd_min) * (s * s)
+    cl_fp = fp_cl45 * math.sin(2.0 * alpha)
+    cd_fp = fp_cd_min + fp_dcd * (s * s)
     sign = 1.0 if alpha > 0.0 else (-1.0 if alpha < 0.0 else 0.0)
-    cm_fp = -seg.fp_cm_max * math.sin(sign * (alpha * alpha) / math.pi)
+    cm_fp = -fp_cm_max * math.sin(sign * (alpha * alpha) / math.pi)
     return (lam * cl_pre + (1.0 - lam) * cl_fp,
             lam * cd_pre + (1.0 - lam) * cd_fp,
             lam * cm_pre + (1.0 - lam) * cm_fp,
@@ -110,60 +122,57 @@ def airfoil_coefficients(seg: AirfoilSegmentParams, alpha: float,
 # Full-vehicle evaluation
 # ---------------------------------------------------------------------------
 
-# segment axes (e_x, e_y, e_z) before the wing tilt: wing and horizontal
-# tail in the body axes, the vertical tail with its span along -z
+# segment axes (e_x, e_y, e_z), 9 floats, before the wing tilt: wing and
+# horizontal tail in the body axes, the vertical tail with its span along -z
 _SEG_AXES = {
-    "wing": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-    "htail": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-    "vtail": ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0)),
+    "wing": (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0),
+    "htail": (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0),
+    "vtail": (1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0),
 }
 
 
-class _Segment(NamedTuple):
-    """Constants of one segment; ``cp`` and the axes are pre-tilt."""
-
-    params: AirfoilSegmentParams
-    is_wing: bool
-    cp: tuple[float, float, float]
-    e_x: tuple[float, float, float]
-    e_y: tuple[float, float, float]
-    e_z: tuple[float, float, float]
-    slip: int                 # row of the propeller it sits behind, or -1
-    actuator: str | None      # the actuator deflecting it
-    gain: float               # local deflection per actuator deflection
-    area: float
-    moment_scale: float       # pitching moment per rho V^2 C_M
-
-
 class _VehicleTables:
-    """Per-vehicle constants of `body_wrench` as Python floats, built once."""
+    """Per-vehicle constants of `body_wrench` as flat tuples of Python
+    floats, built once. A command's row is its index in ``_COMMANDS``, and
+    its position is command x ``travel[row]``."""
 
     def __init__(self, vp: VehicleParams):
         self.pivot = tuple(float(x) for x in vp.wing.pivot)
-        self.props = [(p, *(float(x) for x in p.hub_offset)) for p in vp.propellers]
+        self.travel = tuple(vp.actuators[n].travel for n in _COMMANDS)
+        # per propeller, the fields `body_wrench` unpacks by name
+        self.props = [(p, p.mount == "wing", *(float(x) for x in p.hub_offset),
+                       _COMMANDS.index(p.name), p.diameter ** 4, p.diameter ** 5,
+                       p.ct0, p.ct1, p.cq0, p.cq1, p.handedness,
+                       p.normal_force_coeff, p.disk_area) for p in vp.propellers]
         prop_index = {p.name: i for i, p in enumerate(vp.propellers)}
-        self.segs: list[_Segment] = []
+        # per segment, its frame (cp and axes pre-tilt) and its coefficients, the
+        # fields `body_wrench` unpacks by name; a row of -1 is none
+        self.seg_frames, self.seg_coeffs = [], []
         # per surface actuator, one tuple of floats per segment it deflects: (row,
         # gain, cl_delta, cd_alpha2, defl_incidence, cm_delta, area, moment_scale)
         self.surface_rows: dict[str, list[tuple]] = {}
         for i, s in enumerate(vp.segments):
-            seg = _Segment(s, s.kind == "wing", tuple(float(x) for x in s.cp),
-                           *_SEG_AXES[s.kind], prop_index.get(s.slipstream, -1),
-                           BINDING_TO_ACTUATOR.get(s.control), float(s.control_gain),
-                           s.chord * s.span, 0.5 * (s.chord * s.chord) * s.span)
-            self.segs.append(seg)
-            if seg.actuator is not None:
-                self.surface_rows.setdefault(seg.actuator, []).append(
-                    (i, seg.gain, s.cl_delta, s.cd_alpha2, deflection_incidence(s),
-                     s.cm_delta, seg.area, seg.moment_scale))
-        # per command of _COMMANDS, the propeller and segment rows it moves: a throttle
-        # its propeller (tt the tail one) and that slipstream, a surface what it deflects
+            actuator = BINDING_TO_ACTUATOR.get(s.control)
+            gain, area = float(s.control_gain), s.chord * s.span
+            moment_scale = 0.5 * (s.chord * s.chord) * s.span
+            self.seg_frames.append((s.kind == "wing", *(float(x) for x in s.cp),
+                                    *_SEG_AXES[s.kind], prop_index.get(s.slipstream, -1)))
+            law = _airfoil_constants(s)
+            self.seg_coeffs.append((_COMMANDS.index(actuator) if actuator else -1, gain,
+                                    area, moment_scale, s.alpha_stall_neg,
+                                    s.alpha_stall_pos, law))
+            if actuator is not None:
+                self.surface_rows.setdefault(actuator, []).append(
+                    (i, gain, s.cl_delta, s.cd_alpha2, law[6], s.cm_delta, area,
+                     moment_scale))
+        # per command, the propeller and segment rows it moves: a throttle its
+        # propeller (tt the tail one) and that slipstream, a surface what it deflects
         self.moves = []
-        for name in _COMMANDS:
+        for k, name in enumerate(_COMMANDS):
             p_rows = {i for i, p in enumerate(vp.propellers)
                       if p.name == name or (name == "tt" and p.mount != "wing")}
-            self.moves.append((p_rows, {i for i, seg in enumerate(self.segs)
-                                        if seg.slip in p_rows or seg.actuator == name}))
+            self.moves.append((p_rows, {i for i, (f, c) in enumerate(
+                zip(self.seg_frames, self.seg_coeffs)) if f[-1] in p_rows or c[0] == k}))
 
 
 def _vehicle_tables(vp: VehicleParams) -> _VehicleTables:
@@ -260,9 +269,11 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     ox, oy, oz = float(omega[0]), float(omega[1]), float(omega[2])
     px, py, pz = t.pivot
     cw, sw = math.cos(act.zeta_w), math.sin(act.zeta_w)
-    inputs = struct.pack("15d", vbx, vby, vbz, ox, oy, oz, act.zeta_w, *_commands_of(act))
-    prop_rows, seg_rows = range(len(t.props)), range(len(t.segs))
-    props, segs = [None] * len(t.props), [None] * len(t.segs)
+    commands = _commands_of(act)
+    pos = [c * travel for c, travel in zip(commands, t.travel)]
+    inputs = struct.pack("15d", vbx, vby, vbz, ox, oy, oz, act.zeta_w, *commands)
+    prop_rows, seg_rows = range(len(t.props)), range(len(t.seg_frames))
+    props, segs = [None] * len(t.props), [None] * len(t.seg_frames)
     if prior is not None and inputs[:56] == prior[1].inputs[:56]:
         prop_rows, seg_rows = set(), set()
         for k, (p, s) in enumerate(t.moves, 7):
@@ -274,30 +285,28 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         props, segs = list(prior[1].props), list(prior[1].segs)
 
     for i in prop_rows:
-        prop, hx, hy, hz = t.props[i]
-        if prop.mount == "wing":
+        (prop, on_wing, hx, hy, hz, k, D4, D5, ct0, ct1, cq0, cq1, handedness,
+         mu_n, disk_area) = t.props[i]
+        if on_wing:
             rx = px + cw * hx + sw * hz
             ry = py + hy
             rz = pz - sw * hx + cw * hz
             ax, ay, az = cw, 0.0, -sw
         else:
             rx, ry, rz = hx, hy, hz
-            zeta_tt = act.position("tt", vp)
-            ctt, stt = math.cos(zeta_tt), math.sin(zeta_tt)
-            ax, ay, az = 0.0, stt, -ctt
-        eta = act.position(prop.name, vp)
+            ax, ay, az = 0.0, math.sin(pos[7]), -math.cos(pos[7])
+        eta = pos[k]
         ux = vbx + oy * rz - oz * ry
         uy = vby + oz * rx - ox * rz
         uz = vbz + ox * ry - oy * rx
         v_ax = ux * ax + uy * ay + uz * az
         urx, ury, urz = ux - v_ax * ax, uy - v_ax * ay, uz - v_ax * az
         v_rad = math.sqrt(urx * urx + ury * ury + urz * urz)
-        D = prop.diameter
         J = advance_ratio(prop, eta, v_ax)
         eta2 = eta * eta
-        thrust = rho * eta2 * D ** 4 * (prop.ct0 + prop.ct1 * J)
-        torque = -rho * eta2 * D ** 5 * (prop.cq0 + prop.cq1 * J) * prop.handedness
-        nf = eta * prop.normal_force_coeff  # * v_rad, folded into u_r below
+        thrust = rho * eta2 * D4 * (ct0 + ct1 * J)
+        torque = -rho * eta2 * D5 * (cq0 + cq1 * J) * handedness
+        nf = eta * mu_n  # * v_rad, folded into u_r below
         pfx = thrust * ax - nf * urx
         pfy = thrust * ay - nf * ury
         pfz = thrust * az - nf * urz
@@ -306,23 +315,24 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         pmz = torque * az + rx * pfy - ry * pfx
         wx = wy = wz = 0.0
         if eta >= ETA_MIN and (thrust > 0.0 or v_ax < 0.0):
-            radicand = v_ax * v_ax + 2.0 * max(thrust, 0.0) / (rho * prop.disk_area)
+            radicand = v_ax * v_ax + 2.0 * max(thrust, 0.0) / (rho * disk_area)
             w_mag = 0.5 * (-v_ax + math.sqrt(radicand)) if radicand > 0.0 else 0.5 * -v_ax
             wx, wy, wz = ax * w_mag, ay * w_mag, az * w_mag
         if v_rad > 1e-12:
             nx, ny, nz = urx / v_rad, ury / v_rad, urz / v_rad
         else:
             nx = ny = nz = 0.0
-        props[i] = PropFlow((rx, ry, rz), (ax, ay, az), (nx, ny, nz),
-                            (pfx, pfy, pfz), (pmx, pmy, pmz),
-                            eta, v_ax, v_rad, thrust, (wx, wy, wz))
+        props[i] = tuple.__new__(PropFlow, ((rx, ry, rz), (ax, ay, az), (nx, ny, nz),
+                                            (pfx, pfy, pfz), (pmx, pmy, pmz),
+                                            eta, v_ax, v_rad, thrust, (wx, wy, wz)))
 
     # segment flow at the current wing tilt: wing axes take the tilt
     # rotation's columns, since their pre-tilt axes are the body axes
     flows = []
     tan_alpha = ([], [])
     for i in seg_rows:
-        _, is_wing, (cx, cy, cz), e_x, (ey0, ey1, ey2), e_z, slip, _, _, _, _ = t.segs[i]
+        is_wing, cx, cy, cz, ex0, ex1, ex2, ey0, ey1, ey2, ez0, ez1, ez2, slip \
+            = t.seg_frames[i]
         if is_wing:
             rx = px + cw * cx + sw * cz
             ry = py + cy
@@ -331,8 +341,6 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
             ez0, ez1, ez2 = sw, 0.0, cw
         else:
             rx, ry, rz = cx, cy, cz
-            ex0, ex1, ex2 = e_x
-            ez0, ez1, ez2 = e_z
         u0 = vbx + oy * rz - oz * ry
         u1 = vby + oz * rx - ox * rz
         u2 = vbz + ox * ry - oy * rx
@@ -354,9 +362,8 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
 
     for (i, rx, ry, rz, ey0, ey1, ey2, el0, el1, el2, ed0, ed1, ed2, V, V2), a \
             in zip(flows, alpha.tolist()):
-        seg, _, _, _, _, _, _, actuator, gain, area, moment_scale = t.segs[i]
-        zeta = gain * act.position(actuator, vp) if actuator is not None else 0.0
-        cl, cd, cm, lam = airfoil_coefficients(seg, a, zeta)
+        k, gain, area, moment_scale, stall_neg, stall_pos, law = t.seg_coeffs[i]
+        cl, cd, cm, lam = _airfoil_law(a, gain * pos[k] if k >= 0 else 0.0, law)
         q_area = 0.5 * rho * V2 * area
         f0 = q_area * (cl * el0 + cd * ed0)
         f1 = q_area * (cl * el1 + cd * ed1)
@@ -365,10 +372,9 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         m0 = mom_span * ey0 + (ry * f2 - rz * f1)
         m1 = mom_span * ey1 + (rz * f0 - rx * f2)
         m2 = mom_span * ey2 + (rx * f1 - ry * f0)
-        stalled = not (seg.alpha_stall_neg < a < seg.alpha_stall_pos)
-        segs[i] = SegFlow((rx, ry, rz), (ey0, ey1, ey2), (el0, el1, el2),
-                          (ed0, ed1, ed2), (f0, f1, f2), (m0, m1, m2),
-                          V, a, lam, stalled)
+        segs[i] = tuple.__new__(SegFlow, ((rx, ry, rz), (ey0, ey1, ey2), (el0, el1, el2),
+                                          (ed0, ed1, ed2), (f0, f1, f2), (m0, m1, m2),
+                                          V, a, lam, not stall_neg < a < stall_pos))
 
     ffx = -0.5 * rho * vp.fuselage.cd_x * vbx * abs(vbx)
     ffy = -0.5 * rho * vp.fuselage.cd_y * vby * abs(vby)
@@ -384,11 +390,24 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
         raise FloatingPointError("non-finite aerodynamic wrench")
 
     return (ForceMoment(force=np.array((f0, f1, f2)), moment=np.array((m0, m1, m2))),
-            FlowTables(props, segs, (ffx, ffy, ffz), inputs))
+            tuple.__new__(FlowTables, (props, segs, (ffx, ffy, ffz), inputs)))
+
+
+def body_airspeed(R_IB, v, wind) -> Vec3:
+    """Body-frame airspeed R_IB^T (v - wind) in floats, from the 9 row-major
+    entries of R_IB and inertial 3-vectors. Every caller that evaluates a
+    state's wrench takes the airspeed from here, so that evaluations of one
+    state agree bit for bit and match as a ``prior``."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R_IB
+    (vx, vy, vz), (wx, wy, wz) = v, wind
+    ux, uy, uz = vx - wx, vy - wy, vz - wz
+    return (r00 * ux + r10 * uy + r20 * uz, r01 * ux + r11 * uy + r21 * uz,
+            r02 * ux + r12 * uy + r22 * uz)
 
 
 def total_wrench(state: "RigidBodyState", act: ActuatorSet, vp: VehicleParams,
                  wind: np.ndarray, prior: tuple | None = None
                  ) -> tuple[ForceMoment, FlowTables]:
     """`body_wrench` for a rigid-body state, actuator state and inertial wind."""
-    return body_wrench(state.R_IB.T @ (state.v - wind), state.omega, act, vp, prior)
+    return body_wrench(body_airspeed(state.R_IB.ravel().tolist(), state.v.tolist(), wind),
+                       state.omega, act, vp, prior)

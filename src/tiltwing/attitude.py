@@ -17,13 +17,13 @@ The controller tracks (roll, pitch, yaw-rate) references in three stages:
    chain re-runs on the remaining full-model residual, at most ``PASSES``
    times, until no axis misses by more than ``RESIDUAL_TOL``, which is
    finer than one 0.1 % command step of the effectors in forward flight.
-   The chain and the QP compute in Python floats; numpy arrays are built
-   only for the `AllocationResult`.
 
 Per-actuator demands come from the local aero model (linear in surface
 deflection, quadratic in propeller speed); every block's achieved moment is
 booked as the full-model wrench delta, so allocated + residual = M_act
-holds exactly against the model.
+holds exactly against the model. The attitude error, the inversion, the
+chain and the QP compute in Python floats, the chain at the airspeed of
+`aero.body_airspeed`; only the rate PID and the results are numpy arrays.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aero
-from .rotations import cross3, matrix_to_quat, quat_to_rotvec, rot_x, rot_y, rot_z
 from .vehicle import ActuatorSet, VehicleParams
 
 _EPS_GAIN = 1e-9        # minimum actuator authority worth engaging [N m / unit]
@@ -94,25 +93,59 @@ class AttitudeController:
         The desired attitude is built at the current yaw (reduced attitude:
         only roll/pitch alignment is commanded; yaw is rate-driven).
         """
-        R = state.R_IB
-        yaw = math.atan2(R[1, 0], R[0, 0])
-        R_des = rot_z(yaw) @ rot_y(sp.pitch) @ rot_x(sp.roll)
-        err = quat_to_rotvec(matrix_to_quat(R.T @ R_des))
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = state.R_IB.ravel().tolist()
+        yaw = math.atan2(r10, r00)
+        cy, sy, cp, sp_, cr, sr = (f(a) for a in (yaw, sp.pitch, sp.roll)
+                                   for f in (math.cos, math.sin))
+        # columns of R_des = R_z(yaw) R_y(pitch) R_x(roll); E = R^T R_des
+        d_cols = ((cy * cp, sy * cp, -sp_),
+                  (cy * sp_ * sr - sy * cr, sy * sp_ * sr + cy * cr, cp * sr),
+                  (cy * sp_ * cr + sy * sr, sy * sp_ * cr - cy * sr, cp * cr))
+        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = (
+            [a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in d_cols]
+            for a0, a1, a2 in ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22)))
 
-        kp = np.full(3, ATT_P)
-        if err[1] < 0.0:
-            fade = np.clip((zeta_w - SCHEDULE_LO)
-                           / (SCHEDULE_HI - SCHEDULE_LO), 0.0, 1.0)
-            kp[1] *= 1.0 - (1.0 - PITCH_DOWN_FACTOR) * fade
+        # quaternion (w, x, y, z) of E with w >= 0, from its largest component
+        t = e00 + e11 + e22
+        if t > 0.0:
+            s = math.sqrt(t + 1.0) * 2.0
+            q = (0.25 * s, (e21 - e12) / s, (e02 - e20) / s, (e10 - e01) / s)
+        elif e00 > e11 and e00 > e22:
+            s = math.sqrt(1.0 + e00 - e11 - e22) * 2.0
+            q = ((e21 - e12) / s, 0.25 * s, (e01 + e10) / s, (e02 + e20) / s)
+        elif e11 > e22:
+            s = math.sqrt(1.0 + e11 - e00 - e22) * 2.0
+            q = ((e02 - e20) / s, (e01 + e10) / s, 0.25 * s, (e12 + e21) / s)
+        else:
+            s = math.sqrt(1.0 + e22 - e00 - e11) * 2.0
+            q = ((e10 - e01) / s, (e02 + e20) / s, (e12 + e21) / s, 0.25 * s)
+        w, x, y, z = q if q[0] >= 0.0 else [-c for c in q]
+        # rotation vector: axis * angle, independent of the quaternion's scale
+        n = math.sqrt(x * x + y * y + z * z)
+        k = 2.0 if n < 1e-12 else 2.0 * math.atan2(n, w) / n
+        err_x, err_y, err_z = k * x, k * y, k * z
 
-        omega_des = kp * err + R.T @ np.array([0.0, 0.0, sp.yaw_rate])
+        kp_pitch = ATT_P
+        if err_y < 0.0:
+            fade = min(max((zeta_w - SCHEDULE_LO) / (SCHEDULE_HI - SCHEDULE_LO), 0.0), 1.0)
+            kp_pitch *= 1.0 - (1.0 - PITCH_DOWN_FACTOR) * fade
+
+        # omega_des = kp err + R^T (0, 0, yaw_rate)
+        omega_des = np.array((ATT_P * err_x + r20 * sp.yaw_rate,
+                              kp_pitch * err_y + r21 * sp.yaw_rate,
+                              ATT_P * err_z + r22 * sp.yaw_rate))
         return self.pid(omega_des - state.omega, dt)
 
 
 def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
                       inertia: np.ndarray) -> np.ndarray:
-    """Total moment that realizes a desired angular acceleration."""
-    return inertia @ omega_dot_des + cross3(omega, inertia @ omega)
+    """Total moment that realizes a desired angular acceleration, in floats."""
+    rows = inertia.tolist()
+    w0, w1, w2 = omega.tolist()
+    (a0, a1, a2), (h0, h1, h2) = ([r0 * x0 + r1 * x1 + r2 * x2 for r0, r1, r2 in rows]
+                                  for x0, x1, x2 in (omega_dot_des.tolist(), (w0, w1, w2)))
+    return np.array((a0 + (w1 * h2 - w2 * h1), a1 + (w2 * h0 - w0 * h2),
+                     a2 + (w0 * h1 - w1 * h0)))
 
 
 def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
@@ -282,8 +315,8 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     of them. ``nominal``, if given, is `nominal_moment_estimate` of the same
     state, ``u_n`` and wind, read in place of evaluating ``u_n`` again.
     """
-    v_a_body = state.R_IB.T @ (state.v - wind)
-    omega = state.omega
+    v_a_body = aero.body_airspeed(state.R_IB.ravel().tolist(), state.v.tolist(), wind)
+    omega = state.omega.tolist()
 
     act = u_n.copy()
     fm, tab = nominal or aero.body_wrench(v_a_body, omega, act, vp)

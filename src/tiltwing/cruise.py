@@ -116,9 +116,10 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
     heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
 
-    def eval_at(theta: float, act_eval: ActuatorSet):
+    def eval_at(theta: float, act_eval: ActuatorSet, prior: tuple | None = None):
         R = euler_zyx_to_matrix(roll, theta, yaw)
-        fm, tab = aero.body_wrench(R.T @ (state.v - wind), state.omega, act_eval, vp)
+        fm, tab = aero.body_wrench(aero.body_airspeed(R.ravel().tolist(), state.v, wind),
+                                   state.omega, act_eval, vp, prior)
         return R, fm, tab
 
     J = np.empty((2, 2))
@@ -144,8 +145,9 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     for a, sign in ((act_p, 1.0), (act_m, -1.0)):
         a.delta_pl += sign * s
         a.delta_pr += sign * s
-    R0, fm_tp, _ = eval_at(pitch, act_p)
-    _, fm_tm, _ = eval_at(pitch, act_m)
+    # the probes share R0 and the airspeed: the second rebuilds what the mains move
+    R0, fm_tp, tab_tp = eval_at(pitch, act_p)
+    _, fm_tm, _ = eval_at(pitch, act_m, (fm_tp, tab_tp))
     J[:, 1] = (_projected_force(R0, heading, fm_tp.force)
                - _projected_force(R0, heading, fm_tm.force)) / (2.0 * s)
     return J

@@ -3,16 +3,23 @@
 State of record: inertial position and velocity, body-to-inertial rotation
 matrix, body angular rate. Integration is classical RK4 with the rotation
 matrix re-orthonormalized (polar projection) after every step.
+
+The step runs in Python floats over the flat state (x, v, R_IB row-major,
+omega), as numpy's cost per call outweighs 3-vector arithmetic, and builds
+`RigidBodyState` arrays once. Its stages take the airspeed from
+`aero.body_airspeed`, as every wrench evaluation does, so a first stage
+handed in by the caller is bit for bit the one the step would evaluate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .aero import ForceMoment, body_wrench
-from .rotations import cross3, orthonormalize, skew
+from .aero import ForceMoment, body_airspeed, body_wrench
+from .rotations import orthonormalize
 from .vehicle import ActuatorSet, VehicleParams
 
 DT_MAX = 0.02
@@ -35,11 +42,6 @@ class RigidBodyState:
         return RigidBodyState(self.x.copy(), self.v.copy(),
                               self.R_IB.copy(), self.omega.copy())
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))
-                    and np.all(np.isfinite(self.R_IB))
-                    and np.all(np.isfinite(self.omega)))
-
 
 class StateDerivative(NamedTuple):
     x_dot: np.ndarray
@@ -57,15 +59,41 @@ def state_derivative(s: RigidBodyState, fm: ForceMoment,
     R_dot = R_IB [omega]x
     I omega_dot = M - omega x I omega
     """
-    v_dot = vp.gravity + s.R_IB @ fm.force / vp.mass
-    omega_dot = vp.inertia_inv @ (fm.moment - cross3(s.omega, vp.inertia @ s.omega))
-    return StateDerivative(x_dot=s.v.copy(), v_dot=v_dot,
-                           R_dot=s.R_IB @ skew(s.omega), omega_dot=omega_dot)
+    d = np.array(_derivative(_flat(s), fm.force.tolist(), fm.moment.tolist(),
+                             _constants(vp)))
+    return StateDerivative(d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:])
 
 
-def _deriv(x, v, R, omega, act, vp, wind):
-    fm, _ = body_wrench(R.T @ (v - wind), omega, act, vp)
-    return state_derivative(RigidBodyState(x, v, R, omega), fm, vp)
+def _flat(s: RigidBodyState) -> list[float]:
+    return [*s.x.tolist(), *s.v.tolist(), *s.R_IB.ravel().tolist(), *s.omega.tolist()]
+
+
+def _constants(vp: VehicleParams) -> tuple:
+    """Mass, gravity, inertia and its inverse (row-major) as floats."""
+    return (vp.mass, vp.gravity.tolist(), vp.inertia.ravel().tolist(),
+            vp.inertia_inv.ravel().tolist())
+
+
+def _derivative(y, force, moment, c) -> tuple[float, ...]:
+    """`state_derivative` on the flat state ``y``, with ``c`` from `_constants`."""
+    _, _, _, vx, vy, vz, r00, r01, r02, r10, r11, r12, r20, r21, r22, wx, wy, wz = y
+    (fx, fy, fz), (mx, my, mz) = force, moment
+    mass, (gx, gy, gz), (i00, i01, i02, i10, i11, i12, i20, i21, i22), \
+        (j00, j01, j02, j10, j11, j12, j20, j21, j22) = c
+    hx = i00 * wx + i01 * wy + i02 * wz
+    hy = i10 * wx + i11 * wy + i12 * wz
+    hz = i20 * wx + i21 * wy + i22 * wz
+    tx, ty, tz = mx - (wy * hz - wz * hy), my - (wz * hx - wx * hz), mz - (wx * hy - wy * hx)
+    return (vx, vy, vz,
+            gx + (r00 * fx + r01 * fy + r02 * fz) / mass,
+            gy + (r10 * fx + r11 * fy + r12 * fz) / mass,
+            gz + (r20 * fx + r21 * fy + r22 * fz) / mass,
+            r01 * wz - r02 * wy, r02 * wx - r00 * wz, r00 * wy - r01 * wx,
+            r11 * wz - r12 * wy, r12 * wx - r10 * wz, r10 * wy - r11 * wx,
+            r21 * wz - r22 * wy, r22 * wx - r20 * wz, r20 * wy - r21 * wx,
+            j00 * tx + j01 * ty + j02 * tz,
+            j10 * tx + j11 * ty + j12 * tz,
+            j20 * tx + j21 * ty + j22 * tz)
 
 
 def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
@@ -75,29 +103,28 @@ def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
     A given ``wrench``, the first stage, must be the one at ``s``, ``act``, ``wind``."""
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
-    x0, v0, R0, om0 = s.x, s.v, s.R_IB, s.omega
+    c = _constants(vp)
+    y0 = _flat(s)
+    h = 0.5 * dt
+
+    def stage(y):
+        fm, _ = body_wrench(body_airspeed(y[6:15], y[3:6], wind), y[15:], act, vp)
+        return _derivative(y, fm.force.tolist(), fm.moment.tolist(), c)
 
     try:
-        k1 = _deriv(x0, v0, R0, om0, act, vp, wind) if wrench is None \
-            else state_derivative(s, wrench, vp)
-        k2 = _deriv(x0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-                    R0 + 0.5 * dt * k1[2], om0 + 0.5 * dt * k1[3], act, vp, wind)
-        k3 = _deriv(x0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-                    R0 + 0.5 * dt * k2[2], om0 + 0.5 * dt * k2[3], act, vp, wind)
-        k4 = _deriv(x0 + dt * k3[0], v0 + dt * k3[1],
-                    R0 + dt * k3[2], om0 + dt * k3[3], act, vp, wind)
+        k1 = stage(y0) if wrench is None \
+            else _derivative(y0, wrench.force.tolist(), wrench.moment.tolist(), c)
+        k2 = stage([a + h * b for a, b in zip(y0, k1)])
+        k3 = stage([a + h * b for a, b in zip(y0, k2)])
+        k4 = stage([a + dt * b for a, b in zip(y0, k3)])
     except FloatingPointError as exc:
         raise IntegrationFault(f"non-finite derivative: {exc}") from exc
 
     sixth = dt / 6.0
-    out = RigidBodyState(
-        x=x0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        v=v0 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        R_IB=R0 + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        omega=om0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
-    if not out.is_finite():
-        raise IntegrationFault(
-            f"non-finite state after step: x={out.x}, v={out.v}, omega={out.omega}")
-    out.R_IB = orthonormalize(out.R_IB)
-    return out
+    y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):
+        raise IntegrationFault(f"non-finite state after step: x={y[:3]}, "
+                               f"v={y[3:6]}, omega={y[15:]}")
+    y = np.array(y)
+    return RigidBodyState(y[:3], y[3:6], orthonormalize(y[6:15].reshape(3, 3)), y[15:])

@@ -248,8 +248,7 @@ class RunLog:
             if self.fault:
                 f.write(f"# fault={self.fault}\n")
             f.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+            f.writelines(",".join(map(repr, row)) + "\n" for row in self.rows.tolist())
 
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":

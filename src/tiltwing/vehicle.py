@@ -146,7 +146,7 @@ class VehicleParams:
         validate_vehicle(self)
         self.inertia_inv = np.linalg.inv(self.inertia)
         self.prop = {p.name: p for p in self.propellers}
-        self._aero_tables = None  # built lazily by tiltwing.aero
+        self._aero_tables = None  # built lazily by tiltwing.aero; __post_init__ resets it
 
     @property
     def weight(self) -> float:

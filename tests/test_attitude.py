@@ -7,13 +7,15 @@ import pytest
 
 from tiltwing import aero, attitude
 from tiltwing.aero import body_wrench, total_wrench
-from tiltwing.attitude import (INTEGRATOR_LIMIT, AttitudeController,
+from tiltwing.attitude import (ATT_P, INTEGRATOR_LIMIT, PITCH_DOWN_FACTOR, RATE_D,
+                               RATE_I, RATE_P, SCHEDULE_HI, SCHEDULE_LO,
+                               AttitudeController, Pid,
                                AttitudeSetpoint, _prop_eta_derivatives,
                                _prop_moment_eta_gain, _surface_moment_gain,
                                daisy_chain_allocate, dynamic_inversion,
                                nominal_moment_estimate, solve_block3)
 from tiltwing.dynamics import RigidBodyState
-from tiltwing.rotations import euler_zyx_to_matrix
+from tiltwing.rotations import euler_zyx_to_matrix, rot_x, rot_y, rot_z
 from tiltwing.vehicle import (BINDING_TO_ACTUATOR, actuation_from_commands,
                               apply_actuator_rates, nominal_actuation)
 
@@ -88,6 +90,90 @@ def test_integrator_clamped():
     for _ in range(10000):
         ctl.attitude_error_control(hover_state(), sp, math.pi / 2, 0.004)
     assert np.all(np.abs(ctl.pid.integral) <= INTEGRATOR_LIMIT + 1e-12)
+
+
+def matrix_to_quat(R: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unit quaternion [w, x, y, z] (w >= 0) of a rotation matrix, and which
+    component its branch solved for first: 0 for w, 1-3 for x-z."""
+    t = np.trace(R)
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q, branch = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s,
+                              (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]), 0
+    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q, branch = np.array([(R[2, 1] - R[1, 2]) / s, 0.25 * s,
+                              (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]), 1
+    elif R[1, 1] > R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q, branch = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s,
+                              0.25 * s, (R[1, 2] + R[2, 1]) / s]), 2
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q, branch = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
+                              (R[1, 2] + R[2, 1]) / s, 0.25 * s]), 3
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q), branch
+
+
+def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
+    """Rotation vector (axis * angle) of a unit quaternion with w >= 0."""
+    n = np.linalg.norm(q[1:])
+    if n < 1e-12:
+        return 2.0 * q[1:]
+    return q[1:] / n * (2.0 * np.arctan2(n, np.clip(q[0], -1.0, 1.0)))
+
+
+def reference_attitude_law(pid: Pid, state, sp: AttitudeSetpoint, zeta_w: float,
+                           dt: float) -> tuple[np.ndarray, int]:
+    """The attitude law on 3x3 numpy rotations, and its quaternion branch."""
+    R = state.R_IB
+    yaw = math.atan2(R[1, 0], R[0, 0])
+    q, branch = matrix_to_quat(R.T @ (rot_z(yaw) @ rot_y(sp.pitch) @ rot_x(sp.roll)))
+    err = quat_to_rotvec(q)
+    kp = np.full(3, ATT_P)
+    if err[1] < 0.0:
+        fade = np.clip((zeta_w - SCHEDULE_LO) / (SCHEDULE_HI - SCHEDULE_LO), 0.0, 1.0)
+        kp[1] *= 1.0 - (1.0 - PITCH_DOWN_FACTOR) * fade
+    omega_des = kp * err + R.T @ np.array([0.0, 0.0, sp.yaw_rate])
+    return pid(omega_des - state.omega, dt), branch
+
+
+def test_float_attitude_law_matches_numpy_reference():
+    """The float law agrees with the numpy rotation/quaternion law to 1e-12
+    relative over two calls (PID state included), on random attitudes and
+    setpoints and on errors within 3 deg of 180 deg about each body axis,
+    which take the quaternion's x, y and z branches."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(200):
+        cases.append((euler_zyx_to_matrix(*rng.uniform(-math.pi, math.pi, 3)),
+                      *rng.uniform(-math.pi, math.pi, 2)))
+    for delta in (1e-3, 0.05):
+        for a in (math.pi - delta, delta - math.pi):
+            yaw, roll, pitch = rng.uniform(-1.0, 1.0, 3)
+            # x: a roll error; y: pitch and pitch setpoint near -+90 deg;
+            # z: a pitch setpoint past 90 deg keeps the heading of R_des R_z(-a)
+            cases.append((euler_zyx_to_matrix(roll - a, pitch, yaw), roll, pitch))
+            half = 0.5 * abs(a)
+            cases.append((euler_zyx_to_matrix(0.0, -half, yaw), 0.0, half))
+            r_des = euler_zyx_to_matrix(roll, math.pi - 0.2, yaw)
+            cases.append((r_des @ rot_z(a).T, roll, math.pi - 0.2))
+    branches = set()
+    worst = 0.0
+    for R, roll, pitch in cases:
+        state = RigidBodyState(R_IB=R, omega=rng.uniform(-2.0, 2.0, 3))
+        sp = AttitudeSetpoint(roll=roll, pitch=pitch, yaw_rate=rng.uniform(-1.0, 1.0))
+        zeta_w = rng.uniform(0.0, math.pi / 2)
+        ctl, pid = AttitudeController(), Pid(RATE_P, RATE_I, RATE_D, INTEGRATOR_LIMIT)
+        for _ in range(2):
+            out = ctl.attitude_error_control(state, sp, zeta_w, 0.004)
+            ref, branch = reference_attitude_law(pid, state, sp, zeta_w, 0.004)
+            branches.add(branch)
+            worst = max(worst, np.abs(out - ref).max() / np.abs(ref).max())
+    assert branches == {0, 1, 2, 3}
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +377,7 @@ def test_chain_monotonicity_elevator_limit(vp):
     """Enlarging the elevator's travel never increases tail usage."""
     vp_big = copy.deepcopy(vp)
     vp_big.actuators["e"].travel *= 1.5
+    vp_big.__post_init__()
     state = RigidBodyState(v=np.array([6.0, 0.0, 0.0]))
     for m_pitch in (-0.5, -0.9, -1.5):
         u_n = actuation_from_commands(vp, delta_w=0.5, delta_plr=0.7)

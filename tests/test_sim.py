@@ -117,6 +117,22 @@ def test_header_only_log_loads_with_all_columns(tmp_path):
     assert log.fault == "t=0.000 s: boom"
 
 
+def test_saved_log_cells_are_float_reprs_and_reload_bit_for_bit(tmp_path):
+    """Every cell of a saved log is the repr of its value as a Python float,
+    signed zeros, nan, infinities, subnormals and 17-digit values included,
+    and the file reloads to the same bytes."""
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((6, len(LOG_COLUMNS))) * 10.0 ** rng.integers(
+        -300, 300, (6, len(LOG_COLUMNS)))
+    rows[:, :10] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                    2.2250738585072009e-308, 0.1 + 0.2, -1.0 / 3.0]
+    path = tmp_path / "log.csv"
+    RunLog(columns=list(LOG_COLUMNS), rows=rows, scenario="cells").save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:] == [",".join(repr(float(v)) for v in row) for row in rows]
+    assert RunLog.load(path).rows.tobytes() == rows.tobytes()
+
+
 def test_attitude_tick_integrates_with_three_evaluations(vp, monkeypatch):
     """The wrench logged at a tick is RK4's first stage: the step evaluates
     only the other three stages."""
