@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 
 from .vehicle import (VehicleParams, ActuatorSet, load_vehicle_config,
                       default_vehicle, apply_actuator_rates)
-from .aero import ForceMoment, total_wrench
-from .dynamics import RigidBodyState, StateDerivative, state_derivative, integrate_step
+from .aero import FlowTables, total_wrench
+from .dynamics import RigidBodyState, integrate_step
 from .trim import (TrimMap, TrimPoint, TrimWeights, build_trim_map,
                    solve_trim_point, lookup_trim, load_trim_map, save_trim_map)
 from .attitude import (AttitudeController, AttitudeSetpoint, AllocationResult,
@@ -21,8 +21,8 @@ from .sim import Scenario, RunLog, load_scenario, run_scenario, emit_report
 
 __all__ = [
     "VehicleParams", "ActuatorSet", "load_vehicle_config", "default_vehicle",
-    "apply_actuator_rates", "ForceMoment", "total_wrench",
-    "RigidBodyState", "StateDerivative", "state_derivative", "integrate_step",
+    "apply_actuator_rates", "FlowTables", "total_wrench",
+    "RigidBodyState", "integrate_step",
     "TrimMap", "TrimPoint", "TrimWeights", "build_trim_map", "solve_trim_point",
     "lookup_trim", "load_trim_map", "save_trim_map",
     "AttitudeController", "AttitudeSetpoint", "AllocationResult",

@@ -14,14 +14,14 @@ time, on per-vehicle constants kept as flat float tuples; on arrays of
 three propellers and a dozen segments, numpy's fixed cost per call would
 outweigh the arithmetic. Every caller that evaluates a state takes its body
 airspeed from `body_airspeed`, one float function, so that evaluations of
-one state agree bit for bit. `body_wrench` returns one result shape:
-the net wrench and the `FlowTables` of the evaluation. Those are the records
-its loops build as they go, one `PropFlow` per propeller and one `SegFlow`
-per segment, each holding that source's geometry, local flow, force and
-moment as Python floats, plus the fuselage force. `advance_ratio` and
-`airfoil_coefficients` are the per-element laws it calls.
+one state agree bit for bit. `body_wrench` returns one record per
+evaluation, a `FlowTables`: the net force and moment as float 3-tuples, and
+the records its loops build as they go, one `PropFlow` per propeller and one
+`SegFlow` per segment, each holding that source's geometry, local flow,
+force and moment as Python floats, plus the fuselage force. `advance_ratio`
+and `airfoil_coefficients` are the per-element laws it calls.
 
-Given ``prior``, the pair of an earlier call at the same airspeed, rate and
+Given ``prior``, the record of an earlier call at the same airspeed, rate and
 wing tilt, `body_wrench` rebuilds only the records that the changed commands
 move (a throttle its propeller and the segments in its slipstream, ``tt``
 the tail propeller and its slipstream, a surface the segments it deflects)
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -52,14 +51,6 @@ ETA_MIN = 1.0  # rev/s
 _COMMANDS = ("pl", "pr", "pt", "al", "ar", "e", "r", "tt")
 _commands_of = operator.attrgetter(*(f"delta_{n}" for n in _COMMANDS))
 _wrench_of = operator.attrgetter("force", "moment")
-
-
-@dataclass
-class ForceMoment:
-    """Body-frame force [N] and moment [N m] about the CG."""
-
-    force: np.ndarray
-    moment: np.ndarray
 
 
 def advance_ratio(prop: PropellerParams, eta: float, v_axial: float) -> float:
@@ -202,7 +193,7 @@ class PropFlow(NamedTuple):
 class SegFlow(NamedTuple):
     """One airfoil segment of an evaluation: frame, local flow and wrench.
 
-    Re-evaluating from a ``prior`` pair keeps this record unless a changed
+    Re-evaluating from a ``prior`` keeps this record unless a changed
     command deflects the segment or drives the propeller it sits behind.
     """
 
@@ -219,17 +210,21 @@ class SegFlow(NamedTuple):
 
 
 class FlowTables(NamedTuple):
-    """Per-source records of a full-vehicle evaluation, body frame.
+    """One full-vehicle evaluation, body frame: the net wrench and the
+    per-source records it sums.
 
-    ``props`` follow vp.propellers and ``segs`` vp.segments. The controllers
-    read them to build local actuator models at the current operating point
-    without re-deriving geometry; the run log and the cruise linearization
-    read the per-source forces. The net wrench is the sum of the propeller
-    and segment wrenches and ``fus_force`` (the fuselage has no moment).
-    ``inputs`` records the operating point and commands of the evaluation,
-    so that `body_wrench` given this pair as ``prior`` finds what moved.
+    ``force`` [N] and ``moment`` [N m, about the CG] add the segments in row
+    order, then ``fus_force`` (the fuselage has no moment), then the
+    propellers. ``props`` follow vp.propellers and ``segs`` vp.segments. The
+    controllers read them to build local actuator models at the current
+    operating point without re-deriving geometry; the run log and the cruise
+    linearization read the per-source forces. ``inputs`` records the
+    operating point and commands of the evaluation, so that `body_wrench`
+    given this record as ``prior`` finds what moved.
     """
 
+    force: Vec3
+    moment: Vec3
     props: list[PropFlow]
     segs: list[SegFlow]
     fus_force: Vec3
@@ -245,10 +240,9 @@ def _sum_wrenches(records) -> tuple[float, ...]:
 
 
 def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
-                vp: VehicleParams, prior: tuple | None = None
-                ) -> tuple[ForceMoment, FlowTables]:
+                vp: VehicleParams, prior: FlowTables | None = None) -> FlowTables:
     """Net wrench in body axes from body-frame airspeed and angular rate,
-    and the per-source records of the evaluation.
+    with the per-source records of the evaluation.
 
     Propellers are evaluated first; their thrusts drive the slipstream
     added to bound segments; segment and fuselage wrenches follow.
@@ -257,7 +251,7 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     `np.arctan2` over the segments' angles of attack. A non-finite wrench
     raises `FloatingPointError`.
 
-    ``prior`` is a pair this function returned for the same vehicle. If it
+    ``prior`` is a record this function returned for the same vehicle. If it
     holds this call's airspeed, rate and ``zeta_w`` bit for bit, the loops
     rebuild only the records of the sources that the commands whose bits
     differ move, and reuse the others; if no command differs, ``prior`` is
@@ -274,15 +268,15 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     inputs = struct.pack("15d", vbx, vby, vbz, ox, oy, oz, act.zeta_w, *commands)
     prop_rows, seg_rows = range(len(t.props)), range(len(t.seg_frames))
     props, segs = [None] * len(t.props), [None] * len(t.seg_frames)
-    if prior is not None and inputs[:56] == prior[1].inputs[:56]:
+    if prior is not None and inputs[:56] == prior.inputs[:56]:
         prop_rows, seg_rows = set(), set()
         for k, (p, s) in enumerate(t.moves, 7):
-            if inputs[8 * k:8 * k + 8] != prior[1].inputs[8 * k:8 * k + 8]:
+            if inputs[8 * k:8 * k + 8] != prior.inputs[8 * k:8 * k + 8]:
                 prop_rows |= p
                 seg_rows |= s
         if not prop_rows and not seg_rows:
             return prior
-        props, segs = list(prior[1].props), list(prior[1].segs)
+        props, segs = list(prior.props), list(prior.segs)
 
     for i in prop_rows:
         (prop, on_wing, hx, hy, hz, k, D4, D5, ct0, ct1, cq0, cq1, handedness,
@@ -389,8 +383,8 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     if not math.isfinite(f0 + f1 + f2) or not math.isfinite(m0 + m1 + m2):
         raise FloatingPointError("non-finite aerodynamic wrench")
 
-    return (ForceMoment(force=np.array((f0, f1, f2)), moment=np.array((m0, m1, m2))),
-            tuple.__new__(FlowTables, (props, segs, (ffx, ffy, ffz), inputs)))
+    return tuple.__new__(FlowTables, ((f0, f1, f2), (m0, m1, m2), props, segs,
+                                      (ffx, ffy, ffz), inputs))
 
 
 def body_airspeed(R_IB, v, wind) -> Vec3:
@@ -406,8 +400,7 @@ def body_airspeed(R_IB, v, wind) -> Vec3:
 
 
 def total_wrench(state: "RigidBodyState", act: ActuatorSet, vp: VehicleParams,
-                 wind: np.ndarray, prior: tuple | None = None
-                 ) -> tuple[ForceMoment, FlowTables]:
+                 wind: np.ndarray, prior: FlowTables | None = None) -> FlowTables:
     """`body_wrench` for a rigid-body state, actuator state and inertial wind."""
     return body_wrench(body_airspeed(state.R_IB.ravel().tolist(), state.v.tolist(), wind),
                        state.omega, act, vp, prior)

@@ -46,9 +46,7 @@ PASSES = 6              # cap on chain passes over the remaining full-model resi
 RESIDUAL_TOL = 3e-4
 W_ROLL, W_YAW = 2.0, 1.0  # wing-group QP weights on roll and yaw error
 ATT_P = 6.0             # outer attitude loop [1/s]
-RATE_P = np.array([8.0, 8.0, 8.0])  # inner rate PID, per body axis
-RATE_I = np.array([2.0, 2.0, 2.0])
-RATE_D = np.array([0.1, 0.1, 0.1])
+RATE_P, RATE_I, RATE_D = 8.0, 2.0, 0.1  # inner rate PID, all three body axes
 INTEGRATOR_LIMIT = 0.5  # |integral state| clamp [rad]
 PITCH_DOWN_FACTOR = 0.5  # outer pitch gain multiplier
 SCHEDULE_LO = math.radians(70.0)  # wing tilt where the schedule fades in
@@ -149,10 +147,10 @@ def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
 
 
 def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
-                            wind: np.ndarray) -> tuple:
-    """Wrench and flow tables with nominal actuation (attitude effectors
-    zero); the moment is M_hat(u_n). `daisy_chain_allocate` starts from this
-    pair when given it with the same state, ``u_n`` and wind."""
+                            wind: np.ndarray) -> aero.FlowTables:
+    """The model evaluation with nominal actuation (attitude effectors
+    zero); its moment is M_hat(u_n). `daisy_chain_allocate` starts from this
+    record when given it with the same state, ``u_n`` and wind."""
     return aero.total_wrench(state, u_n, vp, wind)
 
 
@@ -160,7 +158,7 @@ def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
 # Local actuator models (gains at the current operating point)
 # ---------------------------------------------------------------------------
 
-def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
+def _surface_moment_gain(vp: VehicleParams, ev: aero.FlowTables,
                          act: ActuatorSet, actuator: str) -> aero.Vec3:
     """d(moment)/d(command) of one aerodynamic surface [N m per unit]."""
     travel = vp.actuators[actuator].travel
@@ -168,7 +166,7 @@ def _surface_moment_gain(vp: VehicleParams, tab: aero.FlowTables,
     g0 = g1 = g2 = 0.0
     for row, gain, cl_delta, cd_alpha2, kd, cm_delta, area, moment_scale \
             in aero._vehicle_tables(vp).surface_rows.get(actuator, ()):
-        seg = tab.segs[row]
+        seg = ev.segs[row]
         lam = seg.lam
         if lam <= 0.0:
             continue
@@ -202,10 +200,10 @@ def _prop_eta_derivatives(prop, eta: float, v_ax: float,
             2.0 * rho * D ** 5 * prop.cq0 * eta + rho * D ** 4 * prop.cq1 * v_ax)
 
 
-def _prop_moment_eta_gain(vp: VehicleParams, tab: aero.FlowTables,
+def _prop_moment_eta_gain(vp: VehicleParams, ev: aero.FlowTables,
                           idx: int) -> aero.Vec3:
     """d(moment)/d(eta) of one propeller at its current inflow."""
-    prop, flow = vp.propellers[idx], tab.props[idx]
+    prop, flow = vp.propellers[idx], ev.props[idx]
     dT, dQ = _prop_eta_derivatives(prop, flow.eta, flow.v_axial, vp.rho)
     nf = prop.normal_force_coeff * flow.v_radial
     f0, f1, f2 = (dT * a - nf * r for a, r in zip(flow.axis, flow.radial))
@@ -280,14 +278,14 @@ def solve_block3(l_target: float, n_target: float, gain_ail: aero.Vec3,
 @dataclass
 class AllocationResult:
     """Allocated commands, the moment each block booked, the residual,
-    ``evaluation``: the `body_wrench` pair at ``commanded`` (the last
+    ``evaluation``: the `body_wrench` record at ``commanded`` (the last
     booked one, or the nominal one if no block booked), and the number of
     chain ``passes`` run."""
 
     commanded: ActuatorSet
     blocks: dict[str, np.ndarray] = field(default_factory=dict)
     residual: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    evaluation: tuple | None = None
+    evaluation: aero.FlowTables | None = None
     passes: int = 0
 
     @property
@@ -305,7 +303,7 @@ def _apply_surface(act: ActuatorSet, vp: VehicleParams, name: str,
 
 def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
                          vp: VehicleParams, wind: np.ndarray,
-                         nominal: tuple | None = None) -> AllocationResult:
+                         nominal: aero.FlowTables | None = None) -> AllocationResult:
     """Distribute M_act over the redundant effectors.
 
     Chain order: pitch via elevator, yaw via rudder, then the wing group
@@ -319,22 +317,19 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     omega = state.omega.tolist()
 
     act = u_n.copy()
-    fm, tab = nominal or aero.body_wrench(v_a_body, omega, act, vp)
-    m_cur = fm.moment.tolist()
-    target = [m + float(d) for m, d in zip(m_cur, M_act)]
+    ev = nominal or aero.body_wrench(v_a_body, omega, act, vp)
+    target = [m + float(d) for m, d in zip(ev.moment, M_act)]
     blocks = {name: [0.0] * 3 for name in ("elevator", "rudder", "wing_group", "tail_group")}
 
     def book(name: str) -> None:
-        nonlocal m_cur, fm, tab
-        fm, tab = aero.body_wrench(v_a_body, omega, act, vp, (fm, tab))
-        m_new = fm.moment.tolist()
-        blocks[name] = [b + (m - c) for b, m, c in zip(blocks[name], m_new, m_cur)]
-        m_cur = m_new
+        nonlocal ev
+        m_old, ev = ev.moment, aero.body_wrench(v_a_body, omega, act, vp, ev)
+        blocks[name] = [b + (m - c) for b, m, c in zip(blocks[name], ev.moment, m_old)]
 
     def resid(axis: int) -> float:
-        return target[axis] - m_cur[axis]
+        return target[axis] - ev.moment[axis]
 
-    # propeller records of the tables, by the name of the command driving each
+    # propeller records of the evaluation, by the name of the command driving each
     names = [p.name for p in vp.propellers]
     i_pl, i_pr, i_pt = (names.index(n) for n in ("pl", "pr", "pt"))
     pt = vp.propellers[i_pt]
@@ -346,23 +341,23 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
         # rudder the yaw demand
         for name, axis, block in (("e", 1, "elevator"), ("r", 2, "rudder")):
             if abs(resid(axis)) > _EPS_DEMAND:
-                gain = _surface_moment_gain(vp, tab, act, name)[axis]
+                gain = _surface_moment_gain(vp, ev, act, name)[axis]
                 if abs(gain) > _EPS_GAIN:
                     _apply_surface(act, vp, name, resid(axis) / gain)
                     book(block)
 
         # block 3: ailerons + differential main throttle trade roll vs yaw
         if abs(resid(0)) > _EPS_DEMAND or abs(resid(2)) > _EPS_DEMAND:
-            gain_ail = [l + r for l, r in zip(_surface_moment_gain(vp, tab, act, "al"),
-                                              _surface_moment_gain(vp, tab, act, "ar"))]
+            gain_ail = [l + r for l, r in zip(_surface_moment_gain(vp, ev, act, "al"),
+                                              _surface_moment_gain(vp, ev, act, "ar"))]
             # d steps the left main's command by +d and the right one's by
             # -d, each scaled by its own travel; with alike mains the ratio
             # is 1 and this is (gain_pl - gain_pr) * travel
             travel = vp.actuators["pl"].travel
             ratio = vp.actuators["pr"].travel / travel
             gain_thr = [(l - r * ratio) * travel
-                        for l, r in zip(_prop_moment_eta_gain(vp, tab, i_pl),
-                                        _prop_moment_eta_gain(vp, tab, i_pr))]
+                        for l, r in zip(_prop_moment_eta_gain(vp, ev, i_pl),
+                                        _prop_moment_eta_gain(vp, ev, i_pr))]
             lim_al, lim_ar = vp.actuators["al"], vp.actuators["ar"]
             a_box = (max(lim_al.lo - act.delta_al, lim_ar.lo - act.delta_ar),
                      min(lim_al.hi - act.delta_al, lim_ar.hi - act.delta_ar))
@@ -378,7 +373,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
 
         # block 4: tail throttle + tail tilt, pitch strictly before yaw
         if abs(resid(1)) > _EPS_DEMAND or abs(resid(2)) > _EPS_DEMAND:
-            tail = tab.props[i_pt]
+            tail = ev.props[i_pt]
             x_t = tail.r[0]
             m_now = x_t * (tail.thrust * -tail.axis[2])  # pitch part of r x T axis, y_t = 0
             n_now = x_t * (tail.thrust * tail.axis[1])
@@ -405,5 +400,5 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
 
     return AllocationResult(
         commanded=act, blocks={name: np.array(b) for name, b in blocks.items()},
-        residual=np.array([resid(i) for i in range(3)]), evaluation=(fm, tab),
+        residual=np.array([resid(i) for i in range(3)]), evaluation=ev,
         passes=passes)

@@ -7,17 +7,15 @@ import logging
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import aero, sim, trim
 from .dynamics import RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix
 from .vehicle import (ConfigError, VehicleParams, _number, _vec3,
                       actuation_from_commands, default_vehicle,
-                      load_vehicle_config, mirror_twin)
+                      load_vehicle_config, mirror_twin, read_yaml_file)
 
 MAX_GRID_NODES = 10_000  # trim map size limit: one LM solve per node, ~0.25 s each
 
@@ -39,21 +37,20 @@ def cmd_config_validate(args) -> int:
 
 def cmd_model_eval(args) -> int:
     vp = _load_vehicle(args.vehicle)
-    state = sim.state_from_dict(
-        yaml.safe_load(Path(args.state).read_text(encoding="utf-8")) or {})
-    araw = yaml.safe_load(Path(args.actuators).read_text(encoding="utf-8")) or {}
+    state = sim.state_from_dict(read_yaml_file(args.state, "state file", ConfigError) or {})
+    araw = read_yaml_file(args.actuators, "actuator file", ConfigError) or {}
     if not isinstance(araw, dict):
         raise ConfigError("actuator commands must be a mapping")
     wind = _vec3(araw.pop("wind", [0.0, 0.0, 0.0]), "wind")
     act = actuation_from_commands(vp, **{
         f"delta_{k}": _number(v, f"actuators.{k}") for k, v in araw.items()})
-    fm, tab = aero.total_wrench(state, act, vp, wind)
+    ev = aero.total_wrench(state, act, vp, wind)
     rows = [(p.name, f.force, f.moment, False)
-            for p, f in zip(vp.propellers, tab.props)]
+            for p, f in zip(vp.propellers, ev.props)]
     rows += [(s.name, f.force, f.moment, f.stalled)
-             for s, f in zip(vp.segments, tab.segs)]
-    rows.append(("fuselage", tab.fus_force, (0.0, 0.0, 0.0), False))
-    rows.append(("TOTAL", fm.force, fm.moment, False))
+             for s, f in zip(vp.segments, ev.segs)]
+    rows.append(("fuselage", ev.fus_force, (0.0, 0.0, 0.0), False))
+    rows.append(("TOTAL", ev.force, ev.moment, False))
     print("source,fx,fy,fz,mx,my,mz,stalled")
     for name, force, moment, stalled in rows:
         print(f"{name}," + ",".join(repr(float(v)) for v in (*force, *moment))
@@ -129,7 +126,7 @@ def _check_rk4_order(vp) -> tuple[bool, str]:
     vp0 = _drag_free(vp)
 
     def run(dt, steps):
-        s = s0.copy()
+        s = s0
         for _ in range(steps):
             s = integrate_step(s, act, vp0, np.zeros(3), dt)
         return s.omega
@@ -179,8 +176,8 @@ def _check_allocation(vp) -> tuple[bool, str]:
         M_act = rng.uniform(-0.5, 0.5, 3)
         res = daisy_chain_allocate(M_act, state, u_n, vp, np.zeros(3))
         worst = max(worst, np.abs(res.allocated + res.residual - M_act).max())
-        delta = (aero.total_wrench(state, res.commanded, vp, np.zeros(3))[0].moment
-                 - aero.total_wrench(state, u_n, vp, np.zeros(3))[0].moment)
+        delta = np.subtract(aero.total_wrench(state, res.commanded, vp, np.zeros(3)).moment,
+                            aero.total_wrench(state, u_n, vp, np.zeros(3)).moment)
         worst_model = max(worst_model, np.abs(res.allocated - delta).max())
         early_stops += (np.abs(res.residual).max() > RESIDUAL_TOL
                         and res.passes != PASSES)
@@ -221,10 +218,10 @@ def _check_mirror(vp) -> tuple[bool, str]:
             delta_pt=rng.uniform(0, 1), delta_e=rng.uniform(-1, 1))
         a = rng.uniform(-1, 1)
         act.delta_al, act.delta_ar = a, -a
-        fm, _ = aero.body_wrench(v, omega, act, vp)
-        fm_m, _ = aero.body_wrench(v, omega, act, twin)
-        asym = max(np.abs(fm_m.force - reflect * fm.force).max(),
-                   np.abs(fm_m.moment + reflect * fm.moment).max())
+        ev = aero.body_wrench(v, omega, act, vp)
+        ev_m = aero.body_wrench(v, omega, act, twin)
+        asym = max(np.abs(np.subtract(ev_m.force, reflect * ev.force)).max(),
+                   np.abs(np.add(ev_m.moment, reflect * ev.moment)).max())
         worst = max(worst, asym)
     return worst < 1e-9, f"symmetric-state mirror-twin residual {worst:.2e}"
 

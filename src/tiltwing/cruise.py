@@ -116,22 +116,22 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
     heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
 
-    def eval_at(theta: float, act_eval: ActuatorSet, prior: tuple | None = None):
+    def eval_at(theta: float, act_eval: ActuatorSet,
+                prior: aero.FlowTables | None = None):
         R = euler_zyx_to_matrix(roll, theta, yaw)
-        fm, tab = aero.body_wrench(aero.body_airspeed(R.ravel().tolist(), state.v, wind),
+        return R, aero.body_wrench(aero.body_airspeed(R.ravel().tolist(), state.v, wind),
                                    state.omega, act_eval, vp, prior)
-        return R, fm, tab
 
     J = np.empty((2, 2))
 
     # pitch column, source by source so stalled segments can be excluded
     h = FD_THETA
-    R_p, _, tab_p = eval_at(pitch + h, act)
-    R_m, _, tab_m = eval_at(pitch - h, act)
-    pairs = [(p.force, m.force) for p, m in zip(tab_p.props, tab_m.props)]
-    pairs += [(p.force, m.force) for p, m in zip(tab_p.segs, tab_m.segs)
+    R_p, ev_p = eval_at(pitch + h, act)
+    R_m, ev_m = eval_at(pitch - h, act)
+    pairs = [(p.force, m.force) for p, m in zip(ev_p.props, ev_m.props)]
+    pairs += [(p.force, m.force) for p, m in zip(ev_p.segs, ev_m.segs)
               if not (p.stalled or m.stalled)]
-    pairs.append((tab_p.fus_force, tab_m.fus_force))
+    pairs.append((ev_p.fus_force, ev_m.fus_force))
     col = np.zeros(2)
     for f_p, f_m in pairs:
         col += (_projected_force(R_p, heading, f_p)
@@ -146,10 +146,10 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
         a.delta_pl += sign * s
         a.delta_pr += sign * s
     # the probes share R0 and the airspeed: the second rebuilds what the mains move
-    R0, fm_tp, tab_tp = eval_at(pitch, act_p)
-    _, fm_tm, _ = eval_at(pitch, act_m, (fm_tp, tab_tp))
-    J[:, 1] = (_projected_force(R0, heading, fm_tp.force)
-               - _projected_force(R0, heading, fm_tm.force)) / (2.0 * s)
+    R0, ev_tp = eval_at(pitch, act_p)
+    _, ev_tm = eval_at(pitch, act_m, ev_tp)
+    J[:, 1] = (_projected_force(R0, heading, ev_tp.force)
+               - _projected_force(R0, heading, ev_tm.force)) / (2.0 * s)
     return J
 
 

@@ -6,7 +6,8 @@ matrix re-orthonormalized (polar projection) after every step.
 
 The step runs in Python floats over the flat state (x, v, R_IB row-major,
 omega), as numpy's cost per call outweighs 3-vector arithmetic, and builds
-`RigidBodyState` arrays once. Its stages take the airspeed from
+`RigidBodyState` arrays once. Each stage reads the float force and moment of
+one `aero.FlowTables` evaluation. Its stages take the airspeed from
 `aero.body_airspeed`, as every wrench evaluation does, so a first stage
 handed in by the caller is bit for bit the one the step would evaluate.
 """
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .aero import ForceMoment, body_airspeed, body_wrench
+from .aero import FlowTables, body_airspeed, body_wrench
 from .rotations import orthonormalize
 from .vehicle import ActuatorSet, VehicleParams
 
@@ -38,31 +38,6 @@ class RigidBodyState:
     R_IB: np.ndarray = field(default_factory=lambda: np.eye(3))
     omega: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    def copy(self) -> "RigidBodyState":
-        return RigidBodyState(self.x.copy(), self.v.copy(),
-                              self.R_IB.copy(), self.omega.copy())
-
-
-class StateDerivative(NamedTuple):
-    x_dot: np.ndarray
-    v_dot: np.ndarray
-    R_dot: np.ndarray
-    omega_dot: np.ndarray
-
-
-def state_derivative(s: RigidBodyState, fm: ForceMoment,
-                     vp: VehicleParams) -> StateDerivative:
-    """Equations of motion:
-
-    x_dot = v
-    m v_dot = m g + R_IB F
-    R_dot = R_IB [omega]x
-    I omega_dot = M - omega x I omega
-    """
-    d = np.array(_derivative(_flat(s), fm.force.tolist(), fm.moment.tolist(),
-                             _constants(vp)))
-    return StateDerivative(d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:])
-
 
 def _flat(s: RigidBodyState) -> list[float]:
     return [*s.x.tolist(), *s.v.tolist(), *s.R_IB.ravel().tolist(), *s.omega.tolist()]
@@ -75,7 +50,14 @@ def _constants(vp: VehicleParams) -> tuple:
 
 
 def _derivative(y, force, moment, c) -> tuple[float, ...]:
-    """`state_derivative` on the flat state ``y``, with ``c`` from `_constants`."""
+    """The flat state ``y``'s derivative under a body-frame force and moment
+    about the CG, with ``c`` from `_constants`:
+
+    x_dot = v
+    m v_dot = m g + R_IB F
+    R_dot = R_IB [omega]x
+    I omega_dot = M - omega x I omega
+    """
     _, _, _, vx, vy, vz, r00, r01, r02, r10, r11, r12, r20, r21, r22, wx, wy, wz = y
     (fx, fy, fz), (mx, my, mz) = force, moment
     mass, (gx, gy, gz), (i00, i01, i02, i10, i11, i12, i20, i21, i22), \
@@ -98,9 +80,10 @@ def _derivative(y, force, moment, c) -> tuple[float, ...]:
 
 def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
                    wind: np.ndarray, dt: float,
-                   wrench: ForceMoment | None = None) -> RigidBodyState:
+                   wrench: FlowTables | None = None) -> RigidBodyState:
     """One RK4 step of ``dt`` in ``wind``, actuation held, R re-orthonormalized.
-    A given ``wrench``, the first stage, must be the one at ``s``, ``act``, ``wind``."""
+    A given ``wrench``, the first stage's evaluation, must be the one at ``s``,
+    ``act``, ``wind``."""
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
     c = _constants(vp)
@@ -108,12 +91,12 @@ def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
     h = 0.5 * dt
 
     def stage(y):
-        fm, _ = body_wrench(body_airspeed(y[6:15], y[3:6], wind), y[15:], act, vp)
-        return _derivative(y, fm.force.tolist(), fm.moment.tolist(), c)
+        ev = body_wrench(body_airspeed(y[6:15], y[3:6], wind), y[15:], act, vp)
+        return _derivative(y, ev.force, ev.moment, c)
 
     try:
         k1 = stage(y0) if wrench is None \
-            else _derivative(y0, wrench.force.tolist(), wrench.moment.tolist(), c)
+            else _derivative(y0, wrench.force, wrench.moment, c)
         k2 = stage([a + h * b for a, b in zip(y0, k1)])
         k3 = stage([a + h * b for a, b in zip(y0, k2)])
         k4 = stage([a + dt * b for a, b in zip(y0, k3)])

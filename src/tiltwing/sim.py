@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import aero
 from .attitude import (AttitudeController, AttitudeSetpoint,
@@ -25,11 +24,13 @@ from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap
 from .vehicle import (ACTUATOR_ORDER, ActuatorSet, ConfigError,
                       VehicleParams, _number, _vec3, actuation_from_commands,
-                      apply_actuator_rates, nominal_actuation, read_csv_table)
+                      apply_actuator_rates, nominal_actuation, read_csv_table,
+                      read_yaml_file)
 
 SIM_RATE = 250.0           # Hz, dynamics and attitude
 CRUISE_DIVIDER = 5         # cruise runs every 5th tick (50 Hz)
 STEADY_AFTER = 3.0         # s after a setpoint change before a sample is steady
+MAX_DURATION = 3600.0      # s; a run allocates its log's rows up front
 
 SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
 
@@ -77,8 +78,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ScenarioError(f"mode must be one of {MODES}, got {self.mode}")
-        if not self.duration > 0.0:
-            raise ScenarioError("duration must be > 0")
+        if not 0.0 < self.duration <= MAX_DURATION:
+            raise ScenarioError(f"duration must be > 0 and at most {MAX_DURATION:g} s, "
+                                f"got {self.duration}")
         for what, times in (("timeline timestamps", [e.t for e in self.timeline]),
                             ("wind step times", [s.t for s in self.wind_steps])):
             if any(b <= a for a, b in zip(times, times[1:])):
@@ -186,11 +188,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             path = shipped
         else:
             raise ScenarioError(f"scenario not found: {name_or_path}")
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"cannot parse {path}: {exc}") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_yaml_file(path, "scenario", ScenarioError))
 
 
 def state_from_dict(raw: dict) -> RigidBodyState:
@@ -322,8 +320,9 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
                                                            act.zeta_w, dt)
                 m_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
                 nominal = nominal_moment_estimate(state, u_n, vp, wind)
-                m_hat = nominal[0].moment
-                alloc = daisy_chain_allocate(m_des - m_hat, state, u_n, vp, wind, nominal)
+                m_hat = nominal.moment
+                alloc = daisy_chain_allocate(m_des - np.array(m_hat), state, u_n, vp,
+                                             wind, nominal)
                 cmd = alloc.commanded
                 alloc_res = alloc.residual
 
@@ -331,13 +330,13 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
 
             # the allocator's last evaluation is of this state and wind, and
             # is the result itself when the wing does not slew
-            fm, tab = aero.total_wrench(state, act, vp, wind,
-                                        alloc.evaluation if alloc else None)
+            ev = aero.total_wrench(state, act, vp, wind,
+                                   alloc.evaluation if alloc else None)
             # z force per source group; sum's start 0 and +0.0 turn a signed
             # zero into +0.0
-            group_fz = [sum(p.force[2] for p in tab.props),
-                        sum(s.force[2] for s in tab.segs),
-                        0.0 + tab.fus_force[2]]
+            group_fz = [sum(p.force[2] for p in ev.props),
+                        sum(s.force[2] for s in ev.segs),
+                        0.0 + ev.fus_force[2]]
 
             roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
             co = cruise_out if sc.mode == "cruise" else None
@@ -352,11 +351,11 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
                     co.trim_u[0], co.trim_u[1], co.trim_theta,
                     float(co.lookup_clamped)] if co is not None
                    else [np.nan] * 9 + [0.0])
-                + [*fm.force, *fm.moment, *group_fz]
+                + [*ev.force, *ev.moment, *group_fz]
                 + [alloc.passes if alloc else 0, 0.0]
             )
             n_logged = k + 1
-            state = integrate_step(state, act, vp, wind, dt, wrench=fm)
+            state = integrate_step(state, act, vp, wind, dt, wrench=ev)
         except (IntegrationFault, FloatingPointError) as exc:
             # a fault anywhere in the tick ends the run; the tick's row
             # carries the flag if it was logged before the fault

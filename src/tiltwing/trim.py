@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aero import body_wrench
+from .aero import FlowTables, body_wrench
 from .leastsq import least_squares_lm
 from .vehicle import ActuatorSet, VehicleParams, read_csv_table
 
@@ -103,7 +103,7 @@ _ZERO3 = np.zeros(3)
 
 
 def trim_accelerations(u: np.ndarray, theta: float, v_a: float, gamma: float,
-                       vp: VehicleParams, prior: tuple | None = None
+                       vp: VehicleParams, prior: FlowTables | None = None
                        ) -> tuple[np.ndarray, float]:
     """(v_dot inertial, theta_ddot) of the steady candidate at omega = 0;
     ``prior`` goes to `body_wrench` and does not change the result."""
@@ -111,20 +111,19 @@ def trim_accelerations(u: np.ndarray, theta: float, v_a: float, gamma: float,
 
 
 def _steady_state(act: ActuatorSet, theta: float, v_a: float, gamma: float,
-                  vp: VehicleParams, prior: tuple | None
-                  ) -> tuple[np.ndarray, float, tuple]:
-    """`trim_accelerations` of an actuation, and the `body_wrench` pair."""
+                  vp: VehicleParams, prior: FlowTables | None
+                  ) -> tuple[np.ndarray, float, FlowTables]:
+    """`trim_accelerations` of an actuation, and its `body_wrench` record."""
     ct, st = math.cos(theta), math.sin(theta)
     cg, sg = math.cos(gamma), math.sin(gamma)
     # body airspeed = R_y(theta)^T (v_a cos(g), 0, -v_a sin(g))
     v_a_body = np.array([v_a * (ct * cg + st * sg), 0.0,
                          v_a * (st * cg - ct * sg)])
-    pair = body_wrench(v_a_body, _ZERO3, act, vp, prior)
-    f = pair[0].force
-    v_dot = vp.gravity + np.array([ct * f[0] + st * f[2], f[1],
-                                   -st * f[0] + ct * f[2]]) / vp.mass
-    theta_ddot = float(vp.inertia_inv[1] @ pair[0].moment)
-    return v_dot, theta_ddot, pair
+    ev = body_wrench(v_a_body, _ZERO3, act, vp, prior)
+    fx, fy, fz = ev.force
+    v_dot = vp.gravity + np.array([ct * fx + st * fz, fy, -st * fx + ct * fz]) / vp.mass
+    theta_ddot = float(vp.inertia_inv[1] @ np.array(ev.moment))
+    return v_dot, theta_ddot, ev
 
 
 def theta_star(v_a: float, gamma: float) -> float:
@@ -174,17 +173,17 @@ def trim_cost(u: np.ndarray, theta: float, th_star: float,
 
 def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
                   vp: VehicleParams, neighbor_mean: np.ndarray | None,
-                  th_star: float, prior: tuple | None
-                  ) -> tuple[np.ndarray, tuple]:
+                  th_star: float, prior: FlowTables | None
+                  ) -> tuple[np.ndarray, FlowTables]:
     """Weighted residual vector [sqrt(Q_v) v_dot_xz, sqrt(Q_theta)
     theta_ddot, sqrt(cost terms)] whose squared norm is the trim objective,
-    and the `body_wrench` pair of its evaluation. ``th_star`` is the pitch
-    target, ``theta_star(v_a, gamma)`` in a solve; ``neighbor_mean`` is the
-    mean z of the neighboring solutions, None for no neighbor term; ``prior``
-    is as in `trim_accelerations`."""
+    and its `body_wrench` record. ``th_star`` is the pitch target,
+    ``theta_star(v_a, gamma)`` in a solve; ``neighbor_mean`` is the mean z of
+    the neighboring solutions, None for no neighbor term; ``prior`` is as in
+    `trim_accelerations`."""
     w = WEIGHTS
     act = trim_actuation(vp, u)
-    v_dot, th_dd, pair = _steady_state(act, theta, v_a, gamma, vp, prior)
+    v_dot, th_dd, ev = _steady_state(act, theta, v_a, gamma, vp, prior)
     sq_v = math.sqrt(w.q_v)
     parts = [sq_v * v_dot[0], sq_v * v_dot[2], math.sqrt(w.q_theta) * th_dd]
     power, sat, pitch = _cost_terms(act, theta, th_star, vp)
@@ -194,7 +193,7 @@ def trim_residual(u: np.ndarray, theta: float, v_a: float, gamma: float,
     if neighbor_mean is not None:
         dev = np.concatenate([u, [theta]]) - neighbor_mean
         parts.extend(math.sqrt(w.w_neighbor) * dev)
-    return np.array(parts), pair
+    return np.array(parts), ev
 
 
 def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
@@ -202,7 +201,7 @@ def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
                      neighbors: list[np.ndarray] | None = None) -> TrimPoint:
     """Solve one operating point from an initial guess z = (u, theta).
 
-    Every residual evaluation hands `body_wrench` the pair of the current
+    Every residual evaluation hands `body_wrench` the record of the current
     LM iterate as ``prior``. The iterate is the last evaluated z that is not
     a one-coordinate offset of the iterate before it: the Jacobian's
     central-difference probes are such offsets, so a probe of delta_plr,
@@ -214,20 +213,20 @@ def solve_trim_point(v_a: float, gamma: float, ig: np.ndarray,
     neighbor_mean = np.mean(neighbors, axis=0) if neighbors else None
     lb = np.concatenate([U_LO, [-math.pi / 2]])
     ub = np.concatenate([U_HI, [math.pi / 2]])
-    it_z = it_pair = None
+    it_z = it_ev = None
 
     def residual(z):
-        nonlocal it_z, it_pair
-        r, pair = trim_residual(z[:5], z[5], v_a, gamma, vp, neighbor_mean,
-                                th_star, it_pair)
+        nonlocal it_z, it_ev
+        r, ev = trim_residual(z[:5], z[5], v_a, gamma, vp, neighbor_mean,
+                              th_star, it_ev)
         if it_z is None or np.count_nonzero(z != it_z) > 1:
-            it_z, it_pair = z.copy(), pair
+            it_z, it_ev = z.copy(), ev
         return r
 
     res = least_squares_lm(residual, np.asarray(ig, dtype=float), lb, ub,
                            max_iter=MAX_ITER)
     u, theta = res.x[:5], float(res.x[5])
-    v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp, it_pair)
+    v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp, it_ev)
     res_v = float(np.linalg.norm(v_dot))
     res_th = abs(th_dd)
     feasible = res_v < WEIGHTS.eps_v and res_th < WEIGHTS.eps_theta

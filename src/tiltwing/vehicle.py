@@ -117,7 +117,6 @@ class WingParams:
 class ActuatorLimits:
     """Normalized command range and physical mapping of one actuator."""
 
-    name: str
     lo: float
     hi: float
     travel: float              # physical value per unit command (rad or rev/s)
@@ -403,16 +402,20 @@ def read_csv_table(path: str | Path, error: type[Exception]
     return comments, header, np.array(rows, dtype=float).reshape(-1, len(header)), linenos
 
 
+def read_yaml_file(path: str | Path, what: str, error: type[Exception]):
+    """The YAML document of a file. A missing file raises ``error`` saying
+    that ``what`` is not found, and a YAML syntax error one naming the file."""
+    try:
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except yaml.YAMLError as exc:
+        raise error(f"cannot parse {path}: {exc}") from exc
+
+
 def load_vehicle_config(path: str | Path) -> VehicleParams:
     """Load and fully validate a vehicle config file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with path.open("r", encoding="utf-8") as f:
-            raw = yaml.safe_load(f)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    raw = read_yaml_file(path, "config file", ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return vehicle_from_dict(raw)
@@ -499,15 +502,14 @@ def vehicle_from_dict(raw: dict) -> VehicleParams:
     araw = _require(raw, "actuators", "")
     prop_by_name = {p.name: p for p in props}
     acts: dict[str, ActuatorLimits] = {
-        "w": ActuatorLimits("w", 0.0, 1.0, WING_TILT_MAX),
+        "w": ActuatorLimits(0.0, 1.0, WING_TILT_MAX),
     }
     for pname in PROPELLER_NAMES:
         if pname in prop_by_name:
-            acts[pname] = ActuatorLimits(pname, 0.0, 1.0, prop_by_name[pname].max_speed)
+            acts[pname] = ActuatorLimits(0.0, 1.0, prop_by_name[pname].max_speed)
     for aname, key in (("al", "aileron"), ("ar", "aileron"),
                        ("e", "elevator"), ("r", "rudder"), ("tt", "tail_tilt")):
-        acts[aname] = ActuatorLimits(aname, -1.0, 1.0,
-                                     _angle(araw, f"{key}_travel", "actuators."))
+        acts[aname] = ActuatorLimits(-1.0, 1.0, _angle(araw, f"{key}_travel", "actuators."))
 
     return VehicleParams(mass=mass, inertia=inertia, gravity=gravity, rho=rho,
                          wing=wing, propellers=props, segments=segs,

@@ -9,13 +9,21 @@ functions, shared by both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from tiltwing.aero import ETA_MIN, ForceMoment, advance_ratio, airfoil_coefficients
+from tiltwing.aero import ETA_MIN, advance_ratio, airfoil_coefficients
 from tiltwing.rotations import rot_x, rot_y
 from tiltwing.vehicle import (ActuatorSet, AirfoilSegmentParams, BINDING_TO_ACTUATOR,
                               FuselageParams, PropellerParams, VehicleParams)
+
+
+class Wrench(NamedTuple):
+    """Body-frame force [N] and moment [N m] about the CG of one source."""
+
+    force: np.ndarray
+    moment: np.ndarray
 
 
 @dataclass
@@ -142,7 +150,7 @@ def segment_deflection(vp: VehicleParams, seg: AirfoilSegmentParams,
 # ---------------------------------------------------------------------------
 
 def propeller_wrench(prop: PropellerParams, eta: float, flow: LocalFlow,
-                     rho: float) -> ForceMoment:
+                     rho: float) -> Wrench:
     """Thrust + normal-force wrench of one propeller about the CG.
 
     F = rho eta^2 D^4 C_T(J) p_par - eta mu_N V_perp p_perp
@@ -158,7 +166,7 @@ def propeller_wrench(prop: PropellerParams, eta: float, flow: LocalFlow,
     force = thrust * axis - normal * flow.radial
     torque = -rho * eta ** 2 * D ** 5 * (prop.cq0 + prop.cq1 * J) * prop.handedness * axis
     moment = torque + np.cross(flow.position, force)
-    return ForceMoment(force, moment)
+    return Wrench(force, moment)
 
 
 def induced_velocity(prop: PropellerParams, thrust: float, v_axial: float,
@@ -190,7 +198,7 @@ def propeller_slipstream(prop: PropellerParams, eta: float, thrust: float,
 # ---------------------------------------------------------------------------
 
 def segment_wrench(seg: AirfoilSegmentParams, flow: LocalFlow, zeta_cs: float,
-                   rho: float) -> ForceMoment:
+                   rho: float) -> Wrench:
     """Lift/drag/quarter-chord-moment wrench of one segment about the CG."""
     V = flow.speed
     q_area = 0.5 * rho * V ** 2 * seg.chord * seg.span
@@ -198,11 +206,11 @@ def segment_wrench(seg: AirfoilSegmentParams, flow: LocalFlow, zeta_cs: float,
     force = q_area * (cl * flow.e_lift + cd * flow.e_drag)
     moment = (cm * 0.5 * rho * V ** 2 * seg.chord ** 2 * seg.span) * flow.e_span \
         + np.cross(flow.position, force)
-    return ForceMoment(force, moment)
+    return Wrench(force, moment)
 
 
 def fuselage_wrench(v_a_body: np.ndarray, fus: FuselageParams,
-                    rho: float) -> ForceMoment:
+                    rho: float) -> Wrench:
     """Quadratic-form fuselage drag; no moment."""
     u, v, w = v_a_body
     force = -0.5 * rho * np.array([
@@ -210,4 +218,4 @@ def fuselage_wrench(v_a_body: np.ndarray, fus: FuselageParams,
         fus.cd_y * v * abs(v),
         fus.cd_z * w * abs(w),
     ])
-    return ForceMoment(force, np.zeros(3))
+    return Wrench(force, np.zeros(3))

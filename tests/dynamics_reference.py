@@ -8,10 +8,12 @@ checks it against this reference. The wrench is the model's own
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from tiltwing.aero import ForceMoment, body_wrench
-from tiltwing.dynamics import RigidBodyState, StateDerivative
+from tiltwing.aero import body_wrench
+from tiltwing.dynamics import RigidBodyState
 from tiltwing.rotations import orthonormalize
 from tiltwing.vehicle import ActuatorSet, VehicleParams
 
@@ -21,17 +23,26 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
-def state_derivative(s: RigidBodyState, fm: ForceMoment,
-                     vp: VehicleParams) -> StateDerivative:
-    v_dot = vp.gravity + s.R_IB @ fm.force / vp.mass
-    omega_dot = vp.inertia_inv @ (fm.moment - np.cross(s.omega, vp.inertia @ s.omega))
+class StateDerivative(NamedTuple):
+    x_dot: np.ndarray
+    v_dot: np.ndarray
+    R_dot: np.ndarray
+    omega_dot: np.ndarray
+
+
+def state_derivative(s: RigidBodyState, wrench, vp: VehicleParams) -> StateDerivative:
+    """Equations of motion under the body-frame ``wrench.force`` and
+    ``wrench.moment`` about the CG."""
+    force, moment = np.array(wrench.force), np.array(wrench.moment)
+    v_dot = vp.gravity + s.R_IB @ force / vp.mass
+    omega_dot = vp.inertia_inv @ (moment - np.cross(s.omega, vp.inertia @ s.omega))
     return StateDerivative(x_dot=s.v.copy(), v_dot=v_dot,
                            R_dot=s.R_IB @ skew(s.omega), omega_dot=omega_dot)
 
 
 def _deriv(x, v, R, omega, act, vp, wind):
-    fm, _ = body_wrench(R.T @ (v - wind), omega, act, vp)
-    return state_derivative(RigidBodyState(x, v, R, omega), fm, vp)
+    ev = body_wrench(R.T @ (v - wind), omega, act, vp)
+    return state_derivative(RigidBodyState(x, v, R, omega), ev, vp)
 
 
 def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,

@@ -294,9 +294,9 @@ def test_fuselage_hand_evaluated():
 def test_total_wrench_all_zero(vp):
     state = RigidBodyState()
     act = actuation_from_commands(vp)
-    fm, _ = total_wrench(state, act, vp, np.zeros(3))
-    assert np.allclose(fm.force, 0.0)
-    assert np.allclose(fm.moment, 0.0)
+    ev = total_wrench(state, act, vp, np.zeros(3))
+    assert np.allclose(ev.force, 0.0)
+    assert np.allclose(ev.moment, 0.0)
 
 
 def test_total_wrench_symmetric_state(vp):
@@ -304,10 +304,10 @@ def test_total_wrench_symmetric_state(vp):
     # so a mirror-invariant actuation keeps it off
     state = RigidBodyState(v=np.array([12.0, 0.0, 0.5]))
     act = actuation_from_commands(vp, delta_w=0.1, delta_plr=0.6, delta_e=0.1)
-    fm, _ = total_wrench(state, act, vp, np.zeros(3))
-    assert abs(fm.force[1]) < 1e-9
-    assert abs(fm.moment[0]) < 1e-9
-    assert abs(fm.moment[2]) < 1e-9
+    ev = total_wrench(state, act, vp, np.zeros(3))
+    assert abs(ev.force[1]) < 1e-9
+    assert abs(ev.moment[0]) < 1e-9
+    assert abs(ev.moment[2]) < 1e-9
 
 
 def test_total_wrench_hover_thrust_balance(vp):
@@ -316,9 +316,9 @@ def test_total_wrench_hover_thrust_balance(vp):
     eta = math.sqrt(vp.weight / (2.0 * vp.rho * main.diameter ** 4 * main.ct0))
     state = RigidBodyState()
     act = actuation_from_commands(vp, delta_w=1.0, delta_plr=eta / main.max_speed)
-    fm, _ = total_wrench(state, act, vp, np.zeros(3))
+    ev = total_wrench(state, act, vp, np.zeros(3))
     # inertial z force balances weight to within the (small) downloads
-    assert abs(fm.force[2] + vp.weight) < 0.05 * vp.weight
+    assert abs(ev.force[2] + vp.weight) < 0.05 * vp.weight
 
 
 def test_breakdown_sums_to_totals(vp):
@@ -333,14 +333,14 @@ def test_breakdown_sums_to_totals(vp):
             delta_pt=rng.uniform(0, 1), delta_al=rng.uniform(-1, 1),
             delta_ar=rng.uniform(-1, 1), delta_e=rng.uniform(-1, 1),
             delta_r=rng.uniform(-1, 1), delta_tt=rng.uniform(-1, 1))
-        fm, tab = total_wrench(state, act, vp, np.zeros(3))
-        scale = max(np.abs(fm.force).max(), np.abs(fm.moment).max(), 1.0)
-        f_sum = (np.sum([p.force for p in tab.props], axis=0)
-                 + np.sum([s.force for s in tab.segs], axis=0) + tab.fus_force)
-        m_sum = (np.sum([p.moment for p in tab.props], axis=0)
-                 + np.sum([s.moment for s in tab.segs], axis=0))
-        assert np.abs(f_sum - fm.force).max() < 1e-9 * scale
-        assert np.abs(m_sum - fm.moment).max() < 1e-9 * scale
+        ev = total_wrench(state, act, vp, np.zeros(3))
+        scale = max(np.abs(ev.force).max(), np.abs(ev.moment).max(), 1.0)
+        f_sum = (np.sum([p.force for p in ev.props], axis=0)
+                 + np.sum([s.force for s in ev.segs], axis=0) + ev.fus_force)
+        m_sum = (np.sum([p.moment for p in ev.props], axis=0)
+                 + np.sum([s.moment for s in ev.segs], axis=0))
+        assert np.abs(f_sum - ev.force).max() < 1e-9 * scale
+        assert np.abs(m_sum - ev.moment).max() < 1e-9 * scale
 
 
 def test_single_element_ops_match_vector_path(vp):
@@ -356,7 +356,7 @@ def test_single_element_ops_match_vector_path(vp):
                                   delta_pt=0.3, delta_al=0.2, delta_ar=-0.1,
                                   delta_e=0.25, delta_r=-0.2, delta_tt=0.15)
     v_a_body = state.R_IB.T @ state.v
-    _, tab = body_wrench(v_a_body, state.omega, act, vp)
+    tab = body_wrench(v_a_body, state.omega, act, vp)
 
     # propellers
     for i, prop in enumerate(vp.propellers):
@@ -413,12 +413,12 @@ def test_mirror_symmetry_property(vp):
                                         delta_r=-dr, delta_tt=-dtt, **kw)
         v_m = np.array([v[0], -v[1], v[2]])
         om_m = np.array([-om[0], om[1], -om[2]])
-        fm, _ = body_wrench(v, om, act, vp)
-        fm_m, _ = body_wrench(v_m, om_m, act_m, vp_m)
-        scale = max(np.abs(fm.force).max(), np.abs(fm.moment).max(), 1.0)
-        assert np.allclose(fm_m.force, [fm.force[0], -fm.force[1], fm.force[2]],
+        ev = body_wrench(v, om, act, vp)
+        ev_m = body_wrench(v_m, om_m, act_m, vp_m)
+        scale = max(np.abs(ev.force).max(), np.abs(ev.moment).max(), 1.0)
+        assert np.allclose(ev_m.force, [ev.force[0], -ev.force[1], ev.force[2]],
                            atol=1e-9 * scale)
-        assert np.allclose(fm_m.moment, [-fm.moment[0], fm.moment[1], -fm.moment[2]],
+        assert np.allclose(ev_m.moment, [-ev.moment[0], ev.moment[1], -ev.moment[2]],
                            atol=1e-9 * scale)
 
 
@@ -430,9 +430,8 @@ def test_unbinding_slipstream_reproduces_free_stream(vp):
 
     act_kw = dict(delta_w=0.8, delta_plr=0.7)
     state = RigidBodyState(v=np.array([4.0, 0.0, 0.0]))
-    _, tab1 = total_wrench(state, actuation_from_commands(vp, **act_kw), vp, np.zeros(3))
-    _, tab2 = total_wrench(state, actuation_from_commands(vp2, **act_kw), vp2,
-                           np.zeros(3))
+    tab1 = total_wrench(state, actuation_from_commands(vp, **act_kw), vp, np.zeros(3))
+    tab2 = total_wrench(state, actuation_from_commands(vp2, **act_kw), vp2, np.zeros(3))
     k = next(k for k, s in enumerate(vp.segments) if s.name == "wing_l_in")
     f1, f2 = tab1.segs[k].force, tab2.segs[k].force
     # bound segment feels the slipstream...
@@ -454,7 +453,7 @@ def test_thrust_nonnegative_along_axis(vp):
         act = actuation_from_commands(vp, delta_w=rng.uniform(0, 1),
                                       delta_plr=rng.uniform(0, 1),
                                       delta_pt=rng.uniform(0, 1))
-        _, tab = body_wrench(v, np.zeros(3), act, vp)
+        tab = body_wrench(v, np.zeros(3), act, vp)
         assert all(p.thrust >= -1e-12 for p in tab.props)
 
 
@@ -476,7 +475,7 @@ def test_non_finite_or_overflowing_input_raises_floating_point_error(vp, where, 
 
 
 # ---------------------------------------------------------------------------
-# re-evaluation from a prior pair
+# re-evaluation from a prior
 # ---------------------------------------------------------------------------
 
 COMMANDS = ("pl", "pr", "pt", "al", "ar", "e", "r", "tt")
@@ -493,17 +492,17 @@ def _random_actuation(vp, rng):
 
 
 def _assert_same_evaluation(got, want):
-    assert got[0].force.tobytes() == want[0].force.tobytes()
-    assert got[0].moment.tobytes() == want[0].moment.tobytes()
+    assert np.array(got.force).tobytes() == np.array(want.force).tobytes()
+    assert np.array(got.moment).tobytes() == np.array(want.moment).tobytes()
     # repr round-trips every float and tells -0.0 from 0.0
-    assert repr(got[1]) == repr(want[1])
+    assert repr(got) == repr(want)
 
 
 def test_prior_reevaluation_matches_full_bit_for_bit(vp):
-    """Given a prior pair at the same airspeed, rate and wing tilt, a step of
+    """Given a prior at the same airspeed, rate and wing tilt, a step of
     any command or command group gives the full evaluation's force, moment
     and records bit for bit; a step that changes no command bit (clamped
-    at a limit) returns the prior pair itself."""
+    at a limit) returns the prior itself."""
     rng = np.random.default_rng(23)
     for _ in range(60):
         v, omega = rng.uniform(-3, 18, 3), rng.uniform(-1, 1, 3)
@@ -561,3 +560,31 @@ def test_prior_at_another_operating_point_is_a_full_evaluation(vp, moved):
             arr[1] = np.nextafter(arr[1], 10.0)
         _assert_same_evaluation(body_wrench(v2, omega2, act2, vp, prior),
                                 body_wrench(v2, omega2, act2, vp))
+
+
+def test_net_wrench_is_the_documented_sum_of_the_records(vp):
+    """``force`` and ``moment`` add the segments in row order, then the
+    fuselage force, then the propellers, each sum from +0.0, bit for bit,
+    for a full evaluation and for one re-evaluated from a prior."""
+    def in_order(vectors):
+        total = (0.0, 0.0, 0.0)
+        for vec in vectors:
+            total = tuple(t + x for t, x in zip(total, vec))
+        return total
+
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        v, omega = rng.uniform(-3, 18, 3), rng.uniform(-1, 1, 3)
+        act = _random_actuation(vp, rng)
+        full = body_wrench(v, omega, act, vp)
+        stepped = act.copy()
+        stepped.delta_pl, stepped.delta_e = rng.uniform(0, 1), rng.uniform(-1, 1)
+        reevaluated = body_wrench(v, omega, stepped, vp, full)
+        assert reevaluated is not full
+        for ev in (full, reevaluated):
+            seg_f, prop_f = (in_order(r.force for r in rows) for rows in (ev.segs, ev.props))
+            seg_m, prop_m = (in_order(r.moment for r in rows) for rows in (ev.segs, ev.props))
+            force = [s + f + p for s, f, p in zip(seg_f, ev.fus_force, prop_f)]
+            moment = [s + p for s, p in zip(seg_m, prop_m)]
+            assert np.array(ev.force).tobytes() == np.array(force).tobytes()
+            assert np.array(ev.moment).tobytes() == np.array(moment).tobytes()

@@ -207,6 +207,14 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
     ("model eval --vehicle {d}/v.yaml --state {d}/s.yaml --actuators {d}/a.yaml",
      {"v.yaml": VEHICLE_TEXT.replace("ct: [0.11, -0.12]", "ct: 0.1"),
       "s.yaml": "{}\n", "a.yaml": "w: 1\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "a: [1, 2\n", "a.yaml": "w: 1\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "{}\n", "a.yaml": "a: [1, 2\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: .inf\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: 1.0e12\n"}),
     ("report --log {d}/log.csv", {"log.csv": "t,x\n0.0,1.0\n0.004,fast\n"}),
     ("report --log {d}/log.csv", {"log.csv": "t,x\n0.0,1.0\n0.004\n"}),
     ("trim query --map {d}/map.csv --va 1 --gamma 0",
@@ -221,6 +229,8 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
         "velocity_not_numbers", "actuators_list", "actuator_not_a_number",
         "wind_not_a_mapping", "wind_steps_not_a_list", "ramp_not_a_bool",
         "vehicle_mass_not_a_number", "vehicle_ct_not_a_list",
+        "state_yaml_malformed", "actuators_yaml_malformed",
+        "duration_inf", "duration_1e12",
         "log_value_not_a_number", "log_row_short", "map_value_not_a_number",
         "query_va_nan", "query_gamma_inf"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):

@@ -103,8 +103,7 @@ def test_unstalled_cruise_matches_plain_differences(vp):
     def f_of(theta, dplr):
         R = euler_zyx_to_matrix(0.0, theta, 0.0)
         a = actuation_from_commands(vp, delta_w=0.05, delta_plr=dplr)
-        fm, _ = body_wrench(R.T @ state.v, np.zeros(3), a, vp)
-        fi = R @ fm.force
+        fi = R @ body_wrench(R.T @ state.v, np.zeros(3), a, vp).force
         return np.array([fi @ heading, fi[2]])
 
     h, s = cruise.FD_THETA, cruise.FD_THROTTLE
@@ -125,8 +124,7 @@ def test_stall_exclusion_changes_pitch_column(vp):
 
     def f_of(theta):
         R = euler_zyx_to_matrix(0.0, theta, 0.0)
-        fm, _ = body_wrench(R.T @ state.v, np.zeros(3), act, vp)
-        fi = R @ fm.force
+        fi = R @ body_wrench(R.T @ state.v, np.zeros(3), act, vp).force
         return np.array([fi @ heading, fi[2]])
 
     h = cruise.FD_THETA

@@ -5,16 +5,19 @@ import dynamics_reference
 import numpy as np
 import pytest
 
-from tiltwing.aero import ForceMoment, total_wrench
-from tiltwing.dynamics import (IntegrationFault, RigidBodyState,
-                               integrate_step, state_derivative)
+from tiltwing import dynamics
+from tiltwing.aero import total_wrench
+from tiltwing.dynamics import IntegrationFault, RigidBodyState, integrate_step
 from tiltwing.rotations import euler_zyx_to_matrix
 from tiltwing.vehicle import actuation_from_commands
 
 
-def _fm(force=(0.0, 0.0, 0.0), moment=(0.0, 0.0, 0.0)):
-    return ForceMoment(force=np.asarray(force, dtype=float),
-                       moment=np.asarray(moment, dtype=float))
+def state_derivative(s, vp, force=(0.0, 0.0, 0.0), moment=(0.0, 0.0, 0.0)):
+    """The model's derivative of the flat state ``s`` under a body-frame
+    force and moment, split into the reference's named arrays."""
+    d = np.array(dynamics._derivative(dynamics._flat(s), force, moment,
+                                      dynamics._constants(vp)))
+    return dynamics_reference.StateDerivative(d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:])
 
 
 def _airless(vp, gravity=None):
@@ -28,7 +31,7 @@ def _airless(vp, gravity=None):
 
 
 def test_free_fall(vp):
-    d = state_derivative(RigidBodyState(), _fm(), vp)
+    d = state_derivative(RigidBodyState(), vp)
     assert np.allclose(d.v_dot, vp.gravity)
     assert np.allclose(d.omega_dot, 0.0)
     assert np.allclose(d.x_dot, 0.0)
@@ -39,7 +42,7 @@ def test_spherical_inertia_no_gyroscopic_term(vp):
     vp2.inertia = 0.05 * np.eye(3)
     vp2.__post_init__()
     s = RigidBodyState(omega=np.array([3.0, -2.0, 1.0]))
-    d = state_derivative(s, _fm(), vp2)
+    d = state_derivative(s, vp2)
     assert np.allclose(d.omega_dot, 0.0, atol=1e-14)
 
 
@@ -49,13 +52,13 @@ def test_euler_term_hand_evaluated(vp):
     vp2.inertia = np.diag([1.0, 2.0, 3.0])
     vp2.__post_init__()
     s = RigidBodyState(omega=np.array([1.0, 1.0, 0.0]))
-    d = state_derivative(s, _fm(), vp2)
+    d = state_derivative(s, vp2)
     assert np.allclose(d.omega_dot, [0.0, 0.0, -1.0 / 3.0], atol=1e-14)
 
 
 def test_rotation_kinematics(vp):
     s = RigidBodyState(omega=np.array([0.0, 0.0, 1.0]))
-    d = state_derivative(s, _fm(), vp)
+    d = state_derivative(s, vp)
     assert np.allclose(d.R_dot, s.R_IB @ np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]]))
 
 
@@ -164,8 +167,7 @@ def test_step_given_start_wrench_matches_evaluating_it(vp):
                                       delta_pt=rng.uniform(0.0, 0.3),
                                       delta_e=rng.uniform(-0.3, 0.3))
         wind = rng.uniform(-3.0, 3.0, 3)
-        fm, _ = total_wrench(s, act, vp, wind)
-        given = integrate_step(s, act, vp, wind, 0.004, fm)
+        given = integrate_step(s, act, vp, wind, 0.004, total_wrench(s, act, vp, wind))
         evaluated = integrate_step(s, act, vp, wind, 0.004)
         for name in ("x", "v", "R_IB", "omega"):
             assert getattr(given, name).tobytes() == getattr(evaluated, name).tobytes()
@@ -190,11 +192,11 @@ def test_float_step_matches_numpy_reference(vp):
             delta_e=rng.uniform(-1, 1), delta_r=rng.uniform(-1, 1),
             delta_tt=rng.uniform(-1, 1))
         wind = rng.uniform(-5.0, 5.0, 3)
-        fm, _ = total_wrench(s, act, vp, wind)
-        pairs = [(a, b) for a, b in zip(state_derivative(s, fm, vp),
-                                        dynamics_reference.state_derivative(s, fm, vp))]
+        ev = total_wrench(s, act, vp, wind)
+        pairs = [(a, b) for a, b in zip(state_derivative(s, vp, ev.force, ev.moment),
+                                        dynamics_reference.state_derivative(s, ev, vp))]
         ref = dynamics_reference.integrate_step(s, act, vp, wind, 0.004)
-        for given in (None, fm):
+        for given in (None, ev):
             out = integrate_step(s, act, vp, wind, 0.004, given)
             pairs += [(getattr(out, n), getattr(ref, n)) for n in ("x", "v", "R_IB", "omega")]
         for a, b in pairs:

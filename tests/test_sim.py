@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,7 @@ def test_tick_logs_the_allocators_last_evaluation(vp, monkeypatch):
 
 
 def test_cruise_log_matches_full_evaluations(vp, committed_map_path, monkeypatch):
-    """Re-evaluating from prior pairs changes no bit of 0.5 s of
+    """Re-evaluating from priors changes no bit of 0.5 s of
     forward_transition in cruise mode, cruise updates included."""
     tmap = load_trim_map(committed_map_path)
     sc = load_scenario("forward_transition")
@@ -230,6 +231,17 @@ def test_scenario_rejects_unknown_initial_key():
 def test_scenario_rejects_timeline_key_outside_its_mode(mode, entry):
     with pytest.raises(ScenarioError, match="not setpoints of mode " + mode):
         scenario_from_dict(_scenario(mode=mode, timeline=[entry]))
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf, 1.0e12,
+                                      math.nextafter(sim.MAX_DURATION, math.inf)])
+def test_scenario_duration_must_be_positive_and_bounded(duration):
+    """An unbounded duration is refused when the scenario is built, before a
+    run allocates its log; the bound itself is a valid duration."""
+    raw = dict(_scenario(), duration=duration)
+    with pytest.raises(ScenarioError, match="duration must be > 0 and at most"):
+        scenario_from_dict(raw)
+    assert scenario_from_dict(dict(raw, duration=sim.MAX_DURATION)).duration == sim.MAX_DURATION
 
 
 @pytest.mark.parametrize("times", [(0.3, 0.1), (0.2, 0.2)])

@@ -136,7 +136,7 @@ def test_hover_trim_identity(vp):
     tp = solve_trim_point(0.0, 0.0, hover_initial_guess(vp), vp)
     assert tp.feasible
     act = trim_actuation(vp, tp.u)
-    _, tab = body_wrench(np.zeros(3), np.zeros(3), act, vp)
+    tab = body_wrench(np.zeros(3), np.zeros(3), act, vp)
     assert sum(p.thrust for p in tab.props) == pytest.approx(vp.weight, rel=0.01)
     zeta_w_deg = math.degrees(tp.u[0] * math.pi / 2.0)
     assert zeta_w_deg + math.degrees(tp.theta) == pytest.approx(90.0, abs=2.0)
@@ -180,7 +180,7 @@ def test_local_optimality(vp):
 @pytest.mark.parametrize("v_a", [0.0, 8.0, 16.0])
 def test_probe_from_the_iterates_pair_matches_full_evaluation(vp, v_a):
     """A Jacobian probe, z offset by +-h in one coordinate, evaluated with the
-    iterate's pair as prior gives the full evaluation's residual, wrench and
+    iterate's evaluation as prior gives the full evaluation's residual, wrench and
     records bit for bit, for each of the 6 coordinates."""
     rng = np.random.default_rng(15)
     lo = np.concatenate([trim.U_LO, [-0.3]])
@@ -188,18 +188,18 @@ def test_probe_from_the_iterates_pair_matches_full_evaluation(vp, v_a):
     gamma, th_star = 0.05, theta_star(v_a, 0.05)
     for _ in range(3):
         z = rng.uniform(lo, hi)
-        _, pair = trim_residual(z[:5], z[5], v_a, gamma, vp, z, th_star, None)
+        _, prior = trim_residual(z[:5], z[5], v_a, gamma, vp, z, th_star, None)
         for k in range(z.size):
             for sign in (1.0, -1.0):
                 zp = z.copy()
                 zp[k] += sign * REL_STEP * max(abs(z[k]), 1.0)
-                got = trim_residual(zp[:5], zp[5], v_a, gamma, vp, z, th_star, pair)
-                want = trim_residual(zp[:5], zp[5], v_a, gamma, vp, z, th_star, None)
-                assert got[0].tobytes() == want[0].tobytes()
-                assert got[1][0].force.tobytes() == want[1][0].force.tobytes()
-                assert got[1][0].moment.tobytes() == want[1][0].moment.tobytes()
+                r, ev = trim_residual(zp[:5], zp[5], v_a, gamma, vp, z, th_star, prior)
+                r_ref, ref = trim_residual(zp[:5], zp[5], v_a, gamma, vp, z, th_star, None)
+                assert r.tobytes() == r_ref.tobytes()
+                assert np.array(ev.force).tobytes() == np.array(ref.force).tobytes()
+                assert np.array(ev.moment).tobytes() == np.array(ref.moment).tobytes()
                 # repr round-trips every float and tells -0.0 from 0.0
-                assert repr(got[1][1]) == repr(want[1][1])
+                assert repr(ev) == repr(ref)
 
 
 def _map_bytes(tmap: TrimMap) -> bytes:
