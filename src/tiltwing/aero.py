@@ -249,7 +249,8 @@ def body_wrench(v_a_body: np.ndarray, omega: np.ndarray, act: ActuatorSet,
     Hot path for the trim solver and closed-loop simulation: every
     propeller and segment runs in Python float arithmetic, with one
     `np.arctan2` over the segments' angles of attack. A non-finite wrench
-    raises `FloatingPointError`.
+    raises `FloatingPointError`. Commands are read as given: numpy scalars
+    in ``act`` run the loops 1.4 to 1.6 times slower than Python floats.
 
     ``prior`` is a record this function returned for the same vehicle. If it
     holds this call's airspeed, rate and ``zeta_w`` bit for bit, the loops

@@ -248,8 +248,13 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
      "# tiltwing trim map\n" + CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,x\n"),
     ("trim query --va 1 --gamma 0 --map", "map.csv",
      CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"
-     "0.0,0.0,0,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n")],
-    ids=["log", "map", "map_duplicate_cell"])
+     "0.0,0.0,0,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"),
+    ("trim query --va 1 --gamma 0 --map", "map.csv",
+     "# tiltwing trim map\n" + CSV_HEADER + "\n0.0,0.0,1,nan,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"),
+    ("trim query --va 1 --gamma 0 --map", "map.csv",
+     "# tiltwing trim map\n" + CSV_HEADER
+     + "\n0.0,0.0,0.5,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n")],
+    ids=["log", "map", "map_duplicate_cell", "map_non_finite", "map_feasible_flag"])
 def test_malformed_row_error_names_file_and_line(capsys, tmp_path, command, name,
                                                  text):
     path = tmp_path / name

@@ -10,8 +10,9 @@ from scipy.optimize import fsolve
 from tiltwing import trim
 from tiltwing.aero import body_wrench
 from tiltwing.leastsq import REL_STEP
-from tiltwing.trim import (WEIGHTS, TrimError, TrimMap, TrimPoint, TrimWeights,
-                           build_trim_map, hover_initial_guess, load_trim_map, lookup_trim,
+from tiltwing.trim import (CSV_HEADER, WEIGHTS, TrimError, TrimMap, TrimPoint,
+                           TrimWeights, build_trim_map, hover_initial_guess,
+                           load_trim_map, lookup_trim,
                            save_trim_map, shaft_power, solve_trim_point,
                            theta_star, trim_accelerations, trim_actuation,
                            trim_cost, trim_residual)
@@ -232,6 +233,49 @@ def test_map_build_matches_full_evaluations(vp, monkeypatch):
     full = build()
     assert len(reused[1]) == 15
     assert reused == full
+
+
+def test_solve_hands_body_wrench_python_floats(vp, monkeypatch):
+    """Every model evaluation of a solve gets its commands and wing tilt as
+    Python floats, not numpy scalars, and returns a float wrench: numpy
+    scalars would run `body_wrench`'s loops about 1.4x slower."""
+    real_wrench = trim.body_wrench
+    seen = []
+
+    def checking(v, omega, act, vp, prior=None):
+        ev = real_wrench(v, omega, act, vp, prior)
+        seen.append([*dataclasses.astuple(act), *ev.force, *ev.moment])
+        return ev
+
+    monkeypatch.setattr(trim, "body_wrench", checking)
+    solve_trim_point(8.0, 0.0, hover_initial_guess(vp), vp)
+    assert len(seen) > 100
+    assert {type(x) for values in seen for x in values} == {float}
+
+
+def test_float_conversion_is_exact(vp):
+    """trim_residual and trim_accelerations give the same bytes whether z
+    comes as a numpy array or a list of floats and the airspeed as a float
+    or a numpy scalar; v_dot is the numpy formula's, bit for bit."""
+    z = np.array([0.62, 0.71, -0.04, 0.03, 0.12, 0.037])
+    mean = z + np.array([0.01, -0.02, 0.005, 0.0, -0.01, 0.002])
+    v_a, gamma = 8.0, 0.05
+    th_star = theta_star(v_a, gamma)
+
+    def outputs(u, theta, v_a, gamma, neighbor_mean):
+        r, ev = trim_residual(u, theta, v_a, gamma, vp, neighbor_mean, th_star, None)
+        v_dot, th_dd = trim_accelerations(u, theta, v_a, gamma, vp)
+        return r.tobytes(), repr(ev), v_dot.tobytes(), np.float64(th_dd).tobytes()
+
+    ref = outputs(z[:5], z[5], v_a, gamma, mean)
+    zl = z.tolist()
+    assert outputs(zl[:5], zl[5], v_a, gamma, mean.tolist()) == ref
+    assert outputs(z[:5], z[5], np.float64(v_a), np.float64(gamma), mean) == ref
+    ev = trim_residual(z[:5], z[5], v_a, gamma, vp, None, th_star, None)[1]
+    fx, fy, fz = ev.force
+    ct, st = math.cos(z[5]), math.sin(z[5])
+    v_dot = vp.gravity + np.array([ct * fx + st * fz, fy, -st * fx + ct * fz]) / vp.mass
+    assert ref[2] == v_dot.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +590,22 @@ def test_committed_map_with_old_header_loads(tmp_path, committed_map_path):
     m2 = load_trim_map(tmp_path / "map.csv")
     assert m2.weights == m.weights
     assert _same_points(m2, m)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("theta_t", "nan"), ("va", "inf"), ("cost", "-inf"),
+    ("feasible", "0.5"), ("feasible", "nan"), ("feasible", "2")])
+def test_load_rejects_non_finite_values_and_other_feasible_flags(
+        tmp_path, committed_map_path, column, value):
+    lines = committed_map_path.read_text().splitlines()
+    k = next(n for n, line in enumerate(lines) if line.startswith("4.0,0.0,"))
+    row = lines[k].split(",")
+    row[CSV_HEADER.split(",").index(column)] = value
+    lines[k] = ",".join(row)
+    path = tmp_path / "map.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrimError, match=re.escape(f"{path} line {k + 1}: ")):
+        load_trim_map(path)
 
 
 def test_trim_positions_use_each_main_travel(vp_uneven_mains):
