@@ -57,12 +57,10 @@ def projected_gradient(g: np.ndarray, x: np.ndarray, lb: np.ndarray,
     return pg
 
 
-def least_squares_lm(fun, x0, lb=None, ub=None,
-                     max_iter: int = 100) -> LeastSquaresResult:
+def least_squares_lm(fun, x0, lb, ub, max_iter: int) -> LeastSquaresResult:
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float)
-    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
+    lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
     if np.any(lb > ub):
         raise ValueError("lower bound exceeds upper bound")
     x = np.clip(x, lb, ub)

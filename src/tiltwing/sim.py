@@ -4,7 +4,9 @@ A scenario scripts a run: initial state, wind profile, a setpoint timeline,
 and the controller mode (open_loop holds the initial actuation, attitude
 runs the attitude stack only, cruise runs the full cascade). Execution is
 deterministic at fixed rates: dynamics and attitude at 250 Hz, cruise at
-50 Hz; the log holds one row per dynamics tick.
+50 Hz; the log holds one row per dynamics tick. `run_tick` runs one tick on a
+`LoopState`, the record of all that a tick hands the next; `run_scenario`
+loops it.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from . import aero
 from .attitude import (AttitudeController, AttitudeSetpoint,
                        daisy_chain_allocate, dynamic_inversion,
                        nominal_moment_estimate)
-from .cruise import CruiseController, CruiseSetpoint
+from .cruise import CruiseController, CruiseOutput, CruiseSetpoint
 from .dynamics import IntegrationFault, RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
 from .trim import TrimMap
@@ -81,6 +83,8 @@ class Scenario:
         if not 0.0 < self.duration <= MAX_DURATION:
             raise ScenarioError(f"duration must be > 0 and at most {MAX_DURATION:g} s, "
                                 f"got {self.duration}")
+        if round(self.duration * SIM_RATE) == 0:
+            raise ScenarioError(f"duration {self.duration} s rounds to 0 ticks")
         for what, times in (("timeline timestamps", [e.t for e in self.timeline]),
                             ("wind step times", [s.t for s in self.wind_steps])):
             if any(b <= a for a, b in zip(times, times[1:])):
@@ -94,7 +98,10 @@ class Scenario:
             if unknown:
                 raise ScenarioError(f"timeline t={e.t}: {sorted(unknown)} are "
                                     f"not setpoints of mode {self.mode}")
-        state_from_dict(self.initial)  # its vectors fail here, not at t = 0
+        # its vectors and commands fail here, not at t = 0
+        state_from_dict(self.initial)
+        self.initial = {k: _number(v, f"initial.{k}") if k in INITIAL_COMMANDS else v
+                        for k, v in self.initial.items()}
 
     def wind_at(self, t: float) -> np.ndarray:
         value = self.wind_constant
@@ -203,9 +210,8 @@ def state_from_dict(raw: dict) -> RigidBodyState:
 
 def initial_state_and_actuation(sc: Scenario,
                                 vp: VehicleParams) -> tuple[RigidBodyState, ActuatorSet]:
-    act = actuation_from_commands(vp, **{
-        cmd: _number(sc.initial.get(key, 0.0), f"initial.{key}")
-        for key, cmd in INITIAL_COMMANDS.items()})
+    act = actuation_from_commands(vp, **{cmd: sc.initial.get(key, 0.0)
+                                         for key, cmd in INITIAL_COMMANDS.items()})
     return state_from_dict(sc.initial), act
 
 
@@ -264,108 +270,101 @@ class RunLog:
 # Scenario execution
 # ---------------------------------------------------------------------------
 
+@dataclass
+class LoopState:
+    """Everything a tick hands the next: state, actuation, the controllers
+    (their PIDs' memory) and the cruise output held between its updates."""
+
+    state: RigidBodyState
+    act: ActuatorSet
+    att: AttitudeController
+    cc: CruiseController
+    cruise_out: CruiseOutput | None     # None outside cruise mode
+
+
+def run_tick(loop: LoopState, k: int, sc: Scenario, vp: VehicleParams,
+             tmap: TrimMap | None, row: np.ndarray) -> None:
+    """Tick ``k`` of ``sc``: control, actuator rates and the model evaluation,
+    logged in ``row``, then the RK4 step, which leaves ``loop`` at tick k + 1.
+    A non-finite wrench or state raises IntegrationFault or FloatingPointError."""
+    dt = 1.0 / SIM_RATE
+    t = k * dt
+    state, act = loop.state, loop.act
+    wind = sc.wind_at(t)
+    sp = sc.setpoint_at(t)
+    alloc = None
+    if sc.mode == "open_loop":
+        # the current commands are the initial ones: clamping them again
+        # changes no bit, and the wing sits at its commanded angle
+        cmd, att_sp, moments = act, AttitudeSetpoint(), [0.0] * 9
+    else:
+        if sc.mode == "cruise":
+            if k % CRUISE_DIVIDER == 0:
+                csp = CruiseSetpoint(v_ax=sp["vax"], v_az=sp["vaz"],
+                                     roll=math.radians(sp["roll_deg"]))
+                loop.cruise_out = loop.cc.step(state, csp, tmap, vp, act,
+                                               dt * CRUISE_DIVIDER, wind)
+            att_sp = loop.cruise_out.setpoint
+            delta_w, delta_plr = loop.cruise_out.delta_w, loop.cruise_out.delta_plr
+        else:
+            att_sp = AttitudeSetpoint(
+                roll=math.radians(sp["roll_deg"]),
+                pitch=math.radians(sp["pitch_deg"]),
+                yaw_rate=math.radians(sp["yaw_rate_deg_s"]))
+            delta_w, delta_plr = sp["wing_tilt"], sp["main_throttle"]
+        u_n = nominal_actuation(vp, act, delta_plr=delta_plr, delta_w=delta_w)
+        omega_dot_des = loop.att.attitude_error_control(state, att_sp, act.zeta_w, dt)
+        m_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
+        nominal = nominal_moment_estimate(state, u_n, vp, wind)
+        alloc = daisy_chain_allocate(m_des - np.array(nominal.moment), state, u_n,
+                                     vp, wind, nominal)
+        cmd = alloc.commanded
+        moments = [*m_des, *nominal.moment, *alloc.residual]
+
+    act = loop.act = apply_actuator_rates(act, cmd, dt, vp)
+    # the allocator's last evaluation is of this state and wind, and is the
+    # result itself when the wing does not slew
+    ev = aero.total_wrench(state, act, vp, wind, alloc.evaluation if alloc else None)
+    # z force per source group; sum's start 0 and +0.0 turn a signed zero into +0.0
+    group_fz = [sum(p.force[2] for p in ev.props), sum(s.force[2] for s in ev.segs),
+                0.0 + ev.fus_force[2]]
+    roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
+    co = loop.cruise_out
+    row[:] = (
+        [t, *state.x, *state.v, roll, pitch, yaw, *state.omega]
+        + [getattr(act, f"delta_{n}") for n in ACTUATOR_ORDER]
+        + [act.position(n, vp) for n in ACTUATOR_ORDER]
+        + [att_sp.roll, att_sp.pitch, att_sp.yaw_rate,
+           sp.get("vax", np.nan), sp.get("vaz", np.nan)]
+        + moments
+        + ([*co.force_correction, *co.u_correction, *co.v_lookup,
+            co.trim_u[0], co.trim_u[1], co.trim_theta,
+            float(co.lookup_clamped)] if co is not None else [np.nan] * 9 + [0.0])
+        + [*ev.force, *ev.moment, *group_fz]
+        + [alloc.passes if alloc else 0, 0.0])
+    loop.state = integrate_step(state, act, vp, wind, dt, wrench=ev)
+
+
 def run_scenario(sc: Scenario, vp: VehicleParams,
                  tmap: TrimMap | None = None) -> RunLog:
-    """Deterministic fixed-rate closed-loop run; one log row per tick.
-
-    A non-finite wrench or state anywhere in a tick ends the run; the log
-    keeps the rows before it and a fault text with the tick time and cause.
-    """
+    """Deterministic fixed-rate closed-loop run: `run_tick` in a loop, one
+    log row per tick. A fault in a tick ends the run; the log keeps the rows
+    before it and a fault text with the tick time and cause."""
     if sc.mode == "cruise" and tmap is None:
         raise ScenarioError("cruise mode requires a trim map")
-    dt = 1.0 / SIM_RATE
-    n_ticks = int(round(sc.duration * SIM_RATE))
-    state, act = initial_state_and_actuation(sc, vp)
-    att = AttitudeController()
-    cc = CruiseController()
-    hold_cmd = act.copy()
-
-    cruise_out = None
-    rows = np.empty((n_ticks, len(LOG_COLUMNS)))
+    loop = LoopState(*initial_state_and_actuation(sc, vp), AttitudeController(),
+                     CruiseController(), None)
+    rows = np.full((round(sc.duration * SIM_RATE), len(LOG_COLUMNS)), np.nan)
     fault = None
-    n_logged = 0
-
-    for k in range(n_ticks):
-        t = k * dt
+    for k, row in enumerate(rows):
         try:
-            wind = sc.wind_at(t)
-            sp = sc.setpoint_at(t)
-
-            m_des = np.zeros(3)
-            m_hat = np.zeros(3)
-            alloc = None
-            alloc_res = np.zeros(3)
-            att_sp = AttitudeSetpoint()
-            if sc.mode == "open_loop":
-                cmd = hold_cmd
-            else:
-                if sc.mode == "cruise":
-                    if k % CRUISE_DIVIDER == 0:
-                        csp = CruiseSetpoint(v_ax=sp["vax"], v_az=sp["vaz"],
-                                             roll=math.radians(sp["roll_deg"]))
-                        cruise_out = cc.step(state, csp, tmap, vp, act,
-                                             dt * CRUISE_DIVIDER, wind)
-                    att_sp = cruise_out.setpoint
-                    delta_w = cruise_out.delta_w
-                    delta_plr = cruise_out.delta_plr
-                else:
-                    att_sp = AttitudeSetpoint(
-                        roll=math.radians(sp["roll_deg"]),
-                        pitch=math.radians(sp["pitch_deg"]),
-                        yaw_rate=math.radians(sp["yaw_rate_deg_s"]))
-                    delta_w, delta_plr = sp["wing_tilt"], sp["main_throttle"]
-                u_n = nominal_actuation(vp, act, delta_plr=delta_plr,
-                                        delta_w=delta_w)
-                omega_dot_des = att.attitude_error_control(state, att_sp,
-                                                           act.zeta_w, dt)
-                m_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
-                nominal = nominal_moment_estimate(state, u_n, vp, wind)
-                m_hat = nominal.moment
-                alloc = daisy_chain_allocate(m_des - np.array(m_hat), state, u_n, vp,
-                                             wind, nominal)
-                cmd = alloc.commanded
-                alloc_res = alloc.residual
-
-            act = apply_actuator_rates(act, cmd, dt, vp)
-
-            # the allocator's last evaluation is of this state and wind, and
-            # is the result itself when the wing does not slew
-            ev = aero.total_wrench(state, act, vp, wind,
-                                   alloc.evaluation if alloc else None)
-            # z force per source group; sum's start 0 and +0.0 turn a signed
-            # zero into +0.0
-            group_fz = [sum(p.force[2] for p in ev.props),
-                        sum(s.force[2] for s in ev.segs),
-                        0.0 + ev.fus_force[2]]
-
-            roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
-            co = cruise_out if sc.mode == "cruise" else None
-            rows[k] = (
-                [t, *state.x, *state.v, roll, pitch, yaw, *state.omega]
-                + [getattr(act, f"delta_{n}") for n in ACTUATOR_ORDER]
-                + [act.position(n, vp) for n in ACTUATOR_ORDER]
-                + [att_sp.roll, att_sp.pitch, att_sp.yaw_rate,
-                   sp.get("vax", np.nan), sp.get("vaz", np.nan)]
-                + [*m_des, *m_hat, *alloc_res]
-                + ([*co.force_correction, *co.u_correction, *co.v_lookup,
-                    co.trim_u[0], co.trim_u[1], co.trim_theta,
-                    float(co.lookup_clamped)] if co is not None
-                   else [np.nan] * 9 + [0.0])
-                + [*ev.force, *ev.moment, *group_fz]
-                + [alloc.passes if alloc else 0, 0.0]
-            )
-            n_logged = k + 1
-            state = integrate_step(state, act, vp, wind, dt, wrench=ev)
+            run_tick(loop, k, sc, vp, tmap, row)
         except (IntegrationFault, FloatingPointError) as exc:
-            # a fault anywhere in the tick ends the run; the tick's row
-            # carries the flag if it was logged before the fault
-            fault = f"t={t:.3f} s: {exc}"
-            if n_logged > k:
-                rows[k, -1] = 1.0
+            fault = f"t={k * (1.0 / SIM_RATE):.3f} s: {exc}"
+            row[-1] = 1.0   # kept if it was logged: rows start nan, t is set
+            rows = rows[:k + (not math.isnan(row[0]))]
             break
-
-    return RunLog(columns=list(LOG_COLUMNS), rows=rows[:n_logged],
-                  scenario=sc.name, fault=fault)
+    return RunLog(columns=list(LOG_COLUMNS), rows=rows, scenario=sc.name, fault=fault)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ def test_linear_problem_exact():
     A = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
     b = np.array([1.0, 2.0, 0.3])
 
-    res = least_squares_lm(lambda x: A @ x - b, np.zeros(2))
+    res = least_squares_lm(lambda x: A @ x - b, np.zeros(2), np.full(2, -np.inf),
+                           np.full(2, np.inf), max_iter=100)
     expected = np.linalg.lstsq(A, b, rcond=None)[0]
     assert np.allclose(res.x, expected, atol=1e-8)
     assert res.converged
@@ -20,7 +21,8 @@ def test_rosenbrock():
     def f(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
-    res = least_squares_lm(f, np.array([-1.2, 1.0]), max_iter=300)
+    res = least_squares_lm(f, np.array([-1.2, 1.0]), np.full(2, -np.inf), np.full(2, np.inf),
+                           max_iter=300)
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
 
 
@@ -41,7 +43,7 @@ def test_bounds_respected_and_match_scipy():
 
 def test_start_outside_bounds_is_projected():
     res = least_squares_lm(lambda x: x - 3.0, np.array([10.0]),
-                           lb=np.array([0.0]), ub=np.array([2.0]))
+                           lb=np.array([0.0]), ub=np.array([2.0]), max_iter=100)
     assert res.x[0] == pytest.approx(2.0)
 
 
@@ -71,7 +73,7 @@ def test_projected_gradient_zeroes_bound_components():
 def test_invalid_bounds():
     with pytest.raises(ValueError):
         least_squares_lm(lambda x: x, np.zeros(2),
-                         lb=np.array([1.0, 0.0]), ub=np.array([0.0, 1.0]))
+                         lb=np.array([1.0, 0.0]), ub=np.array([0.0, 1.0]), max_iter=100)
 
 
 def test_random_bounded_problems_match_scipy():

@@ -1,3 +1,4 @@
+import copy
 import math
 from pathlib import Path
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 from tiltwing import aero, dynamics, sim
+from tiltwing.attitude import AttitudeController
+from tiltwing.cruise import CruiseController
+from tiltwing.dynamics import IntegrationFault
 from tiltwing.sim import (LOG_COLUMNS, SCENARIO_DIR, SIM_RATE, RunLog,
                           ScenarioError, compute_metrics,
                           initial_state_and_actuation, load_scenario,
@@ -87,6 +91,52 @@ def test_fault_outside_integrator_is_recorded(vp, mode):
     log = run_scenario(sc, vp)
     assert log.fault == "t=0.000 s: non-finite aerodynamic wrench"
     assert log.rows.shape[0] == 0
+
+
+def test_fault_in_the_step_flags_the_logged_row(vp, monkeypatch):
+    """A fault in the RK4 step comes after the tick's row is written: the
+    run keeps that row, flagged, and the fault text has the tick's time."""
+    sc = load_scenario("hover_steps")
+    sc.duration = 3 / SIM_RATE
+    clean = run_scenario(sc, vp)
+    real = sim.integrate_step
+    calls = []
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise IntegrationFault("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "integrate_step", failing_third)
+    sc.duration = 0.1
+    log = run_scenario(sc, vp)
+    assert log.column("fault").tolist() == [0.0, 0.0, 1.0]
+    assert log.fault.startswith("t=0.008 s:")
+    assert np.array_equal(log.rows[:, :-1], clean.rows[:, :-1], equal_nan=True)
+
+
+@pytest.mark.parametrize("name, k", [("hover_steps", 30), ("forward_transition", 7)])
+def test_loop_state_is_explicit(vp, committed_map_path, name, k):
+    """A deep copy of the loop state after tick k runs on to the same rows,
+    bit for bit, as the state itself, and both are run_scenario's rows: a
+    tick keeps nothing outside the record. In cruise mode k % 5 != 0, so
+    the next ticks fly on the held cruise output."""
+    sc = load_scenario(name)
+    tmap = load_trim_map(committed_map_path) if sc.mode == "cruise" else None
+    n = k + 1 + 2 * sim.CRUISE_DIVIDER
+    sc.duration = n / SIM_RATE
+    loop = sim.LoopState(*initial_state_and_actuation(sc, vp), AttitudeController(),
+                         CruiseController(), None)
+    rows = np.empty((n, len(LOG_COLUMNS)))
+    for i in range(k + 1):
+        sim.run_tick(loop, i, sc, vp, tmap, rows[i])
+    twin, twin_rows = copy.deepcopy(loop), rows.copy()
+    for record, out in ((loop, rows), (twin, twin_rows)):
+        for i in range(k + 1, n):
+            sim.run_tick(record, i, sc, vp, tmap, out[i])
+    assert twin_rows.tobytes() == rows.tobytes()
+    assert run_scenario(sc, vp, tmap).rows.tobytes() == rows.tobytes()
 
 
 def test_roll_step_inside_band_settles_at_once():
@@ -242,6 +292,20 @@ def test_scenario_duration_must_be_positive_and_bounded(duration):
     with pytest.raises(ScenarioError, match="duration must be > 0 and at most"):
         scenario_from_dict(raw)
     assert scenario_from_dict(dict(raw, duration=sim.MAX_DURATION)).duration == sim.MAX_DURATION
+
+
+@pytest.mark.parametrize("duration", [0.001, 0.5 / SIM_RATE])
+def test_scenario_without_a_tick_is_refused(duration):
+    """A duration that rounds to no tick would run an empty log."""
+    with pytest.raises(ScenarioError, match="rounds to 0 ticks"):
+        scenario_from_dict(dict(_scenario(), duration=duration))
+    assert scenario_from_dict(dict(_scenario(), duration=1.0 / SIM_RATE))
+
+
+def test_scenario_initial_commands_must_be_numbers():
+    """A command that is not a number fails when the scenario is built."""
+    with pytest.raises(ConfigError, match="initial.wing_tilt must be a number"):
+        scenario_from_dict(_scenario(initial={"wing_tilt": "abc"}))
 
 
 @pytest.mark.parametrize("times", [(0.3, 0.1), (0.2, 0.2)])
