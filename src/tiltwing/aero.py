@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .vehicle import (ActuatorSet, AirfoilSegmentParams, BINDING_TO_ACTUATOR,
-                      PropellerParams, VehicleParams)
+from .vehicle import (ACTUATOR_ORDER, ActuatorSet, AirfoilSegmentParams,
+                      BINDING_TO_ACTUATOR, PropellerParams, VehicleParams)
 
 if TYPE_CHECKING:
     from .dynamics import RigidBodyState
@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 ETA_MIN = 1.0  # rev/s
 
 # the commands `body_wrench` reads, in the order `FlowTables.inputs` holds them
-_COMMANDS = ("pl", "pr", "pt", "al", "ar", "e", "r", "tt")
+_COMMANDS = ACTUATOR_ORDER[1:]
 _commands_of = operator.attrgetter(*(f"delta_{n}" for n in _COMMANDS))
 _wrench_of = operator.attrgetter("force", "moment")
 

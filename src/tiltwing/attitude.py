@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aero
+from .rotations import euler_angles, euler_zyx
 from .vehicle import ActuatorSet, VehicleParams
 
 _EPS_GAIN = 1e-9        # minimum actuator authority worth engaging [N m / unit]
@@ -91,17 +92,12 @@ class AttitudeController:
         The desired attitude is built at the current yaw (reduced attitude:
         only roll/pitch alignment is commanded; yaw is rate-driven).
         """
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = state.R_IB.ravel().tolist()
-        yaw = math.atan2(r10, r00)
-        cy, sy, cp, sp_, cr, sr = (f(a) for a in (yaw, sp.pitch, sp.roll)
-                                   for f in (math.cos, math.sin))
-        # columns of R_des = R_z(yaw) R_y(pitch) R_x(roll); E = R^T R_des
-        d_cols = ((cy * cp, sy * cp, -sp_),
-                  (cy * sp_ * sr - sy * cr, sy * sp_ * sr + cy * cr, cp * sr),
-                  (cy * sp_ * cr + sy * sr, sy * sp_ * cr - cy * sr, cp * cr))
+        r = state.R_IB.ravel().tolist()
+        d = euler_zyx(sp.roll, sp.pitch, euler_angles(r)[2])
+        # E = R^T R_des, entry (i, j) the dot product of columns i of R and j of R_des
         (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = (
-            [a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in d_cols]
-            for a0, a1, a2 in ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22)))
+            [a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in (d[0::3], d[1::3], d[2::3])]
+            for a0, a1, a2 in (r[0::3], r[1::3], r[2::3]))
 
         # quaternion (w, x, y, z) of E with w >= 0, from its largest component
         t = e00 + e11 + e22
@@ -129,9 +125,9 @@ class AttitudeController:
             kp_pitch *= 1.0 - (1.0 - PITCH_DOWN_FACTOR) * fade
 
         # omega_des = kp err + R^T (0, 0, yaw_rate)
-        omega_des = np.array((ATT_P * err_x + r20 * sp.yaw_rate,
-                              kp_pitch * err_y + r21 * sp.yaw_rate,
-                              ATT_P * err_z + r22 * sp.yaw_rate))
+        omega_des = np.array((ATT_P * err_x + r[6] * sp.yaw_rate,
+                              kp_pitch * err_y + r[7] * sp.yaw_rate,
+                              ATT_P * err_z + r[8] * sp.yaw_rate))
         return self.pid(omega_des - state.omega, dt)
 
 
@@ -144,14 +140,6 @@ def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
                                   for x0, x1, x2 in (omega_dot_des.tolist(), (w0, w1, w2)))
     return np.array((a0 + (w1 * h2 - w2 * h1), a1 + (w2 * h0 - w0 * h2),
                      a2 + (w0 * h1 - w1 * h0)))
-
-
-def nominal_moment_estimate(state, u_n: ActuatorSet, vp: VehicleParams,
-                            wind: np.ndarray) -> aero.FlowTables:
-    """The model evaluation with nominal actuation (attitude effectors
-    zero); its moment is M_hat(u_n). `daisy_chain_allocate` starts from this
-    record when given it with the same state, ``u_n`` and wind."""
-    return aero.total_wrench(state, u_n, vp, wind)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +298,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     (roll/yaw QP), then the tail group (pitch strictly before yaw). A pass
     starts only while the full-model residual exceeds ``RESIDUAL_TOL`` on
     some axis, and at most ``PASSES`` run, so a saturated demand runs all
-    of them. ``nominal``, if given, is `nominal_moment_estimate` of the same
+    of them. ``nominal``, if given, is `aero.total_wrench` of the same
     state, ``u_n`` and wind, read in place of evaluating ``u_n`` again.
     """
     v_a_body = aero.body_airspeed(state.R_IB.ravel().tolist(), state.v.tolist(), wind)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import aero
 from .attitude import AttitudeSetpoint, Pid
-from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
+from .rotations import euler_angles, euler_zyx_to_matrix
 from .trim import TrimMap, lookup_trim
 from .vehicle import ActuatorSet, VehicleParams, nominal_actuation
 
@@ -113,7 +113,7 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     segments to the pitch column are ignored: their post-stall coefficient
     slopes reverse sign and corrupt the local linearization.
     """
-    roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
+    roll, pitch, yaw = euler_angles(state.R_IB.ravel().tolist())
     heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
 
     def eval_at(theta: float, act_eval: ActuatorSet,
@@ -182,7 +182,7 @@ class CruiseController:
              wind: np.ndarray) -> CruiseOutput:
         """One cruise update: feed-forward lookup plus feedback allocation."""
         v_air = state.v - wind
-        _, _, yaw = matrix_to_euler_zyx(state.R_IB)
+        _, _, yaw = euler_angles(state.R_IB.ravel().tolist())
         heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
         v_actual = np.array([v_air @ heading, v_air[2]])
         v_des = np.array([sp.v_ax, sp.v_az])

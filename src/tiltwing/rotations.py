@@ -2,39 +2,36 @@
 
 Convention: body frame is forward-right-down, inertial frame is NED.
 R_IB maps body vectors into the inertial frame; Euler angles are
-ZYX (yaw-pitch-roll).
+ZYX (yaw-pitch-roll). `euler_zyx` is the one implementation of that
+rotation, in Python floats as its 9 row-major entries; `euler_zyx_to_matrix`
+is its 3x3 array front, and `euler_angles` its inverse on the 9 entries.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 
-def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def euler_zyx(roll: float, pitch: float, yaw: float) -> tuple[float, ...]:
+    """R_z(yaw) R_y(pitch) R_x(roll) as its 9 row-major entries."""
+    cy, sy, cp, sp, cr, sr = (f(a) for a in (yaw, pitch, roll) for f in (math.cos, math.sin))
+    return (cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+            sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+            -sp, cp * sr, cp * cr)
 
 
 def euler_zyx_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Body-to-inertial rotation from ZYX Euler angles."""
-    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+    """Body-to-inertial rotation from ZYX Euler angles, as a 3x3 array."""
+    return np.array(euler_zyx(roll, pitch, yaw)).reshape(3, 3)
 
 
-def matrix_to_euler_zyx(R: np.ndarray) -> tuple[float, float, float]:
-    """(roll, pitch, yaw) of a body-to-inertial rotation matrix."""
-    pitch = np.arcsin(np.clip(-R[2, 0], -1.0, 1.0))
-    roll = np.arctan2(R[2, 1], R[2, 2])
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    return float(roll), float(pitch), float(yaw)
+def euler_angles(r) -> tuple[float, float, float]:
+    """(roll, pitch, yaw) of a body-to-inertial rotation given as its 9
+    row-major entries."""
+    r00, _, _, r10, _, _, r20, r21, r22 = r
+    return (math.atan2(r21, r22), math.asin(min(max(-r20, -1.0), 1.0)),
+            math.atan2(r10, r00))
 
 
 def orthonormalize(R: np.ndarray) -> np.ndarray:

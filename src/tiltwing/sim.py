@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import aero
+# the nominal evaluation of a tick; perfbench/tracing.py wraps this name in sim
+from .aero import total_wrench as nominal_moment_estimate
 from .attitude import (AttitudeController, AttitudeSetpoint,
-                       daisy_chain_allocate, dynamic_inversion,
-                       nominal_moment_estimate)
+                       daisy_chain_allocate, dynamic_inversion)
 from .cruise import CruiseController, CruiseOutput, CruiseSetpoint
 from .dynamics import IntegrationFault, RigidBodyState, integrate_step
-from .rotations import euler_zyx_to_matrix, matrix_to_euler_zyx
+from .rotations import euler_angles, euler_zyx_to_matrix
 from .trim import TrimMap
 from .vehicle import (ACTUATOR_ORDER, ActuatorSet, ConfigError,
                       VehicleParams, _number, _vec3, actuation_from_commands,
@@ -87,6 +88,8 @@ class Scenario:
             raise ScenarioError(f"duration {self.duration} s rounds to 0 ticks")
         for what, times in (("timeline timestamps", [e.t for e in self.timeline]),
                             ("wind step times", [s.t for s in self.wind_steps])):
+            if not all(map(math.isfinite, times)):  # a nan passes the order check
+                raise ScenarioError(f"{what} must be finite")
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ScenarioError(f"{what} must be strictly increasing")
         unknown = set(self.initial) - {*STATE_KEYS, *INITIAL_COMMANDS}
@@ -328,7 +331,7 @@ def run_tick(loop: LoopState, k: int, sc: Scenario, vp: VehicleParams,
     # z force per source group; sum's start 0 and +0.0 turn a signed zero into +0.0
     group_fz = [sum(p.force[2] for p in ev.props), sum(s.force[2] for s in ev.segs),
                 0.0 + ev.fus_force[2]]
-    roll, pitch, yaw = matrix_to_euler_zyx(state.R_IB)
+    roll, pitch, yaw = euler_angles(state.R_IB.ravel().tolist())
     co = loop.cruise_out
     row[:] = (
         [t, *state.x, *state.v, roll, pitch, yaw, *state.omega]

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from rotation_reference import rot_x, rot_y
 from tiltwing.aero import ETA_MIN, advance_ratio, airfoil_coefficients
-from tiltwing.rotations import rot_x, rot_y
 from tiltwing.vehicle import (ActuatorSet, AirfoilSegmentParams, BINDING_TO_ACTUATOR,
                               FuselageParams, PropellerParams, VehicleParams)
 

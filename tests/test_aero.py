@@ -10,10 +10,11 @@ from aero_reference import (decompose_at_propeller, decompose_at_segment,
                             propeller_geometry, propeller_slipstream,
                             propeller_wrench, segment_deflection, segment_frame,
                             segment_wrench)
+from rotation_reference import rot_y
 from tiltwing.aero import (advance_ratio, airfoil_coefficients, body_wrench,
                            total_wrench)
 from tiltwing.dynamics import RigidBodyState
-from tiltwing.rotations import euler_zyx_to_matrix, rot_y
+from tiltwing.rotations import euler_zyx_to_matrix
 from tiltwing.vehicle import (AirfoilSegmentParams, FuselageParams,
                               PropellerParams, actuation_from_commands,
                               mirror_twin)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rotation_reference import rot_x, rot_y, rot_z
 from tiltwing import aero, attitude
 from tiltwing.aero import body_wrench, total_wrench
 from tiltwing.attitude import (ATT_P, INTEGRATOR_LIMIT, PITCH_DOWN_FACTOR, RATE_D,
@@ -13,9 +14,9 @@ from tiltwing.attitude import (ATT_P, INTEGRATOR_LIMIT, PITCH_DOWN_FACTOR, RATE_
                                AttitudeSetpoint, _prop_eta_derivatives,
                                _prop_moment_eta_gain, _surface_moment_gain,
                                daisy_chain_allocate, dynamic_inversion,
-                               nominal_moment_estimate, solve_block3)
+                               solve_block3)
 from tiltwing.dynamics import RigidBodyState
-from tiltwing.rotations import euler_zyx_to_matrix, rot_x, rot_y, rot_z
+from tiltwing.rotations import euler_zyx_to_matrix
 from tiltwing.vehicle import (BINDING_TO_ACTUATOR, actuation_from_commands,
                               apply_actuator_rates, nominal_actuation)
 
@@ -203,15 +204,15 @@ def test_di_hand_evaluated_cross_term():
 # ---------------------------------------------------------------------------
 
 def test_nominal_moment_symmetric_state(vp):
-    m_hat = nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp, np.zeros(3)).moment
+    m_hat = total_wrench(cruise_state(), cruise_nominal(vp), vp, np.zeros(3)).moment
     assert abs(m_hat[0]) < 1e-9
     assert abs(m_hat[2]) < 1e-9
 
 
 def test_m_act_reconstruction(vp):
     rng = np.random.default_rng(0)
-    m_hat = np.array(nominal_moment_estimate(cruise_state(), cruise_nominal(vp), vp,
-                                             np.zeros(3)).moment)
+    m_hat = np.array(total_wrench(cruise_state(), cruise_nominal(vp), vp,
+                                  np.zeros(3)).moment)
     for _ in range(10):
         m_des = rng.uniform(-1, 1, 3)
         m_act = m_des - m_hat
@@ -227,7 +228,7 @@ def test_hover_nominal_pitch_moment_matches_moment_arm(vp):
         s.slipstream = "none"   # isolate the pure thrust moment
     vp2.__post_init__()
     u_n = actuation_from_commands(vp2, delta_w=1.0, delta_plr=0.78)
-    m_hat = nominal_moment_estimate(hover_state(), u_n, vp2, np.zeros(3)).moment
+    m_hat = total_wrench(hover_state(), u_n, vp2, np.zeros(3)).moment
     main = vp2.prop["pl"]
     eta = 0.78 * main.max_speed
     thrust = vp2.rho * eta ** 2 * main.diameter ** 4 * main.ct0
@@ -415,7 +416,7 @@ def test_closed_loop_linearization_sample(vp):
         state, u_n = flight_consistent_sample(vp, rng)
         omega_dot_des = rng.uniform(-3.0, 3.0, 3)
         M_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
-        m_hat = np.array(nominal_moment_estimate(state, u_n, vp, np.zeros(3)).moment)
+        m_hat = np.array(total_wrench(state, u_n, vp, np.zeros(3)).moment)
         res = daisy_chain_allocate(M_des - m_hat, state, u_n, vp, np.zeros(3))
         if np.abs(res.residual).max() > attitude.RESIDUAL_TOL:
             continue  # authority-limited case
@@ -456,7 +457,7 @@ def test_allocation_stops_below_resolution(vp, monkeypatch):
     assert saturating.passes == attitude.PASSES
     assert np.abs(saturating.residual).max() > attitude.RESIDUAL_TOL
 
-    nominal = nominal_moment_estimate(hover_state(), u_n, vp, np.zeros(3))
+    nominal = total_wrench(hover_state(), u_n, vp, np.zeros(3))
     tiny = daisy_chain_allocate(np.array([1e-4, -2e-4, 5e-5]), hover_state(),
                                 u_n, vp, np.zeros(3), nominal)
     assert tiny.passes == 0
@@ -481,7 +482,7 @@ def test_allocate_given_nominal_matches_evaluating_it(vp):
         state, u_n = flight_consistent_sample(vp, rng)
         wind = rng.uniform(-2.0, 2.0, 3)
         M_act = rng.uniform(-0.6, 0.6, 3)
-        nominal = nominal_moment_estimate(state, u_n, vp, wind)
+        nominal = total_wrench(state, u_n, vp, wind)
         given = daisy_chain_allocate(M_act, state, u_n, vp, wind, nominal)
         evaluated = daisy_chain_allocate(M_act, state, u_n, vp, wind)
         assert _bytes(given.commanded) == _bytes(evaluated.commanded)
@@ -500,7 +501,7 @@ def test_allocation_carries_the_evaluation_at_its_commands(vp):
         state, u_n = flight_consistent_sample(vp, rng)
         wind = rng.uniform(-2.0, 2.0, 3)
         M_act = rng.uniform(-0.6, 0.6, 3) if k % 4 else np.zeros(3)
-        nominal = nominal_moment_estimate(state, u_n, vp, wind)
+        nominal = total_wrench(state, u_n, vp, wind)
         res = daisy_chain_allocate(M_act, state, u_n, vp, wind, nominal)
         ev, ref = res.evaluation, total_wrench(state, res.commanded, vp, wind)
         assert np.array(ev.force).tobytes() == np.array(ref.force).tobytes()
@@ -535,7 +536,7 @@ def test_allocation_matches_full_evaluations(vp, monkeypatch):
 
 def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch):
     state, u_n = cruise_state(), cruise_nominal(vp)
-    nominal = nominal_moment_estimate(state, u_n, vp, np.zeros(3))
+    nominal = total_wrench(state, u_n, vp, np.zeros(3))
     calls = []
     real = aero.body_wrench
 

@@ -219,6 +219,9 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
      {"sc.yaml": "mode: open_loop\nduration: 0.001\n"}),
     ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
      {"sc.yaml": "mode: open_loop\nduration: 0.1\ninitial: {wing_tilt: abc}\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: attitude\nduration: 2\ntimeline:\n  - {t: .nan, pitch_deg: 1}\n"
+                 "  - {t: 1, roll_deg: 20}\n"}),
     ("report --log {d}/log.csv", {"log.csv": "t,x\n0.0,1.0\n0.004,fast\n"}),
     ("report --log {d}/log.csv", {"log.csv": "t,x\n0.0,1.0\n0.004\n"}),
     ("trim query --map {d}/map.csv --va 1 --gamma 0",
@@ -235,7 +238,7 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
         "vehicle_mass_not_a_number", "vehicle_ct_not_a_list",
         "state_yaml_malformed", "actuators_yaml_malformed",
         "duration_inf", "duration_1e12", "duration_no_tick",
-        "initial_command_not_a_number",
+        "initial_command_not_a_number", "timeline_t_nan",
         "log_value_not_a_number", "log_row_short", "map_value_not_a_number",
         "query_va_nan", "query_gamma_inf"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):

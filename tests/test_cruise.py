@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from rotation_reference import rot_y
 from tiltwing import cruise
 from tiltwing.cruise import (CruiseController, CruiseSetpoint,
                              control_derivatives, lookup_velocity,
                              schedule_ramp, turn_coordination, weight_schedule,
                              wls_allocate)
 from tiltwing.dynamics import RigidBodyState
-from tiltwing.rotations import euler_zyx_to_matrix, rot_y
+from tiltwing.rotations import euler_zyx_to_matrix
 from tiltwing.trim import lookup_trim, trim_actuation
 from tiltwing.vehicle import actuation_from_commands
 

@@ -308,11 +308,24 @@ def test_scenario_initial_commands_must_be_numbers():
         scenario_from_dict(_scenario(initial={"wing_tilt": "abc"}))
 
 
-@pytest.mark.parametrize("times", [(0.3, 0.1), (0.2, 0.2)])
+@pytest.mark.parametrize("times", [(0.3, 0.1), (0.2, 0.2), (0.05, math.nan),
+                                   (math.inf,)])
 def test_scenario_wind_steps_strictly_increasing(times):
+    """Step times must be finite and increase; a step at nan passes any
+    order check and is never applied."""
     steps = [{"t": t, "value": [float(k), 0.0, 0.0]} for k, t in enumerate(times)]
     with pytest.raises(ScenarioError, match="wind step times"):
         scenario_from_dict(_scenario(wind={"steps": steps}))
+
+
+@pytest.mark.parametrize("times", [(0.3, 0.1), (0.2, 0.2), (0.0, math.nan, 0.05),
+                                   (-math.inf, 0.0)])
+def test_scenario_timeline_timestamps_strictly_increasing(times):
+    """Timestamps must be finite and increase; `setpoint_at` stops at an
+    entry at nan, so no entry after it would ever apply."""
+    timeline = [{"t": t, "roll_deg": 10.0 * k} for k, t in enumerate(times)]
+    with pytest.raises(ScenarioError, match="timeline timestamps"):
+        scenario_from_dict(_scenario(timeline=timeline))
 
 
 @pytest.mark.parametrize("path", sorted(
