@@ -33,7 +33,10 @@ from .vehicle import (ACTUATOR_ORDER, ActuatorSet, ConfigError,
 SIM_RATE = 250.0           # Hz, dynamics and attitude
 CRUISE_DIVIDER = 5         # cruise runs every 5th tick (50 Hz)
 STEADY_AFTER = 3.0         # s after a setpoint change before a sample is steady
-MAX_DURATION = 3600.0      # s; a run allocates its log's rows up front
+# s; a run allocates its log's rows up front, at most 900,000 rows of 66
+# doubles (475 MB). Saving adds one chunk of rows, and loading one array.
+MAX_DURATION = 3600.0
+SAVE_CHUNK_ROWS = 64       # rows a save turns into Python floats at a time
 
 SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
 
@@ -105,6 +108,14 @@ class Scenario:
         state_from_dict(self.initial)
         self.initial = {k: _number(v, f"initial.{k}") if k in INITIAL_COMMANDS else v
                         for k, v in self.initial.items()}
+        # a nan setpoint flies on with nan columns, a nan wind or state faults at t = 0
+        for where, value in [("wind.constant", self.wind_constant),
+                             *((f"wind.steps t={s.t} value", s.value) for s in self.wind_steps),
+                             *((f"timeline t={e.t} {k}", v) for e in self.timeline
+                               for k, v in e.values.items()),
+                             *((f"initial.{k}", v) for k, v in self.initial.items())]:
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ScenarioError(f"{where} must be finite, got {value!r}")
 
     def wind_at(self, t: float) -> np.ndarray:
         value = self.wind_constant
@@ -250,15 +261,23 @@ class RunLog:
         return self.rows[:, self.columns.index(name)]
 
     def save(self, path: str | Path) -> None:
+        """Write the comments, the header and one line per row, each cell the
+        repr of its value as a Python float. Rows become Python floats
+        SAVE_CHUNK_ROWS at a time, so saving needs one chunk's memory beyond
+        the array, whatever the log's length."""
         with Path(path).open("w", encoding="utf-8") as f:
             f.write(f"# tiltwing run log scenario={self.scenario}\n")
             if self.fault:
                 f.write(f"# fault={self.fault}\n")
             f.write(",".join(self.columns) + "\n")
-            f.writelines(",".join(map(repr, row)) + "\n" for row in self.rows.tolist())
+            for start in range(0, len(self.rows), SAVE_CHUNK_ROWS):
+                f.writelines(",".join(map(repr, row)) + "\n" for row
+                             in self.rows[start:start + SAVE_CHUNK_ROWS].tolist())
 
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":
+        """The log a file holds, its rows parsed into one array: loading needs
+        about the rows' memory (`read_csv_table`)."""
         comments, columns, rows, _ = read_csv_table(path, ScenarioError)
         missing = [c for c in LOG_COLUMNS if c not in columns]
         if missing:

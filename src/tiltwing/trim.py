@@ -472,7 +472,7 @@ def load_trim_map(path: str | Path) -> TrimMap:
     comments, header, arr, row_lines = read_csv_table(path, TrimError)
     if ",".join(header) != CSV_HEADER:
         raise TrimError(f"unexpected trim map header: {','.join(header)}")
-    if not row_lines:
+    if not row_lines.size:
         raise TrimError(f"no rows in trim map {path}")
     for row, lineno in zip(arr.tolist(), row_lines):
         if not all(map(math.isfinite, row)) or row[2] not in (0.0, 1.0):

@@ -374,32 +374,50 @@ def _vec3(value, where: str) -> np.ndarray:
     return arr
 
 
+def _stripped_lines(path: str | Path):
+    """The lines of a text file as ``str.splitlines`` cuts them, stripped,
+    read one at a time."""
+    with Path(path).open(encoding="utf-8") as f:
+        for raw in f:
+            for line in raw.splitlines():
+                yield line.strip()
+
+
 def read_csv_table(path: str | Path, error: type[Exception]
-                   ) -> tuple[list[str], list[str], np.ndarray, list[int]]:
+                   ) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     """The comment lines (after their ``#``), the header's names, the float
     rows as an (n, len(header)) array and each row's line number of a CSV
     table. A missing header, or a row that is not one number per name,
-    raises ``error`` naming the file (and line)."""
-    comments, header, rows, linenos = [], None, [], []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
+    raises ``error`` naming the file (and line).
+
+    A first pass counts the rows, and the second parses them one line at a
+    time into the preallocated array, so reading needs about the array's
+    memory plus 8 bytes a row for the line numbers."""
+    n_rows = sum(1 for line in _stripped_lines(path)
+                 if line and not line.startswith("#")) - 1
+    comments, header, rows, linenos, i = [], None, None, None, 0
+    for lineno, line in enumerate(_stripped_lines(path), 1):
         if line.startswith("#"):
             comments.append(line[1:])
         elif line and header is None:
             header = line.split(",")
+            rows, linenos = np.empty((n_rows, len(header))), np.empty(n_rows, dtype=np.int64)
         elif line:
+            if i == n_rows:
+                raise error(f"{path} changed while it was read")
             try:
                 row = [float(tok) for tok in line.split(",")]
             except ValueError:
                 row = []
             if len(row) != len(header):
                 raise error(f"{path} line {lineno}: not {len(header)} numbers: {line!r}")
-            rows.append(row)
-            linenos.append(lineno)
+            rows[i], linenos[i] = row, lineno
+            i += 1
     if header is None:
         raise error(f"no header in {path}")
-    return comments, header, np.array(rows, dtype=float).reshape(-1, len(header)), linenos
+    if i < n_rows:
+        raise error(f"{path} changed while it was read")
+    return comments, header, rows, linenos
 
 
 def read_yaml_file(path: str | Path, what: str, error: type[Exception]):

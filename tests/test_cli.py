@@ -230,6 +230,8 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
      {"map.csv": CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"}),
     ("trim query --map {d}/map.csv --va 1 --gamma inf",
      {"map.csv": CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: attitude\nduration: 0.2\ntimeline:\n  - {t: 0.1, roll_deg: .nan}\n"}),
 ], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
         "unknown_command", "wind_2_vector", "velocity_2_vector", "state_list",
         "timeline_entry_without_t", "timeline_value_not_a_number",
@@ -240,7 +242,7 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
         "duration_inf", "duration_1e12", "duration_no_tick",
         "initial_command_not_a_number", "timeline_t_nan",
         "log_value_not_a_number", "log_row_short", "map_value_not_a_number",
-        "query_va_nan", "query_gamma_inf"])
+        "query_va_nan", "query_gamma_inf", "timeline_value_nan"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -1,11 +1,12 @@
 import copy
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tiltwing import aero, dynamics, sim
+from tiltwing import aero, dynamics, sim, vehicle
 from tiltwing.attitude import AttitudeController
 from tiltwing.cruise import CruiseController
 from tiltwing.dynamics import IntegrationFault
@@ -184,6 +185,76 @@ def test_saved_log_cells_are_float_reprs_and_reload_bit_for_bit(tmp_path):
     assert RunLog.load(path).rows.tobytes() == rows.tobytes()
 
 
+GOLDEN_LOG = Path(__file__).resolve().parent / "data" / "run_log_golden.csv"
+GOLDEN_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1,
+                 -1.0 / 3.0, 2.5e-7, 12345.678901234567, 0.0, -2.0, 0.1 + 0.2]
+
+
+def _golden_log() -> RunLog:
+    return RunLog(columns=list(LOG_COLUMNS),
+                  rows=np.resize(np.array(GOLDEN_VALUES), (5, len(LOG_COLUMNS))),
+                  scenario="golden", fault="t=0.016 s: non-finite aerodynamic wrench")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, sim.SAVE_CHUNK_ROWS])
+def test_log_format_matches_the_golden_file(tmp_path, monkeypatch, chunk):
+    """The committed golden log was written by the writer that held every row
+    as Python floats at once. Saving in chunks of any size writes the same
+    bytes, and reading the file back gives the same rows, scenario and fault."""
+    monkeypatch.setattr(sim, "SAVE_CHUNK_ROWS", chunk)
+    golden = _golden_log()
+    path = tmp_path / "log.csv"
+    golden.save(path)
+    assert path.read_bytes() == GOLDEN_LOG.read_bytes()
+    loaded = RunLog.load(GOLDEN_LOG)
+    assert loaded.rows.tobytes() == golden.rows.tobytes()
+    assert (loaded.columns, loaded.scenario, loaded.fault) == \
+        (golden.columns, golden.scenario, golden.fault)
+
+
+@pytest.mark.parametrize("change", ["grows", "shrinks"])
+def test_log_that_changes_between_the_two_reads_is_refused(tmp_path, monkeypatch,
+                                                           change):
+    """The reader counts the rows, then parses them into an array of that
+    length: a file that gains or loses a row in between is an error."""
+    path = tmp_path / "log.csv"
+    _golden_log().save(path)
+    real, changed = vehicle._stripped_lines, []
+
+    def change_after_first_read(p):
+        yield from real(p)
+        if not changed:
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines + lines[-1:] if change == "grows"
+                                    else lines[:-1]), encoding="utf-8")
+            changed.append(change)
+
+    monkeypatch.setattr(vehicle, "_stripped_lines", change_after_first_read)
+    with pytest.raises(ScenarioError, match="changed while it was read"):
+        RunLog.load(path)
+    assert changed == [change]
+
+
+def test_log_save_and_load_memory_is_bounded_by_the_array(tmp_path):
+    """Saving a 20,000-row log allocates less than a tenth of its array, and
+    loading it little more than the array itself (tracemalloc peaks)."""
+    rows = np.random.default_rng(0).standard_normal((20_000, len(LOG_COLUMNS)))
+    log = RunLog(columns=list(LOG_COLUMNS), rows=rows, scenario="synthetic")
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        peaks = []
+        for step in (lambda: log.save(path), lambda: RunLog.load(path)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            step()
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / rows.nbytes)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 0.1 and peaks[1] < 1.25, peaks
+    assert RunLog.load(path).rows.tobytes() == rows.tobytes()
+
+
 def test_attitude_tick_integrates_with_three_evaluations(vp, monkeypatch):
     """The wrench logged at a tick is RK4's first stage: the step evaluates
     only the other three stages."""
@@ -265,6 +336,26 @@ def _scenario(mode="attitude", initial=None, timeline=(), wind=None) -> dict:
         "wind_step_value"])
 def test_scenario_vectors_must_have_three_elements(raw):
     with pytest.raises(ConfigError, match="must be a 3-element list"):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, where", [
+    (_scenario(timeline=[{"t": 0.0, "roll_deg": 0.0}, {"t": 0.05, "roll_deg": math.nan}]),
+     "timeline t=0.05 roll_deg"),
+    (_scenario(timeline=[{"t": 0.0, "pitch_deg": -math.inf}]), "timeline t=0.0 pitch_deg"),
+    (_scenario(wind={"constant": [math.nan, 0.0, 0.0]}), "wind.constant"),
+    (_scenario(wind={"steps": [{"t": 0.05, "value": [0.0, math.inf, 0.0]}]}),
+     "wind.steps t=0.05 value"),
+    (_scenario(initial={"velocity": [math.inf, 0.0, 0.0]}), "initial.velocity"),
+    (_scenario(initial={"omega": [0.0, 0.0, math.nan]}), "initial.omega"),
+    (_scenario(initial={"wing_tilt": math.nan}), "initial.wing_tilt"),
+], ids=["timeline_nan", "timeline_inf", "wind_constant", "wind_step_value",
+        "velocity", "omega", "wing_tilt"])
+def test_scenario_numbers_must_be_finite(raw, where):
+    """A nan setpoint would fly on with nan log columns, and a non-finite
+    wind or initial value would fault at t = 0: both are refused when the
+    scenario is built, naming the field."""
+    with pytest.raises(ScenarioError, match=f"^{where} must be finite"):
         scenario_from_dict(raw)
 
 
