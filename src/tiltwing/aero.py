@@ -403,5 +403,5 @@ def body_airspeed(R_IB, v, wind) -> Vec3:
 def total_wrench(state: "RigidBodyState", act: ActuatorSet, vp: VehicleParams,
                  wind: np.ndarray, prior: FlowTables | None = None) -> FlowTables:
     """`body_wrench` for a rigid-body state, actuator state and inertial wind."""
-    return body_wrench(body_airspeed(state.R_IB.ravel().tolist(), state.v.tolist(), wind),
-                       state.omega, act, vp, prior)
+    return body_wrench(body_airspeed(state.y[6:15], state.y[3:6], wind), state.y[15:],
+                       act, vp, prior)

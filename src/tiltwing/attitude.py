@@ -62,21 +62,26 @@ class AttitudeSetpoint:
 
 
 class Pid:
-    """Discrete PID on a vector error: kp e + ki I + kd de/dt, with the
-    integral I clamped to +-``limit`` and no derivative on the first call."""
+    """Discrete PID on a vector error in Python floats: kp e + ki I + kd de/dt,
+    with each component of the integral I clamped to +-``limit`` and no
+    derivative on the first call."""
 
     def __init__(self, kp, ki, kd, limit: float):
         self.kp, self.ki, self.kd, self.limit = kp, ki, kd, limit
-        self.integral = 0.0      # broadcasts to the error's shape
-        self._prev_err = None
+        self.integral: tuple[float, ...] | None = None
+        self._prev_err: tuple[float, ...] | None = None
 
-    def __call__(self, err: np.ndarray, dt: float) -> np.ndarray:
+    def __call__(self, err, dt: float) -> tuple[float, ...]:
         if not dt > 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        self.integral = np.clip(self.integral + err * dt, -self.limit, self.limit)
-        deriv = 0.0 if self._prev_err is None else (err - self._prev_err) / dt
-        self._prev_err = err.copy()
-        return self.kp * err + self.ki * self.integral + self.kd * deriv
+        err, lim = tuple(err), self.limit
+        self.integral = tuple(min(max(i + e * dt, -lim), lim) for i, e
+                              in zip(self.integral or (0.0,) * len(err), err))
+        deriv = [0.0] * len(err) if self._prev_err is None \
+            else [(e - p) / dt for e, p in zip(err, self._prev_err)]
+        self._prev_err = err
+        return tuple(self.kp * e + self.ki * i + self.kd * d
+                     for e, i, d in zip(err, self.integral, deriv))
 
 
 class AttitudeController:
@@ -86,13 +91,13 @@ class AttitudeController:
         self.pid = Pid(RATE_P, RATE_I, RATE_D, INTEGRATOR_LIMIT)
 
     def attitude_error_control(self, state, sp: AttitudeSetpoint, zeta_w: float,
-                               dt: float) -> np.ndarray:
+                               dt: float) -> tuple[float, float, float]:
         """Desired body angular acceleration from attitude/yaw-rate errors.
 
         The desired attitude is built at the current yaw (reduced attitude:
         only roll/pitch alignment is commanded; yaw is rate-driven).
         """
-        r = state.R_IB.ravel().tolist()
+        r = state.y[6:15]
         d = euler_zyx(sp.roll, sp.pitch, euler_angles(r)[2])
         # E = R^T R_des, entry (i, j) the dot product of columns i of R and j of R_des
         (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = (
@@ -124,22 +129,22 @@ class AttitudeController:
             fade = min(max((zeta_w - SCHEDULE_LO) / (SCHEDULE_HI - SCHEDULE_LO), 0.0), 1.0)
             kp_pitch *= 1.0 - (1.0 - PITCH_DOWN_FACTOR) * fade
 
-        # omega_des = kp err + R^T (0, 0, yaw_rate)
-        omega_des = np.array((ATT_P * err_x + r[6] * sp.yaw_rate,
-                              kp_pitch * err_y + r[7] * sp.yaw_rate,
-                              ATT_P * err_z + r[8] * sp.yaw_rate))
-        return self.pid(omega_des - state.omega, dt)
+        # the rate error omega_des - omega, omega_des = kp err + R^T (0, 0, yaw_rate)
+        wx, wy, wz = state.y[15:]
+        return self.pid((ATT_P * err_x + r[6] * sp.yaw_rate - wx,
+                         kp_pitch * err_y + r[7] * sp.yaw_rate - wy,
+                         ATT_P * err_z + r[8] * sp.yaw_rate - wz), dt)
 
 
-def dynamic_inversion(omega_dot_des: np.ndarray, omega: np.ndarray,
-                      inertia: np.ndarray) -> np.ndarray:
-    """Total moment that realizes a desired angular acceleration, in floats."""
+def dynamic_inversion(omega_dot_des, omega, inertia: np.ndarray) -> tuple[float, float, float]:
+    """Total moment that realizes a desired angular acceleration, from float
+    3-vectors, in floats."""
     rows = inertia.tolist()
-    w0, w1, w2 = omega.tolist()
+    w0, w1, w2 = omega
     (a0, a1, a2), (h0, h1, h2) = ([r0 * x0 + r1 * x1 + r2 * x2 for r0, r1, r2 in rows]
-                                  for x0, x1, x2 in (omega_dot_des.tolist(), (w0, w1, w2)))
-    return np.array((a0 + (w1 * h2 - w2 * h1), a1 + (w2 * h0 - w0 * h2),
-                     a2 + (w0 * h1 - w1 * h0)))
+                                  for x0, x1, x2 in (omega_dot_des, omega))
+    return (a0 + (w1 * h2 - w2 * h1), a1 + (w2 * h0 - w0 * h2),
+            a2 + (w0 * h1 - w1 * h0))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +306,8 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
     of them. ``nominal``, if given, is `aero.total_wrench` of the same
     state, ``u_n`` and wind, read in place of evaluating ``u_n`` again.
     """
-    v_a_body = aero.body_airspeed(state.R_IB.ravel().tolist(), state.v.tolist(), wind)
-    omega = state.omega.tolist()
+    v_a_body = aero.body_airspeed(state.y[6:15], state.y[3:6], wind)
+    omega = state.y[15:]
 
     act = u_n.copy()
     ev = nominal or aero.body_wrench(v_a_body, omega, act, vp)

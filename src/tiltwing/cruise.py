@@ -25,7 +25,7 @@ from .trim import TrimMap, lookup_trim
 from .vehicle import ActuatorSet, VehicleParams, nominal_actuation
 
 LOOKUP_EDGE = 1e-9  # keeps the lookup strictly inside the open band
-# lookup bounds around the actual airspeed (Eq. 15 band) [m/s]
+# lookup bounds around the actual airspeed [m/s]
 V_X_MINUS = 3.0
 V_X_PLUS = 3.0
 V_Z_MINUS = 1.5
@@ -113,14 +113,14 @@ def control_derivatives(state, act: ActuatorSet, vp: VehicleParams,
     segments to the pitch column are ignored: their post-stall coefficient
     slopes reverse sign and corrupt the local linearization.
     """
-    roll, pitch, yaw = euler_angles(state.R_IB.ravel().tolist())
+    roll, pitch, yaw = euler_angles(state.y[6:15])
     heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
 
     def eval_at(theta: float, act_eval: ActuatorSet,
                 prior: aero.FlowTables | None = None):
         R = euler_zyx_to_matrix(roll, theta, yaw)
-        return R, aero.body_wrench(aero.body_airspeed(R.ravel().tolist(), state.v, wind),
-                                   state.omega, act_eval, vp, prior)
+        return R, aero.body_wrench(aero.body_airspeed(R.ravel().tolist(), state.y[3:6], wind),
+                                   state.y[15:], act_eval, vp, prior)
 
     J = np.empty((2, 2))
 
@@ -175,14 +175,14 @@ class CruiseController:
     def velocity_feedback(self, v_err: np.ndarray, mass: float,
                           dt: float) -> np.ndarray:
         """Corrective force from the velocity error PID."""
-        return mass * self.pid(v_err, dt)
+        return mass * np.array(self.pid(v_err, dt))
 
     def step(self, state, sp: CruiseSetpoint, tmap: TrimMap,
              vp: VehicleParams, current_act: ActuatorSet, dt: float,
              wind: np.ndarray) -> CruiseOutput:
         """One cruise update: feed-forward lookup plus feedback allocation."""
         v_air = state.v - wind
-        _, _, yaw = euler_angles(state.R_IB.ravel().tolist())
+        _, _, yaw = euler_angles(state.y[6:15])
         heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
         v_actual = np.array([v_air @ heading, v_air[2]])
         v_des = np.array([sp.v_ax, sp.v_az])

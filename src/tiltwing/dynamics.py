@@ -14,7 +14,7 @@ handed in by the caller is bit for bit the one the step would evaluate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +29,47 @@ class IntegrationFault(RuntimeError):
     """Raised when the state leaves the finite domain during a step."""
 
 
-@dataclass
+@dataclass(init=False)
 class RigidBodyState:
-    """x, v inertial; R_IB body-to-inertial; omega body frame."""
+    """x, v inertial; R_IB body-to-inertial; omega body frame.
 
-    x: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    R_IB: np.ndarray = field(default_factory=lambda: np.eye(3))
-    omega: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    The state is ``y``, 18 Python floats: x, v, R_IB row-major, omega. The
+    constructor takes the four as arrays (R_IB 3x3 or its 9 row-major
+    entries); ``x``, ``v``, ``R_IB`` and ``omega`` are arrays built from
+    ``y`` on each read."""
 
+    y: list[float]
 
-def _flat(s: RigidBodyState) -> list[float]:
-    return [*s.x.tolist(), *s.v.tolist(), *s.R_IB.ravel().tolist(), *s.omega.tolist()]
+    def __init__(self, x=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0),
+                 R_IB=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), omega=(0.0, 0.0, 0.0)):
+        parts = [np.asarray(a, dtype=float).reshape(-1).tolist() for a in (x, v, R_IB, omega)]
+        if [len(p) for p in parts] != [3, 3, 9, 3]:
+            raise ValueError(f"x, v, R_IB, omega must hold 3, 3, 9, 3 numbers, "
+                             f"got {[len(p) for p in parts]}")
+        self.y = [c for p in parts for c in p]
+
+    @classmethod
+    def of(cls, y: list[float]) -> RigidBodyState:
+        """The state whose flat floats are ``y``, taken as they are."""
+        s = object.__new__(cls)
+        s.y = y
+        return s
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.array(self.y[:3])
+
+    @property
+    def v(self) -> np.ndarray:
+        return np.array(self.y[3:6])
+
+    @property
+    def R_IB(self) -> np.ndarray:
+        return np.array(self.y[6:15]).reshape(3, 3)
+
+    @property
+    def omega(self) -> np.ndarray:
+        return np.array(self.y[15:])
 
 
 def _constants(vp: VehicleParams) -> tuple:
@@ -87,7 +116,7 @@ def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
     if not 0.0 < dt <= DT_MAX:
         raise ValueError(f"dt must be in (0, {DT_MAX}], got {dt}")
     c = _constants(vp)
-    y0 = _flat(s)
+    y0 = s.y
     h = 0.5 * dt
 
     def stage(y):
@@ -109,5 +138,5 @@ def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
     if not all(map(math.isfinite, y)):
         raise IntegrationFault(f"non-finite state after step: x={y[:3]}, "
                                f"v={y[3:6]}, omega={y[15:]}")
-    y = np.array(y)
-    return RigidBodyState(y[:3], y[3:6], orthonormalize(y[6:15].reshape(3, 3)), y[15:])
+    return RigidBodyState.of(
+        y[:6] + orthonormalize(np.array(y[6:15]).reshape(3, 3)).reshape(-1).tolist() + y[15:])

@@ -336,10 +336,10 @@ def run_tick(loop: LoopState, k: int, sc: Scenario, vp: VehicleParams,
             delta_w, delta_plr = sp["wing_tilt"], sp["main_throttle"]
         u_n = nominal_actuation(vp, act, delta_plr=delta_plr, delta_w=delta_w)
         omega_dot_des = loop.att.attitude_error_control(state, att_sp, act.zeta_w, dt)
-        m_des = dynamic_inversion(omega_dot_des, state.omega, vp.inertia)
+        m_des = dynamic_inversion(omega_dot_des, state.y[15:], vp.inertia)
         nominal = nominal_moment_estimate(state, u_n, vp, wind)
-        alloc = daisy_chain_allocate(m_des - np.array(nominal.moment), state, u_n,
-                                     vp, wind, nominal)
+        alloc = daisy_chain_allocate([d - n for d, n in zip(m_des, nominal.moment)],
+                                     state, u_n, vp, wind, nominal)
         cmd = alloc.commanded
         moments = [*m_des, *nominal.moment, *alloc.residual]
 
@@ -350,10 +350,10 @@ def run_tick(loop: LoopState, k: int, sc: Scenario, vp: VehicleParams,
     # z force per source group; sum's start 0 and +0.0 turn a signed zero into +0.0
     group_fz = [sum(p.force[2] for p in ev.props), sum(s.force[2] for s in ev.segs),
                 0.0 + ev.fus_force[2]]
-    roll, pitch, yaw = euler_angles(state.R_IB.ravel().tolist())
+    y = state.y
     co = loop.cruise_out
     row[:] = (
-        [t, *state.x, *state.v, roll, pitch, yaw, *state.omega]
+        [t, *y[:6], *euler_angles(y[6:15]), *y[15:]]
         + [getattr(act, f"delta_{n}") for n in ACTUATOR_ORDER]
         + [act.position(n, vp) for n in ACTUATOR_ORDER]
         + [att_sp.roll, att_sp.pitch, att_sp.yaw_rate,

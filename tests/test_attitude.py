@@ -126,7 +126,41 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return q[1:] / n * (2.0 * np.arctan2(n, np.clip(q[0], -1.0, 1.0)))
 
 
-def reference_attitude_law(pid: Pid, state, sp: AttitudeSetpoint, zeta_w: float,
+class NumpyPid:
+    """Reference of `attitude.Pid` on numpy arrays: kp e + ki I + kd de/dt,
+    with I clamped to +-limit and no derivative on the first call."""
+
+    def __init__(self, kp, ki, kd, limit: float):
+        self.kp, self.ki, self.kd, self.limit = kp, ki, kd, limit
+        self.integral = 0.0      # broadcasts to the error's shape
+        self._prev_err = None
+
+    def __call__(self, err: np.ndarray, dt: float) -> np.ndarray:
+        self.integral = np.clip(self.integral + err * dt, -self.limit, self.limit)
+        deriv = 0.0 if self._prev_err is None else (err - self._prev_err) / dt
+        self._prev_err = err.copy()
+        return self.kp * err + self.ki * self.integral + self.kd * deriv
+
+
+def test_float_pid_matches_numpy_reference_bit_for_bit():
+    """The float PID gives the numpy PID's bits on every call of a seeded
+    sequence of 3-vector errors: the first call without a derivative, and
+    calls on which the integral sits at its clamp on some axis."""
+    rng = np.random.default_rng(31)
+    pid, ref = Pid(RATE_P, RATE_I, RATE_D, INTEGRATOR_LIMIT), \
+        NumpyPid(RATE_P, RATE_I, RATE_D, INTEGRATOR_LIMIT)
+    clamped = 0
+    for _ in range(400):
+        err = rng.normal(0.0, 40.0, 3)
+        out, expected = pid(err.tolist(), 0.004), ref(err, 0.004)
+        assert np.array(out).tobytes() == expected.tobytes()
+        assert np.array(pid.integral).tobytes() == ref.integral.tobytes()
+        assert all(type(c) is float for c in out)
+        clamped += np.abs(ref.integral).max() == INTEGRATOR_LIMIT
+    assert clamped > 50
+
+
+def reference_attitude_law(pid: NumpyPid, state, sp: AttitudeSetpoint, zeta_w: float,
                            dt: float) -> tuple[np.ndarray, int]:
     """The attitude law on 3x3 numpy rotations, and its quaternion branch."""
     R = state.R_IB
@@ -167,7 +201,7 @@ def test_float_attitude_law_matches_numpy_reference():
         state = RigidBodyState(R_IB=R, omega=rng.uniform(-2.0, 2.0, 3))
         sp = AttitudeSetpoint(roll=roll, pitch=pitch, yaw_rate=rng.uniform(-1.0, 1.0))
         zeta_w = rng.uniform(0.0, math.pi / 2)
-        ctl, pid = AttitudeController(), Pid(RATE_P, RATE_I, RATE_D, INTEGRATOR_LIMIT)
+        ctl, pid = AttitudeController(), NumpyPid(RATE_P, RATE_I, RATE_D, INTEGRATOR_LIMIT)
         for _ in range(2):
             out = ctl.attitude_error_control(state, sp, zeta_w, 0.004)
             ref, branch = reference_attitude_law(pid, state, sp, zeta_w, 0.004)

@@ -15,7 +15,7 @@ from tiltwing.vehicle import actuation_from_commands
 def state_derivative(s, vp, force=(0.0, 0.0, 0.0), moment=(0.0, 0.0, 0.0)):
     """The model's derivative of the flat state ``s`` under a body-frame
     force and moment, split into the reference's named arrays."""
-    d = np.array(dynamics._derivative(dynamics._flat(s), force, moment,
+    d = np.array(dynamics._derivative(s.y, force, moment,
                                       dynamics._constants(vp)))
     return dynamics_reference.StateDerivative(d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:])
 
