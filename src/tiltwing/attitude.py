@@ -21,9 +21,10 @@ The controller tracks (roll, pitch, yaw-rate) references in three stages:
 Per-actuator demands come from the local aero model (linear in surface
 deflection, quadratic in propeller speed); every block's achieved moment is
 booked as the full-model wrench delta, so allocated + residual = M_act
-holds exactly against the model. The attitude error, the inversion, the
-chain and the QP compute in Python floats, the chain at the airspeed of
-`aero.body_airspeed`; only the rate PID and the results are numpy arrays.
+holds exactly against the model. The attitude error, the rate PID, the
+inversion, the chain and the QP compute in Python floats on slices of the
+state's `y`, the chain at the airspeed of `aero.body_airspeed`; only the
+allocation result holds numpy arrays.
 """
 from __future__ import annotations
 
@@ -63,25 +64,21 @@ class AttitudeSetpoint:
 
 class Pid:
     """Discrete PID on a vector error in Python floats: kp e + ki I + kd de/dt,
-    with each component of the integral I clamped to +-``limit`` and no
-    derivative on the first call."""
+    each component of I clamped to +-``limit``, no derivative on the first call."""
 
     def __init__(self, kp, ki, kd, limit: float):
         self.kp, self.ki, self.kd, self.limit = kp, ki, kd, limit
-        self.integral: tuple[float, ...] | None = None
-        self._prev_err: tuple[float, ...] | None = None
+        self.integral = self._prev_err = None
 
     def __call__(self, err, dt: float) -> tuple[float, ...]:
         if not dt > 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        err, lim = tuple(err), self.limit
-        self.integral = tuple(min(max(i + e * dt, -lim), lim) for i, e
-                              in zip(self.integral or (0.0,) * len(err), err))
-        deriv = [0.0] * len(err) if self._prev_err is None \
-            else [(e - p) / dt for e, p in zip(err, self._prev_err)]
+        err, lim, prev = tuple(err), self.limit, self._prev_err
         self._prev_err = err
-        return tuple(self.kp * e + self.ki * i + self.kd * d
-                     for e, i, d in zip(err, self.integral, deriv))
+        self.integral = tuple(min(max(i + e * dt, -lim), lim)
+                              for i, e in zip(self.integral or (0.0,) * len(err), err))
+        return tuple(self.kp * e + self.ki * i + self.kd * ((e - p) / dt if prev else 0.0)
+                     for e, i, p in zip(err, self.integral, prev or err))
 
 
 class AttitudeController:
@@ -137,8 +134,7 @@ class AttitudeController:
 
 
 def dynamic_inversion(omega_dot_des, omega, inertia: np.ndarray) -> tuple[float, float, float]:
-    """Total moment that realizes a desired angular acceleration, from float
-    3-vectors, in floats."""
+    """Total moment that realizes a desired angular acceleration, in floats."""
     rows = inertia.tolist()
     w0, w1, w2 = omega
     (a0, a1, a2), (h0, h1, h2) = ([r0 * x0 + r1 * x1 + r2 * x2 for r0, r1, r2 in rows]

@@ -1,25 +1,21 @@
 """Newton-Euler rigid-body dynamics and fixed-step integration.
 
 State of record: inertial position and velocity, body-to-inertial rotation
-matrix, body angular rate. Integration is classical RK4 with the rotation
-matrix re-orthonormalized (polar projection) after every step.
-
-The step runs in Python floats over the flat state (x, v, R_IB row-major,
-omega), as numpy's cost per call outweighs 3-vector arithmetic, and builds
-`RigidBodyState` arrays once. Each stage reads the float force and moment of
-one `aero.FlowTables` evaluation. Its stages take the airspeed from
-`aero.body_airspeed`, as every wrench evaluation does, so a first stage
+matrix and body angular rate, as the 18 Python floats of `RigidBodyState.y`
+that the tick's readers slice. Integration is classical RK4 in those floats,
+as numpy's cost per call outweighs 3-vector arithmetic, and one Bar-Itzhack
+step pulls R_IB back to orthonormality after every step. Each stage reads the
+float force and moment of one `aero.FlowTables` evaluation, at the airspeed
+from `aero.body_airspeed` like every wrench evaluation, so a first stage
 handed in by the caller is bit for bit the one the step would evaluate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .aero import FlowTables, body_airspeed, body_wrench
-from .rotations import orthonormalize
 from .vehicle import ActuatorSet, VehicleParams
 
 DT_MAX = 0.02
@@ -29,47 +25,19 @@ class IntegrationFault(RuntimeError):
     """Raised when the state leaves the finite domain during a step."""
 
 
-@dataclass(init=False)
 class RigidBodyState:
-    """x, v inertial; R_IB body-to-inertial; omega body frame.
+    """x, v inertial; R_IB body-to-inertial; omega body frame. The state is
+    ``y``: 18 Python floats, x, v, R_IB row-major and omega. The constructor
+    takes 3-vectors and R_IB's rows, and each reads back as an array."""
 
-    The state is ``y``, 18 Python floats: x, v, R_IB row-major, omega. The
-    constructor takes the four as arrays (R_IB 3x3 or its 9 row-major
-    entries); ``x``, ``v``, ``R_IB`` and ``omega`` are arrays built from
-    ``y`` on each read."""
+    def __init__(self, x=(0.0,) * 3, v=(0.0,) * 3, R_IB=np.eye(3), omega=(0.0,) * 3):
+        self.y = [*map(float, x), *map(float, v),
+                  *(float(c) for row in R_IB for c in row), *map(float, omega)]
 
-    y: list[float]
-
-    def __init__(self, x=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0),
-                 R_IB=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), omega=(0.0, 0.0, 0.0)):
-        parts = [np.asarray(a, dtype=float).reshape(-1).tolist() for a in (x, v, R_IB, omega)]
-        if [len(p) for p in parts] != [3, 3, 9, 3]:
-            raise ValueError(f"x, v, R_IB, omega must hold 3, 3, 9, 3 numbers, "
-                             f"got {[len(p) for p in parts]}")
-        self.y = [c for p in parts for c in p]
-
-    @classmethod
-    def of(cls, y: list[float]) -> RigidBodyState:
-        """The state whose flat floats are ``y``, taken as they are."""
-        s = object.__new__(cls)
-        s.y = y
-        return s
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.array(self.y[:3])
-
-    @property
-    def v(self) -> np.ndarray:
-        return np.array(self.y[3:6])
-
-    @property
-    def R_IB(self) -> np.ndarray:
-        return np.array(self.y[6:15]).reshape(3, 3)
-
-    @property
-    def omega(self) -> np.ndarray:
-        return np.array(self.y[15:])
+    x = property(lambda s: np.array(s.y[:3]))
+    v = property(lambda s: np.array(s.y[3:6]))
+    R_IB = property(lambda s: np.array(s.y[6:15]).reshape(3, 3))
+    omega = property(lambda s: np.array(s.y[15:]))
 
 
 def _constants(vp: VehicleParams) -> tuple:
@@ -107,10 +75,21 @@ def _derivative(y, force, moment, c) -> tuple[float, ...]:
             j20 * tx + j21 * ty + j22 * tz)
 
 
+def _orthogonalized(r) -> list[list[float]]:
+    """Rows of R (3I - R^T R) / 2 from R's 9 row-major entries: one Bar-Itzhack
+    step (IEEE TAES 11(1), 1975), which about squares R's distance from SO(3)."""
+    cols = r[0::3], r[1::3], r[2::3]
+    # S = (3I - R^T R) / 2, symmetric: (R^T R)_ij is the dot product of columns i and j
+    s = [[(1.5 if i == j else 0.0) - 0.5 * (a0 * b0 + a1 * b1 + a2 * b2)
+          for j, (b0, b1, b2) in enumerate(cols)] for i, (a0, a1, a2) in enumerate(cols)]
+    return [[a0 * s0 + a1 * s1 + a2 * s2 for s0, s1, s2 in s]
+            for a0, a1, a2 in (r[0:3], r[3:6], r[6:9])]
+
+
 def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
                    wind: np.ndarray, dt: float,
                    wrench: FlowTables | None = None) -> RigidBodyState:
-    """One RK4 step of ``dt`` in ``wind``, actuation held, R re-orthonormalized.
+    """One RK4 step of ``dt`` in ``wind``, actuation held, R re-orthogonalized.
     A given ``wrench``, the first stage's evaluation, must be the one at ``s``,
     ``act``, ``wind``."""
     if not 0.0 < dt <= DT_MAX:
@@ -138,5 +117,4 @@ def integrate_step(s: RigidBodyState, act: ActuatorSet, vp: VehicleParams,
     if not all(map(math.isfinite, y)):
         raise IntegrationFault(f"non-finite state after step: x={y[:3]}, "
                                f"v={y[3:6]}, omega={y[15:]}")
-    return RigidBodyState.of(
-        y[:6] + orthonormalize(np.array(y[6:15]).reshape(3, 3)).reshape(-1).tolist() + y[15:])
+    return RigidBodyState(y[:3], y[3:6], _orthogonalized(y[6:15]), y[15:])

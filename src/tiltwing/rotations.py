@@ -1,10 +1,10 @@
-"""Rotation helpers shared by the aero model, dynamics, and controllers.
+"""Euler-angle rotations shared by the controllers, the runner and the CLI.
 
-Convention: body frame is forward-right-down, inertial frame is NED.
-R_IB maps body vectors into the inertial frame; Euler angles are
-ZYX (yaw-pitch-roll). `euler_zyx` is the one implementation of that
-rotation, in Python floats as its 9 row-major entries; `euler_zyx_to_matrix`
-is its 3x3 array front, and `euler_angles` its inverse on the 9 entries.
+Convention: body frame is forward-right-down, inertial frame is NED. R_IB
+maps body vectors into the inertial frame; Euler angles are ZYX
+(yaw-pitch-roll). `euler_zyx` is the one implementation of that rotation, in
+Python floats as R_IB's 9 row-major entries, its layout in the state's `y`;
+`euler_zyx_to_matrix` is its 3x3 array front, `euler_angles` its inverse.
 """
 from __future__ import annotations
 
@@ -32,13 +32,3 @@ def euler_angles(r) -> tuple[float, float, float]:
     r00, _, _, r10, _, _, r20, r21, r22 = r
     return (math.atan2(r21, r22), math.asin(min(max(-r20, -1.0), 1.0)),
             math.atan2(r10, r00))
-
-
-def orthonormalize(R: np.ndarray) -> np.ndarray:
-    """Project a near-rotation matrix onto SO(3) (polar factor via SVD)."""
-    u, _, vt = np.linalg.svd(R)
-    out = u @ vt
-    if np.linalg.det(out) < 0.0:
-        u[:, -1] = -u[:, -1]
-        out = u @ vt
-    return out

@@ -350,10 +350,9 @@ def run_tick(loop: LoopState, k: int, sc: Scenario, vp: VehicleParams,
     # z force per source group; sum's start 0 and +0.0 turn a signed zero into +0.0
     group_fz = [sum(p.force[2] for p in ev.props), sum(s.force[2] for s in ev.segs),
                 0.0 + ev.fus_force[2]]
-    y = state.y
     co = loop.cruise_out
     row[:] = (
-        [t, *y[:6], *euler_angles(y[6:15]), *y[15:]]
+        [t, *state.y[:6], *euler_angles(state.y[6:15]), *state.y[15:]]
         + [getattr(act, f"delta_{n}") for n in ACTUATOR_ORDER]
         + [act.position(n, vp) for n in ACTUATOR_ORDER]
         + [att_sp.roll, att_sp.pitch, att_sp.yaw_rate,
@@ -418,6 +417,8 @@ def compute_metrics(log: RunLog, sc: Scenario | None = None) -> dict[str, float]
         "rows": float(t.size),
         "fault": 1.0 if log.fault else 0.0,
     }
+    if not t.size:     # a run that faulted before its first row
+        return metrics
     alt = -log.column("z")
     metrics["altitude_min"] = float(alt.min())
     metrics["altitude_max"] = float(alt.max())

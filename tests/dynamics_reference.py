@@ -1,9 +1,10 @@
 """Numpy reference of the rigid-body step.
 
 The equations of motion and the RK4 step as 3-vector and 3x3 numpy
-operations, with the body airspeed as ``R_IB.T @ (v - wind)``. The model
-(`tiltwing.dynamics`) runs the same step in Python floats; `test_dynamics`
-checks it against this reference. The wrench is the model's own
+operations, with the body airspeed as ``R_IB.T @ (v - wind)`` and the
+rotation projected onto SO(3) by its polar factor (SVD). The model
+(`tiltwing.dynamics`) runs the same step in Python floats and projects with
+one Bar-Itzhack step; `test_dynamics` checks it against this reference. The wrench is the model's own
 `body_wrench`, shared by both.
 """
 from __future__ import annotations
@@ -14,13 +15,22 @@ import numpy as np
 
 from tiltwing.aero import body_wrench
 from tiltwing.dynamics import RigidBodyState
-from tiltwing.rotations import orthonormalize
 from tiltwing.vehicle import ActuatorSet, VehicleParams
 
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]x such that skew(v) @ u == cross(v, u)."""
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def orthonormalize(R: np.ndarray) -> np.ndarray:
+    """Project a near-rotation matrix onto SO(3) (polar factor via SVD)."""
+    u, _, vt = np.linalg.svd(R)
+    out = u @ vt
+    if np.linalg.det(out) < 0.0:
+        u[:, -1] = -u[:, -1]
+        out = u @ vt
+    return out
 
 
 class StateDerivative(NamedTuple):

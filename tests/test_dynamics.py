@@ -13,7 +13,7 @@ from tiltwing.vehicle import actuation_from_commands
 
 
 def state_derivative(s, vp, force=(0.0, 0.0, 0.0), moment=(0.0, 0.0, 0.0)):
-    """The model's derivative of the flat state ``s`` under a body-frame
+    """The model's derivative of the state ``s``'s floats under a body-frame
     force and moment, split into the reference's named arrays."""
     d = np.array(dynamics._derivative(s.y, force, moment,
                                       dynamics._constants(vp)))
@@ -202,3 +202,35 @@ def test_float_step_matches_numpy_reference(vp):
         for a, b in pairs:
             worst = max(worst, np.abs(a - b).max() / np.abs(b).max())
     assert worst <= 1e-12
+
+
+def test_state_built_from_arrays_reads_back_their_bytes():
+    """A state built from arrays holds 18 Python floats in ``y``, and each
+    field reads back the bytes and shape it was given, signed zeros too."""
+    rng = np.random.default_rng(11)
+    cases = [{"x": rng.uniform(-50.0, 50.0, 3), "v": rng.normal(0.0, 10.0, 3),
+              "R_IB": euler_zyx_to_matrix(*rng.uniform(-math.pi, math.pi, 3)),
+              "omega": rng.normal(0.0, 1.0, 3)} for _ in range(20)]
+    cases.append({"x": np.array([-0.0, 0.0, -0.0]), "v": np.array([0.0, -0.0, 1e-300]),
+                   "R_IB": np.eye(3), "omega": np.array([-0.0, -0.0, 0.0])})
+    for fields in cases:
+        s = RigidBodyState(**fields)
+        assert len(s.y) == 18 and {type(c) for c in s.y} == {float}
+        for name, a in fields.items():
+            got = getattr(s, name)
+            assert got.shape == a.shape and got.tobytes() == a.tobytes()
+
+
+def test_step_holds_python_floats(vp):
+    """The stepped state's ``y`` holds 18 Python floats, not numpy scalars,
+    after steps from a state built from arrays and from a stepped one, with
+    RK4's first stage evaluated and given, in a numpy wind."""
+    s = RigidBodyState(v=np.array([8.0, 0.3, -0.5]), R_IB=euler_zyx_to_matrix(0.1, 0.05, 1.0),
+                       omega=np.array([0.1, -0.2, 0.05]))
+    act = actuation_from_commands(vp, delta_w=0.5, delta_plr=0.6, delta_pt=0.1)
+    wind = np.array([1.0, -0.5, 0.2])
+    for given in (None, total_wrench(s, act, vp, wind)):
+        once = integrate_step(s, act, vp, wind, 0.004, given)
+        twice = integrate_step(once, act, vp, wind, 0.004, total_wrench(once, act, vp, wind))
+        for out in (once, twice):
+            assert len(out.y) == 18 and {type(c) for c in out.y} == {float}

@@ -83,15 +83,19 @@ def test_cruise_run_on_committed_map(vp, committed_map_path):
 @pytest.mark.parametrize("mode", ["open_loop", "attitude"])
 def test_fault_outside_integrator_is_recorded(vp, mode):
     """A wrench that overflows at t = 0 ends the run with a recorded fault:
-    in the log wrench (open loop) or the nominal moment (attitude)."""
+    in the log wrench (open loop) or the nominal moment (attitude). The
+    metrics of the empty log say so, and a report on it is refused."""
     sc = scenario_from_dict({
-        "name": "overflow", "mode": mode, "duration": 0.1,
+        "name": "overflow", "mode": mode, "duration": 1.0,
         "initial": {"velocity": [1.0e160, 0.0, 0.0], "wing_tilt": 1.0,
                     "main_throttle": 0.5},
     })
     log = run_scenario(sc, vp)
     assert log.fault == "t=0.000 s: non-finite aerodynamic wrench"
     assert log.rows.shape[0] == 0
+    assert compute_metrics(log, sc) == {"duration": 0.0, "rows": 0.0, "fault": 1.0}
+    with pytest.raises(ScenarioError, match="empty log"):
+        sim.emit_report(log, None, sc)
 
 
 def test_fault_in_the_step_flags_the_logged_row(vp, monkeypatch):
