@@ -129,7 +129,7 @@ class _VehicleTables:
 
     def __init__(self, vp: VehicleParams):
         self.pivot = tuple(float(x) for x in vp.wing.pivot)
-        self.travel = tuple(vp.actuators[n].travel for n in _COMMANDS)
+        self.travel = tuple(vp.travel[n] for n in _COMMANDS)
         # per propeller, the fields `body_wrench` unpacks by name
         self.props = [(p, p.mount == "wing", *(float(x) for x in p.hub_offset),
                        _COMMANDS.index(p.name), p.diameter ** 4, p.diameter ** 5,

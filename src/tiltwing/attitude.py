@@ -35,7 +35,7 @@ import numpy as np
 
 from . import aero
 from .rotations import euler_angles, euler_zyx
-from .vehicle import ActuatorSet, VehicleParams
+from .vehicle import COMMAND_HI, COMMAND_LO, ActuatorSet, VehicleParams, clamp_command
 
 _EPS_GAIN = 1e-9        # minimum actuator authority worth engaging [N m / unit]
 _EPS_DEMAND = 1e-9      # moment demand treated as already met [N m]
@@ -150,7 +150,7 @@ def dynamic_inversion(omega_dot_des, omega, inertia: np.ndarray) -> tuple[float,
 def _surface_moment_gain(vp: VehicleParams, ev: aero.FlowTables,
                          act: ActuatorSet, actuator: str) -> aero.Vec3:
     """d(moment)/d(command) of one aerodynamic surface [N m per unit]."""
-    travel = vp.actuators[actuator].travel
+    travel = vp.travel[actuator]
     zeta_now = act.position(actuator, vp)
     g0 = g1 = g2 = 0.0
     for row, gain, cl_delta, cd_alpha2, kd, cm_delta, area, moment_scale \
@@ -282,12 +282,10 @@ class AllocationResult:
         return sum(self.blocks.values(), np.zeros(3))
 
 
-def _apply_surface(act: ActuatorSet, vp: VehicleParams, name: str,
-                   increment: float) -> None:
+def _apply_surface(act: ActuatorSet, name: str, increment: float) -> None:
     """Step one command by ``increment``, clamped to its range."""
-    lim = vp.actuators[name]
     key = f"delta_{name}"
-    setattr(act, key, min(max(getattr(act, key) + increment, lim.lo), lim.hi))
+    setattr(act, key, clamp_command(name, getattr(act, key) + increment))
 
 
 def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
@@ -332,7 +330,7 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
             if abs(resid(axis)) > _EPS_DEMAND:
                 gain = _surface_moment_gain(vp, ev, act, name)[axis]
                 if abs(gain) > _EPS_GAIN:
-                    _apply_surface(act, vp, name, resid(axis) / gain)
+                    _apply_surface(act, name, resid(axis) / gain)
                     book(block)
 
         # block 3: ailerons + differential main throttle trade roll vs yaw
@@ -342,22 +340,21 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
             # d steps the left main's command by +d and the right one's by
             # -d, each scaled by its own travel; with alike mains the ratio
             # is 1 and this is (gain_pl - gain_pr) * travel
-            travel = vp.actuators["pl"].travel
-            ratio = vp.actuators["pr"].travel / travel
+            travel = vp.travel["pl"]
+            ratio = vp.travel["pr"] / travel
             gain_thr = [(l - r * ratio) * travel
                         for l, r in zip(_prop_moment_eta_gain(vp, ev, i_pl),
                                         _prop_moment_eta_gain(vp, ev, i_pr))]
-            lim_al, lim_ar = vp.actuators["al"], vp.actuators["ar"]
-            a_box = (max(lim_al.lo - act.delta_al, lim_ar.lo - act.delta_ar),
-                     min(lim_al.hi - act.delta_al, lim_ar.hi - act.delta_ar))
-            d_box = (max(-act.delta_pl, act.delta_pr - 1.0),
-                     min(1.0 - act.delta_pl, act.delta_pr))
+            a_box = (max(COMMAND_LO["al"] - act.delta_al, COMMAND_LO["ar"] - act.delta_ar),
+                     min(COMMAND_HI - act.delta_al, COMMAND_HI - act.delta_ar))
+            d_box = (max(COMMAND_LO["pl"] - act.delta_pl, act.delta_pr - COMMAND_HI),
+                     min(COMMAND_HI - act.delta_pl, act.delta_pr - COMMAND_LO["pr"]))
             if math.hypot(*gain_ail) > _EPS_GAIN or math.hypot(*gain_thr) > _EPS_GAIN:
                 a, d = solve_block3(resid(0), resid(2), gain_ail, gain_thr,
                                     a_box, d_box)
                 if abs(a) > 0.0 or abs(d) > 0.0:
                     for name, step in (("al", a), ("ar", a), ("pl", d), ("pr", -d)):
-                        _apply_surface(act, vp, name, step)
+                        _apply_surface(act, name, step)
                     book("wing_group")
 
         # block 4: tail throttle + tail tilt, pitch strictly before yaw
@@ -372,14 +369,13 @@ def daisy_chain_allocate(M_act: np.ndarray, state, u_n: ActuatorSet,
             cos_part = (m_now + resid(1)) / x_t
             sin_part = (n_now + resid(2)) / x_t
             if cos_part > _EPS_TAIL_THRUST:
-                lim_tt = vp.actuators["tt"]
-                zeta = math.atan2(sin_part, cos_part)
-                zeta = min(max(zeta, lim_tt.lo * lim_tt.travel),
-                           lim_tt.hi * lim_tt.travel)
+                travel = vp.travel["tt"]
+                zeta = min(max(math.atan2(sin_part, cos_part), COMMAND_LO["tt"] * travel),
+                           COMMAND_HI * travel)
                 thrust = cos_part / math.cos(zeta)
                 eta = _solve_prop_speed(pt, thrust, tail.v_axial, vp.rho)
-                act.delta_tt = zeta / lim_tt.travel
-                act.delta_pt = min(max(eta / pt.max_speed, 0.0), 1.0)
+                act.delta_tt = zeta / travel
+                act.delta_pt = clamp_command("pt", eta / vp.travel["pt"])
                 book("tail_group")
             elif act.delta_pt > 0.0:
                 # demand reversed past zero tail thrust: disengage

@@ -42,9 +42,15 @@ def cmd_model_eval(args) -> int:
     if not isinstance(araw, dict):
         raise ConfigError("actuator commands must be a mapping")
     wind = _vec3(araw.pop("wind", [0.0, 0.0, 0.0]), "wind")
-    act = actuation_from_commands(vp, **{
-        f"delta_{k}": _number(v, f"actuators.{k}") for k, v in araw.items()})
-    ev = aero.total_wrench(state, act, vp, wind)
+    cmds = {k: _number(v, f"actuators.{k}") for k, v in araw.items()}
+    for k, v in cmds.items():
+        if not math.isfinite(v):  # a clamp passes nan on
+            raise ConfigError(f"actuators.{k} must be finite, got {v}")
+    act = actuation_from_commands(vp, **{f"delta_{k}": v for k, v in cmds.items()})
+    try:
+        ev = aero.total_wrench(state, act, vp, wind)
+    except FloatingPointError as exc:
+        raise ConfigError(f"the model faults at this state and actuation: {exc}") from None
     rows = [(p.name, f.force, f.moment, False)
             for p, f in zip(vp.propellers, ev.props)]
     rows += [(s.name, f.force, f.moment, f.stalled)

@@ -22,7 +22,7 @@ from . import aero
 from .attitude import AttitudeSetpoint, Pid
 from .rotations import euler_angles, euler_zyx_to_matrix
 from .trim import TrimMap, lookup_trim
-from .vehicle import ActuatorSet, VehicleParams, nominal_actuation
+from .vehicle import COMMAND_HI, COMMAND_LO, ActuatorSet, VehicleParams, nominal_actuation
 
 LOOKUP_EDGE = 1e-9  # keeps the lookup strictly inside the open band
 # lookup bounds around the actual airspeed [m/s]
@@ -199,8 +199,8 @@ class CruiseController:
         J = control_derivatives(state, act_lin, vp, wind)
         F_c = self.velocity_feedback(v_des - v_actual, vp.mass, dt)
         W = weight_schedule(v_actual[0])
-        u_c = wls_allocate(J, F_c, W, REGULARIZATION, THETA_C_MAX,
-                           throttle_bounds=(-delta_plr_t, 1.0 - delta_plr_t))
+        u_c = wls_allocate(J, F_c, W, REGULARIZATION, THETA_C_MAX, throttle_bounds=(
+            COMMAND_LO["pl"] - delta_plr_t, COMMAND_HI - delta_plr_t))
 
         psi_dot = turn_coordination(sp.roll, v_actual[0],
                                     float(np.linalg.norm(vp.gravity)))

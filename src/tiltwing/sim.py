@@ -218,6 +218,8 @@ def state_from_dict(raw: dict) -> RigidBodyState:
     if not isinstance(raw, dict):
         raise ConfigError(f"a state must be a mapping, got {type(raw).__name__}")
     x, v, att, omega = (_vec3(raw.get(k, [0.0, 0.0, 0.0]), k) for k in STATE_KEYS)
+    if not np.isfinite(att).all():  # a non-finite angle has no rotation matrix
+        raise ConfigError(f"attitude_deg must be finite, got {att.tolist()}")
     return RigidBodyState(x=x, v=v, omega=omega, R_IB=euler_zyx_to_matrix(
         *(math.radians(a) for a in att)))
 

@@ -29,14 +29,14 @@ import numpy as np
 
 from .aero import FlowTables, body_wrench
 from .leastsq import least_squares_lm
-from .vehicle import ActuatorSet, VehicleParams, read_csv_table
+from .vehicle import COMMAND_HI, COMMAND_LO, ActuatorSet, VehicleParams, read_csv_table
 
 log = logging.getLogger(__name__)
 
 # u's commands; delta_al drives the aileron pair in flap mode (`trim_actuation`)
 U_FIELDS = ("delta_w", "delta_plr", "delta_al", "delta_e", "delta_pt")
-U_LO = np.array([0.0, 0.0, -1.0, -1.0, 0.0])
-U_HI = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
+U_LO = np.array([COMMAND_LO[n] for n in ("w", "pl", "al", "e", "pt")])
+U_HI = np.full(len(U_FIELDS), COMMAND_HI)
 
 # LM iteration cap shared by point solves and map builds, so that a map
 # cell and the point solve from the same guess stop at the same iterate.
@@ -98,7 +98,7 @@ def trim_actuation(vp: VehicleParams, u: np.ndarray) -> ActuatorSet:
     w, plr, al, e, pt = map(float, u)
     return ActuatorSet(
         delta_w=w, delta_pl=plr, delta_pr=plr, delta_al=al, delta_ar=-al,
-        delta_e=e, delta_pt=pt, zeta_w=w * vp.actuators["w"].travel)
+        delta_e=e, delta_pt=pt, zeta_w=w * vp.travel["w"])
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
@@ -247,7 +247,7 @@ def hover_initial_guess(vp: VehicleParams) -> np.ndarray:
     main = vp.prop["pl"]
     eta = math.sqrt(0.95 * vp.weight
                     / (2.0 * vp.rho * main.diameter ** 4 * main.ct0))
-    d_plr = min(eta / main.max_speed, 1.0)
+    d_plr = min(eta / main.max_speed, COMMAND_HI)
     return np.array([1.0, d_plr, 0.0, 0.0, 0.05, 0.0])
 
 

@@ -4,15 +4,15 @@ All angles are stored in radians and all quantities in SI units internally.
 The YAML config format takes each angle key with a ``_deg`` suffix for
 readability or a ``_rad`` suffix for exact values.
 
-The actuator state is the nine normalized commands plus one physical
-position, the wing tilt angle: the wing is the only actuator slow enough
-to lag its command. ``ActuatorSet.position`` derives every other physical
-actuator value from its command.
+The actuator state is the nine commands, each clamped to its constant
+range by `clamp_command`, plus the wing tilt angle: the wing alone lags its
+command. ``ActuatorSet.position`` derives every other physical value from
+its command and ``VehicleParams.travel``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +113,19 @@ class WingParams:
     tilt_down_time: float      # s for full 90 -> 0 deg tilt
 
 
-@dataclass(eq=False)
-class ActuatorLimits:
-    """Normalized command range and physical mapping of one actuator."""
-
-    lo: float
-    hi: float
-    travel: float              # physical value per unit command (rad or rev/s)
-
-
 ACTUATOR_ORDER = ("w", "pl", "pr", "pt", "al", "ar", "e", "r", "tt")
+# each command's range is [COMMAND_LO[name], COMMAND_HI]: [0, 1] for the
+# wing tilt and the throttles, [-1, 1] for the surfaces and the tail tilt
+COMMAND_LO = {n: 0.0 if n in ("w", *PROPELLER_NAMES) else -1.0 for n in ACTUATOR_ORDER}
+COMMAND_HI = 1.0
+# the surfaces whose travel a config sets, by the stem of its key
+SURFACE_TRAVEL_KEYS = {"al": "aileron", "ar": "aileron", "e": "elevator",
+                       "r": "rudder", "tt": "tail_tilt"}
+
+
+def clamp_command(name: str, value: float) -> float:
+    """A command clamped to its range."""
+    return min(max(value, COMMAND_LO[name]), COMMAND_HI)
 
 
 @dataclass(eq=False)
@@ -137,7 +140,7 @@ class VehicleParams:
     propellers: list[PropellerParams]
     segments: list[AirfoilSegmentParams]
     fuselage: FuselageParams
-    actuators: dict[str, ActuatorLimits]
+    surface_travel: dict[str, float]  # rad per unit command, keyed as SURFACE_TRAVEL_KEYS
 
     def __post_init__(self) -> None:
         self.inertia = np.asarray(self.inertia, dtype=float)
@@ -145,6 +148,9 @@ class VehicleParams:
         validate_vehicle(self)
         self.inertia_inv = np.linalg.inv(self.inertia)
         self.prop = {p.name: p for p in self.propellers}
+        # every actuator's physical value per unit command (rad, or rev/s)
+        self.travel = {"w": WING_TILT_MAX, **{p.name: p.max_speed for p in self.propellers},
+                       **self.surface_travel}
         self._aero_tables = None  # built lazily by tiltwing.aero; __post_init__ resets it
 
     @property
@@ -154,6 +160,15 @@ class VehicleParams:
 
 def validate_vehicle(vp: VehicleParams) -> None:
     """Check every parameter invariant; raises ConfigError naming the field."""
+    values = [("mass", vp.mass), ("air_density", vp.rho), ("inertia", vp.inertia),
+              ("gravity", vp.gravity)]
+    for where, rec in [("wing.", vp.wing), ("fuselage.", vp.fuselage),
+                       *((f"propellers.{p.name}.", p) for p in vp.propellers),
+                       *((f"segments.{s.name}.", s) for s in vp.segments)]:
+        values += [(where + f.name, getattr(rec, f.name)) for f in fields(rec)]
+    for where, value in values:
+        if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+            raise ConfigError(f"{where} must be finite, got {value}")
     if not vp.mass > 0.0:
         raise ConfigError(f"mass must be > 0, got {vp.mass}")
     if not vp.rho > 0.0:
@@ -216,9 +231,9 @@ def validate_vehicle(vp: VehicleParams) -> None:
     if np.asarray(vp.wing.pivot).shape != (3,):
         raise ConfigError("wing.pivot must be a 3-vector")
 
-    missing = [n for n in ACTUATOR_ORDER if n not in vp.actuators]
-    if missing:
-        raise ConfigError(f"missing actuator limits for {missing}")
+    for name, key in SURFACE_TRAVEL_KEYS.items():
+        if not 0.0 < (travel := vp.surface_travel.get(name, math.nan)) < math.inf:
+            raise ConfigError(f"actuators.{key}_travel must be finite and > 0, got {travel}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +247,8 @@ class ActuatorSet:
 
     The commands are the state. Every actuator but the wing follows its
     command at once, so its physical value is derived, never stored:
-    :meth:`position` maps a command through the actuator's travel. The wing
-    tilt is slow; its angle ``zeta_w`` is the one stored position, and
+    :meth:`position` maps a command through ``vp.travel``. The wing tilt is
+    slow; its angle ``zeta_w`` is the one stored position, and
     :func:`apply_actuator_rates` slews it toward the command. Value-semantic.
     """
 
@@ -256,7 +271,7 @@ class ActuatorSet:
         otherwise command x travel (rad, or rev/s for a propeller)."""
         if name == "w":
             return self.zeta_w
-        return getattr(self, f"delta_{name}") * vp.actuators[name].travel
+        return getattr(self, f"delta_{name}") * vp.travel[name]
 
 
 def actuation_from_commands(vp: VehicleParams, **deltas: float) -> ActuatorSet:
@@ -274,9 +289,8 @@ def actuation_from_commands(vp: VehicleParams, **deltas: float) -> ActuatorSet:
     for key, v in deltas.items():
         if not key.startswith("delta_") or key[6:] not in ACTUATOR_ORDER:
             raise ConfigError(f"unknown actuator command {key!r}")
-        lim = vp.actuators[key[6:]]
-        setattr(act, key, min(max(float(v), lim.lo), lim.hi))
-    act.zeta_w = act.delta_w * vp.actuators["w"].travel
+        setattr(act, key, clamp_command(key[6:], float(v)))
+    act.zeta_w = act.delta_w * vp.travel["w"]
     return act
 
 
@@ -302,10 +316,9 @@ def apply_actuator_rates(current: ActuatorSet, command: ActuatorSet, dt: float,
         raise ValueError(f"dt must be > 0, got {dt}")
     out = ActuatorSet()
     for name in ACTUATOR_ORDER:
-        lim = vp.actuators[name]
         key = f"delta_{name}"
-        setattr(out, key, min(max(getattr(command, key), lim.lo), lim.hi))
-    travel = vp.actuators["w"].travel   # the full tilt, swept in tilt_*_time
+        setattr(out, key, clamp_command(name, getattr(command, key)))
+    travel = vp.travel["w"]   # the full tilt, swept in tilt_*_time
     target = out.delta_w * travel
     pos = current.zeta_w
     if target > pos:
@@ -518,20 +531,10 @@ def vehicle_from_dict(raw: dict) -> VehicleParams:
     )
 
     araw = _require(raw, "actuators", "")
-    prop_by_name = {p.name: p for p in props}
-    acts: dict[str, ActuatorLimits] = {
-        "w": ActuatorLimits(0.0, 1.0, WING_TILT_MAX),
-    }
-    for pname in PROPELLER_NAMES:
-        if pname in prop_by_name:
-            acts[pname] = ActuatorLimits(0.0, 1.0, prop_by_name[pname].max_speed)
-    for aname, key in (("al", "aileron"), ("ar", "aileron"),
-                       ("e", "elevator"), ("r", "rudder"), ("tt", "tail_tilt")):
-        acts[aname] = ActuatorLimits(-1.0, 1.0, _angle(araw, f"{key}_travel", "actuators."))
-
     return VehicleParams(mass=mass, inertia=inertia, gravity=gravity, rho=rho,
-                         wing=wing, propellers=props, segments=segs,
-                         fuselage=fus, actuators=acts)
+                         wing=wing, propellers=props, segments=segs, fuselage=fus,
+                         surface_travel={n: _angle(araw, f"{k}_travel", "actuators.")
+                                         for n, k in SURFACE_TRAVEL_KEYS.items()})
 
 
 def mirror_twin(vp: VehicleParams) -> VehicleParams:

@@ -15,9 +15,9 @@ from tiltwing.aero import (advance_ratio, airfoil_coefficients, body_wrench,
                            total_wrench)
 from tiltwing.dynamics import RigidBodyState
 from tiltwing.rotations import euler_zyx_to_matrix
-from tiltwing.vehicle import (AirfoilSegmentParams, FuselageParams,
-                              PropellerParams, actuation_from_commands,
-                              mirror_twin)
+from tiltwing.vehicle import (COMMAND_HI, COMMAND_LO, AirfoilSegmentParams,
+                              FuselageParams, PropellerParams,
+                              actuation_from_commands, clamp_command, mirror_twin)
 
 
 def _test_prop(**over):
@@ -487,8 +487,7 @@ STEPS = [(c,) for c in COMMANDS] + [("al", "ar", "pl", "pr"), ("pt", "tt")]
 def _random_actuation(vp, rng):
     act = actuation_from_commands(vp, delta_w=rng.uniform(0, 1))
     for c in COMMANDS:
-        lim = vp.actuators[c]
-        setattr(act, f"delta_{c}", rng.uniform(lim.lo, lim.hi))
+        setattr(act, f"delta_{c}", rng.uniform(COMMAND_LO[c], COMMAND_HI))
     return act
 
 
@@ -512,18 +511,17 @@ def test_prior_reevaluation_matches_full_bit_for_bit(vp):
         for names in STEPS:
             stepped = act.copy()
             for c in names:
-                lim = vp.actuators[c]
                 key = f"delta_{c}"
-                setattr(stepped, key, min(max(getattr(act, key)
-                                              + rng.uniform(-0.5, 0.5), lim.lo), lim.hi))
+                setattr(stepped, key, clamp_command(c, getattr(act, key)
+                                                    + rng.uniform(-0.5, 0.5)))
             _assert_same_evaluation(body_wrench(v, omega, stepped, vp, prior),
                                     body_wrench(v, omega, stepped, vp))
         for c in COMMANDS:
             at_limit = act.copy()
-            setattr(at_limit, f"delta_{c}", vp.actuators[c].hi)
+            setattr(at_limit, f"delta_{c}", COMMAND_HI)
             limited = body_wrench(v, omega, at_limit, vp)
             stepped = at_limit.copy()
-            setattr(stepped, f"delta_{c}", min(vp.actuators[c].hi + 0.3, vp.actuators[c].hi))
+            setattr(stepped, f"delta_{c}", clamp_command(c, COMMAND_HI + 0.3))
             assert body_wrench(v, omega, stepped, vp, limited) is limited
 
 

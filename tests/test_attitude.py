@@ -409,9 +409,8 @@ def test_block3_without_aileron_authority_leaves_the_ailerons():
 
 def test_chain_monotonicity_elevator_limit(vp):
     """Enlarging the elevator's travel never increases tail usage."""
-    vp_big = copy.deepcopy(vp)
-    vp_big.actuators["e"].travel *= 1.5
-    vp_big.__post_init__()
+    vp_big = dataclasses.replace(vp, surface_travel={**vp.surface_travel,
+                                                     "e": 1.5 * vp.surface_travel["e"]})
     state = RigidBodyState(v=np.array([6.0, 0.0, 0.0]))
     for m_pitch in (-0.5, -0.9, -1.5):
         u_n = actuation_from_commands(vp, delta_w=0.5, delta_plr=0.7)
@@ -590,7 +589,7 @@ def test_allocate_given_nominal_and_no_demand_evaluates_nothing(vp, monkeypatch)
 
 def _surface_moment_gain_reference(vp, tab, act, actuator):
     """Per-row numpy form of the surface gain: scans every segment."""
-    travel = vp.actuators[actuator].travel
+    travel = vp.travel[actuator]
     zeta_now = act.position(actuator, vp)
     g = np.zeros(3)
     for row, seg in enumerate(vp.segments):
@@ -653,7 +652,7 @@ def test_gains_match_central_differences_of_the_model(vp):
             J = flow.v_axial / (flow.eta * prop.diameter)
             if not 0.02 < J < prop.advance_ratio_max - 0.02:
                 continue
-            h = 1e-4 / vp.actuators[prop.name].travel  # 1e-4 rev/s
+            h = 1e-4 / vp.travel[prop.name]  # 1e-4 rev/s
             p, m = (body_wrench(v_a_body, state.omega, _step(act, prop.name, s), vp)
                     .props[idx] for s in (h, -h))
             fd = (np.array(p.moment) - np.array(m.moment)) / (p.eta - m.eta)

@@ -232,6 +232,16 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
      {"map.csv": CSV_HEADER + "\n0.0,0.0,1,0.0,1.0,0.6,0.0,0.0,0.0,0.0,0.0,0.0\n"}),
     ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
      {"sc.yaml": "mode: attitude\nduration: 0.2\ntimeline:\n  - {t: 0.1, roll_deg: .nan}\n"}),
+    ("check --vehicle {d}/v.yaml",
+     {"v.yaml": VEHICLE_TEXT.replace("tail_tilt_travel_deg: 25.0", "tail_tilt_travel_deg: 0")}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "{}\n", "a.yaml": "w: .nan\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "attitude_deg: [1e400, 0, 0]\n", "a.yaml": "w: 1\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "velocity: [1.0e200, 0, 0]\n", "a.yaml": "w: 1\n"}),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: 0.1\ninitial: {attitude_deg: [.inf, 0, 0]}\n"}),
 ], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
         "unknown_command", "wind_2_vector", "velocity_2_vector", "state_list",
         "timeline_entry_without_t", "timeline_value_not_a_number",
@@ -242,7 +252,9 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
         "duration_inf", "duration_1e12", "duration_no_tick",
         "initial_command_not_a_number", "timeline_t_nan",
         "log_value_not_a_number", "log_row_short", "map_value_not_a_number",
-        "query_va_nan", "query_gamma_inf", "timeline_value_nan"])
+        "query_va_nan", "query_gamma_inf", "timeline_value_nan",
+        "vehicle_tail_tilt_travel_zero", "actuator_nan", "attitude_overflow",
+        "model_fault", "initial_attitude_inf"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -250,6 +262,21 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("state, actuators, message", [
+    ("{}", "w: .nan", "actuators.w must be finite, got nan"),
+    ("attitude_deg: [1e400, 0, 0]", "w: 1", "attitude_deg must be finite, got [inf, 0.0, 0.0]"),
+    ("velocity: [1.0e200, 0, 0]", "w: 1",
+     "the model faults at this state and actuation: non-finite aerodynamic wrench"),
+], ids=["actuator_nan", "attitude_overflow", "model_fault"])
+def test_model_eval_bad_number_names_the_field_or_fault(capsys, tmp_path, state,
+                                                       actuators, message):
+    (tmp_path / "s.yaml").write_text(state + "\n")
+    (tmp_path / "a.yaml").write_text(actuators + "\n")
+    assert cli.main(["model", "eval", "--state", str(tmp_path / "s.yaml"),
+                     "--actuators", str(tmp_path / "a.yaml")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, name, text", [

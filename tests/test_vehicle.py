@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from tiltwing.aero import body_wrench
 from tiltwing.vehicle import (ActuatorSet, ConfigError, DEFAULT_CONFIG,
                               actuation_from_commands, apply_actuator_rates,
                               load_vehicle_config, vehicle_from_dict)
@@ -51,6 +53,53 @@ def test_missing_file():
         load_vehicle_config("/nonexistent/vehicle.yaml")
 
 
+def _set(raw, path, value):
+    """``raw`` with the field at ``path`` (keys and list indices) set."""
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("mass",), math.inf, "mass"),
+    (("air_density",), math.inf, "air_density"),
+    (("segments", 0, "coefficients", "cl0"), math.nan, "segments.wing_l_in.cl0"),
+    (("propellers", 0, "ct"), [0.1, math.nan], "propellers.pl.ct1"),
+    (("wing", "tilt_up_time"), math.inf, "wing.tilt_up_time"),
+    (("propellers", 2, "max_speed"), math.inf, "propellers.pt.max_speed"),
+    (("fuselage", "cd_x"), math.nan, "fuselage.cd_x"),
+], ids=["mass", "air_density", "cl0", "ct", "tilt_up_time", "max_speed", "cd_x"])
+def test_non_finite_number_rejected(path, value, where):
+    """A non-finite number passes every ordering check (a nan compares
+    false, an infinite mass is > 0), so each is refused by name."""
+    raw = _set(yaml.safe_load(DEFAULT_CONFIG.read_text()), path, value)
+    with pytest.raises(ConfigError, match=f"^{where} must be finite"):
+        vehicle_from_dict(raw)
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+def test_surface_travel_must_be_finite_and_positive(value):
+    """A zero travel would divide the allocator's tail tilt by zero."""
+    raw = _set(yaml.safe_load(DEFAULT_CONFIG.read_text()),
+               ("actuators", "tail_tilt_travel_deg"), value)
+    with pytest.raises(ConfigError, match="^actuators.tail_tilt_travel must be finite and > 0"):
+        vehicle_from_dict(raw)
+
+
+def test_travel_follows_max_speed(vp):
+    """A variant with another propeller speed limit maps full command to
+    that limit, in the position and in the model."""
+    pt = replace(vp.prop["pt"], max_speed=150.0)
+    variant = replace(vp, propellers=[pt if p.name == "pt" else p for p in vp.propellers])
+    act = actuation_from_commands(variant, delta_pt=1.0)
+    assert act.position("pt", variant) == 150.0
+    i_pt = [p.name for p in variant.propellers].index("pt")
+    assert body_wrench((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), act, variant).props[i_pt].eta == 150.0
+    assert act.position("pt", vp) == vp.prop["pt"].max_speed
+
+
 def test_asymmetric_inertia_rejected():
     raw = yaml.safe_load(DEFAULT_CONFIG.read_text())
     raw["inertia"][0][1] = 0.01
@@ -86,10 +135,10 @@ def test_other_actuators_immediate(vp):
     cur = actuation_from_commands(vp)
     cmd = actuation_from_commands(vp, delta_plr=0.5, delta_e=0.3, delta_tt=-0.7)
     out = apply_actuator_rates(cur, cmd, 1e-4, vp)
-    assert out.position("pl", vp) == 0.5 * vp.actuators["pl"].travel
-    assert out.position("pr", vp) == 0.5 * vp.actuators["pr"].travel
-    assert out.position("e", vp) == 0.3 * vp.actuators["e"].travel
-    assert out.position("tt", vp) == -0.7 * vp.actuators["tt"].travel
+    assert out.position("pl", vp) == 0.5 * vp.travel["pl"]
+    assert out.position("pr", vp) == 0.5 * vp.travel["pr"]
+    assert out.position("e", vp) == 0.3 * vp.travel["e"]
+    assert out.position("tt", vp) == -0.7 * vp.travel["tt"]
 
 
 def test_commands_clamped(vp):
@@ -107,7 +156,7 @@ def test_tilt_never_overshoots(cmd, dt, start):
     vp = _VP
     cur = actuation_from_commands(vp, delta_w=start)
     out = apply_actuator_rates(cur, actuation_from_commands(vp, delta_w=cmd), dt, vp)
-    target = cmd * vp.actuators["w"].travel
+    target = cmd * vp.travel["w"]
     lo, hi = sorted((cur.zeta_w, target))
     assert lo - 1e-12 <= out.zeta_w <= hi + 1e-12
 
