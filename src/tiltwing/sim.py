@@ -105,9 +105,8 @@ class Scenario:
                 raise ScenarioError(f"timeline t={e.t}: {sorted(unknown)} are "
                                     f"not setpoints of mode {self.mode}")
         # its vectors and commands fail here, not at t = 0
-        state_from_dict(self.initial)
-        self.initial = {k: _number(v, f"initial.{k}") if k in INITIAL_COMMANDS else v
-                        for k, v in self.initial.items()}
+        self.initial = {k: _number(v, f"initial.{k}") if k in INITIAL_COMMANDS
+                        else _vec3(v, k).tolist() for k, v in self.initial.items()}
         # a nan setpoint flies on with nan columns, a nan wind or state faults at t = 0
         for where, value in [("wind.constant", self.wind_constant),
                              *((f"wind.steps t={s.t} value", s.value) for s in self.wind_steps),
@@ -214,12 +213,16 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
 
 def state_from_dict(raw: dict) -> RigidBodyState:
     """Rigid-body state from the keys ``position``, ``velocity``,
-    ``attitude_deg`` (roll, pitch, yaw) and ``omega``; missing keys are 0."""
+    ``attitude_deg`` (roll, pitch, yaw) and ``omega``; missing keys are 0.
+    Each must be finite: the model never reads the position, and a
+    non-finite angle has no rotation matrix."""
     if not isinstance(raw, dict):
         raise ConfigError(f"a state must be a mapping, got {type(raw).__name__}")
-    x, v, att, omega = (_vec3(raw.get(k, [0.0, 0.0, 0.0]), k) for k in STATE_KEYS)
-    if not np.isfinite(att).all():  # a non-finite angle has no rotation matrix
-        raise ConfigError(f"attitude_deg must be finite, got {att.tolist()}")
+    vecs = [_vec3(raw.get(k, [0.0, 0.0, 0.0]), k) for k in STATE_KEYS]
+    for k, vec in zip(STATE_KEYS, vecs):
+        if not np.isfinite(vec).all():
+            raise ConfigError(f"{k} must be finite, got {vec.tolist()}")
+    x, v, att, omega = vecs
     return RigidBodyState(x=x, v=v, omega=omega, R_IB=euler_zyx_to_matrix(
         *(math.radians(a) for a in att)))
 

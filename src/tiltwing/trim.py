@@ -12,10 +12,11 @@ only the propellers and segments that command moves (`solve_trim_point`).
 `trim_actuation` makes every command a Python float: `body_wrench` reads
 commands as given, and numpy scalars run its loops 1.4 to 1.6 times slower.
 
-The map over a (v_a, gamma) grid is built as one continuation front from
-a seed cell: ring by ring outward from it, each cell is solved once from
-each feasible neighboring solution found before it, with those neighbors
-in its cost, and keeps the best result.
+The map over a (v_a, gamma) grid is built as one continuation front, ring
+by ring outward from a seed cell, which is ring 0. One scan of a cell's
+neighbors gives its starts, each distinct feasible neighboring solution
+found before it, and its cost context, every such solution; the cell is
+solved once from each start and keeps the best result.
 """
 from __future__ import annotations
 
@@ -300,14 +301,15 @@ def build_trim_map(vp: VehicleParams, *,
                    seed: tuple[float, float, np.ndarray] | None = None) -> TrimMap:
     """Build the map as one continuation front from the seed cell.
 
-    The other cells are visited once, ring by ring outward from the seed
-    (Chebyshev grid distance, then Manhattan distance, then index). Each is
-    solved from every distinct feasible neighbor solved before it, with
-    those neighbors in its cost, and keeps the best result (``_better``).
-    A cell with no such neighbor at its turn is retried after the pass, and
-    is solved from the seed guess if it still has none. One INFO record per
-    ring counts its solves and improvements; a DEBUG record per cell names
-    the start that won.
+    Cells are visited once, ring by ring outward from the seed (Chebyshev
+    grid distance, then Manhattan distance, then index); ring 0 is the seed
+    cell, solved from the seed guess, and must be feasible. One scan of a
+    cell's neighbors finds the feasible ones solved before it: the cell is
+    solved from each distinct one, with all of them in its cost, and keeps
+    the best result (``_better``). A cell with none at its turn is retried
+    after the pass, from the seed guess if it still has none. One INFO
+    record per ring counts its solves and improvements; a DEBUG record per
+    cell names the start that won.
     """
     va_axis = np.asarray(va_axis, dtype=float)
     gamma_axis = np.asarray(gamma_axis, dtype=float)
@@ -316,78 +318,63 @@ def build_trim_map(vp: VehicleParams, *,
     if np.any(np.diff(va_axis) <= 0.0) or np.any(np.diff(gamma_axis) <= 0.0):
         raise TrimError("grid axes must be strictly increasing")
     nv, ng = va_axis.size, gamma_axis.size
+    # the hover column stores its gamma = 0 solution in every gamma cell
+    hover_col = 0 if va_axis[0] == 0.0 else None
+    hover_j = int(np.argmin(np.abs(gamma_axis)))
 
     if seed is None:
-        if va_axis[0] != 0.0:
+        if hover_col is None:
             raise TrimError("default seed needs a hover column (v_a = 0) in the grid")
-        j0 = int(np.argmin(np.abs(gamma_axis)))
-        seed = (0.0, float(gamma_axis[j0]), hover_initial_guess(vp))
+        seed = (0.0, float(gamma_axis[hover_j]), hover_initial_guess(vp))
     seed_va, seed_gamma, seed_ig = seed
     si = int(np.argmin(np.abs(va_axis - seed_va)))
     sj = int(np.argmin(np.abs(gamma_axis - seed_gamma)))
     if abs(va_axis[si] - seed_va) > 1e-9 or abs(gamma_axis[sj] - seed_gamma) > 1e-9:
         raise TrimError("seed operating point must be a grid node")
 
-    # the hover column stores the gamma = 0 solution in every gamma cell
-    hover_col = 0 if va_axis[0] == 0.0 else None
-    hover_j = int(np.argmin(np.abs(gamma_axis))) if hover_col is not None else None
-
     points: list[list[TrimPoint | None]] = [[None] * ng for _ in range(nv)]
     seed_ig = np.asarray(seed_ig, dtype=float)
-
-    def store(i: int, j: int, p: TrimPoint, start: str) -> None:
-        log.debug("trim map cell (%d, %d): start from %s won", i, j, start)
-        points[i][j] = p
-        if i == hover_col and j == hover_j:
-            for jj in range(ng):
-                if jj != hover_j:
-                    points[i][jj] = replace(p, gamma=float(gamma_axis[jj]),
-                                            u=p.u.copy())
-
-    def solve_cell(i: int, j: int, ig: np.ndarray) -> TrimPoint:
-        ctx = [points[ni][nj].z for ni, nj in _neighbor_cells(i, j, nv, ng)
-               if points[ni][nj] is not None and points[ni][nj].feasible]
-        return solve_trim_point(float(va_axis[i]), float(gamma_axis[j]), ig,
-                                vp, neighbors=ctx or None)
 
     def solve_ring(r: int, cells, last_resort: bool) -> None:
         solves = improved = 0
         for i, j in cells:
-            guesses: dict[bytes, tuple[str, np.ndarray]] = {}
+            ctx, starts = [], {}      # feasible neighbors' z; distinct starts by z
             for ni, nj in _neighbor_cells(i, j, nv, ng):
                 src = points[ni][nj]
                 if src is not None and src.feasible:
-                    guesses.setdefault(src.z.tobytes(), (f"cell ({ni}, {nj})", src.z))
-            if not guesses and last_resort:
-                guesses[b""] = ("the seed guess", seed_ig)
+                    ctx.append(z := src.z)
+                    starts.setdefault(z.tobytes(), (f"cell ({ni}, {nj})", z))
+            if not starts and last_resort:
+                starts[b""] = ("the seed guess", seed_ig)
             best = won = None
-            for name, ig in guesses.values():
-                cand = solve_cell(i, j, ig)
+            for name, ig in starts.values():
+                cand = solve_trim_point(float(va_axis[i]), float(gamma_axis[j]), ig,
+                                        vp, neighbors=ctx or None)
                 if _better(cand, best):
                     best, won, improved = cand, name, improved + 1
             if best is not None:
-                store(i, j, best, won)
-            solves += len(guesses)
+                log.debug("trim map cell (%d, %d): start from %s won", i, j, won)
+                points[i][j] = best
+                if i == hover_col and j == hover_j:
+                    points[i] = [replace(best, gamma=float(g), u=best.u.copy())
+                                 for g in gamma_axis]
+            solves += len(starts)
         log.info("trim map sweep %d: %d solves, %d cells improved",
                  r, solves, improved)
-
-    first = solve_cell(si, sj, seed_ig)
-    if not first.feasible:
-        raise TrimError(
-            f"seed cell (v_a={seed_va}, gamma={seed_gamma}) did not solve "
-            f"feasibly: |v_dot|={first.res_v:.3g}, |th_dd|={first.res_theta:.3g}")
-    store(si, sj, first, "the seed guess")
-    log.info("trim map sweep 0: 1 solves, 1 cells improved")
 
     def ring(c: tuple[int, int]) -> int:
         return max(abs(c[0] - si), abs(c[1] - sj))
 
-    order = sorted((c for c in np.ndindex(nv, ng) if points[c[0]][c[1]] is None
-                    and not (c[0] == hover_col and c[1] != hover_j)),
+    order = sorted((c for c in np.ndindex(nv, ng) if c == (si, sj)
+                    or not (c[0] == hover_col and c[1] != hover_j)),
                    key=lambda c: (ring(c), abs(c[0] - si) + abs(c[1] - sj), c))
-    r = 0
     for r, cells in itertools.groupby(order, key=ring):
-        solve_ring(r, cells, last_resort=False)
+        solve_ring(r, cells, last_resort=r == 0)  # ring 0 has no neighbor yet
+        if r == 0 and not points[si][sj].feasible:
+            first = points[si][sj]
+            raise TrimError(
+                f"seed cell (v_a={seed_va}, gamma={seed_gamma}) did not solve "
+                f"feasibly: |v_dot|={first.res_v:.3g}, |th_dd|={first.res_theta:.3g}")
     # a cell with no feasible solved neighbor at its turn has no point yet;
     # retry it from the neighbors feasible since, or from the seed guess
     late = [c for c in order if points[c[0]][c[1]] is None]

@@ -233,7 +233,8 @@ def validate_vehicle(vp: VehicleParams) -> None:
 
     for name, key in SURFACE_TRAVEL_KEYS.items():
         if not 0.0 < (travel := vp.surface_travel.get(name, math.nan)) < math.inf:
-            raise ConfigError(f"actuators.{key}_travel must be finite and > 0, got {travel}")
+            raise ConfigError(f"actuators.{key}_travel must be finite and > 0, "
+                              f"got {travel:g} rad ({math.degrees(travel):g} deg)")
 
 
 # ---------------------------------------------------------------------------

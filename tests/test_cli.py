@@ -240,6 +240,8 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
      {"s.yaml": "attitude_deg: [1e400, 0, 0]\n", "a.yaml": "w: 1\n"}),
     ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
      {"s.yaml": "velocity: [1.0e200, 0, 0]\n", "a.yaml": "w: 1\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "position: [.inf, 0, 0]\n", "a.yaml": "w: 1\n"}),
     ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
      {"sc.yaml": "mode: open_loop\nduration: 0.1\ninitial: {attitude_deg: [.inf, 0, 0]}\n"}),
 ], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
@@ -254,7 +256,7 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
         "log_value_not_a_number", "log_row_short", "map_value_not_a_number",
         "query_va_nan", "query_gamma_inf", "timeline_value_nan",
         "vehicle_tail_tilt_travel_zero", "actuator_nan", "attitude_overflow",
-        "model_fault", "initial_attitude_inf"])
+        "model_fault", "position", "initial_attitude_inf"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -269,7 +271,8 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     ("attitude_deg: [1e400, 0, 0]", "w: 1", "attitude_deg must be finite, got [inf, 0.0, 0.0]"),
     ("velocity: [1.0e200, 0, 0]", "w: 1",
      "the model faults at this state and actuation: non-finite aerodynamic wrench"),
-], ids=["actuator_nan", "attitude_overflow", "model_fault"])
+    ("position: [.inf, 0, 0]", "w: 1", "position must be finite, got [inf, 0.0, 0.0]"),
+], ids=["actuator_nan", "attitude_overflow", "model_fault", "position"])
 def test_model_eval_bad_number_names_the_field_or_fault(capsys, tmp_path, state,
                                                        actuators, message):
     (tmp_path / "s.yaml").write_text(state + "\n")

@@ -352,9 +352,10 @@ def test_scenario_vectors_must_have_three_elements(raw):
      "wind.steps t=0.05 value"),
     (_scenario(initial={"velocity": [math.inf, 0.0, 0.0]}), "initial.velocity"),
     (_scenario(initial={"omega": [0.0, 0.0, math.nan]}), "initial.omega"),
+    (_scenario(initial={"attitude_deg": [math.inf, 0.0, 0.0]}), "initial.attitude_deg"),
     (_scenario(initial={"wing_tilt": math.nan}), "initial.wing_tilt"),
 ], ids=["timeline_nan", "timeline_inf", "wind_constant", "wind_step_value",
-        "velocity", "omega", "wing_tilt"])
+        "velocity", "omega", "attitude_deg", "wing_tilt"])
 def test_scenario_numbers_must_be_finite(raw, where):
     """A nan setpoint would fly on with nan log columns, and a non-finite
     wind or initial value would fault at t = 0: both are refused when the

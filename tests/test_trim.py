@@ -440,6 +440,44 @@ def test_infeasible_seed_aborts(vp):
                        seed=(0.0, 0.0, bad_ig))
 
 
+def test_infeasible_seed_stops_the_build_after_one_solve(vp, monkeypatch):
+    """An infeasible seed cell ends the build before any other cell is
+    solved."""
+    calls = []
+    monkeypatch.setattr(trim, "solve_trim_point", _fake_solver({(0, 0)}, calls))
+    with pytest.raises(TrimError, match="seed"):
+        build_trim_map(vp, va_axis=np.array([1.0, 2.0, 3.0]),
+                       gamma_axis=np.array([0.0, 1.0, 2.0]),
+                       seed=(1.0, 0.0, np.zeros(6)))
+    assert calls == [(0, 0)]
+
+
+def test_one_neighbor_scan_gives_distinct_starts_and_every_neighbor_as_context(
+        vp, monkeypatch):
+    """A cell is solved once from each distinct feasible neighboring
+    solution, and each of those solves has every feasible neighbor in its
+    cost: the mirrored hover cells share one z, so they give one start, and
+    each of them counts in the context."""
+    seen, fake = {}, _fake_solver(set(), [])
+
+    def solve(v_a, gamma, ig, vp, neighbors=None):
+        seen.setdefault((v_a, gamma), []).append((ig, neighbors))
+        return fake(v_a, gamma, ig, vp, neighbors)
+
+    monkeypatch.setattr(trim, "solve_trim_point", solve)
+    gamma_axis = np.radians([-5.0, 0.0, 5.0])
+    tmap = build_trim_map(vp, va_axis=np.array([0.0, 4.0]), gamma_axis=gamma_axis)
+    hover, level = tmap.points[0][1].z, tmap.points[1][1].z
+    assert not np.array_equal(hover, level)
+    # cell (1, 0) at its turn: the mirrored (0, 0), the hover cell (0, 1)
+    # and (1, 1), solved before it in ring 1
+    calls = seen[(4.0, float(gamma_axis[0]))]
+    assert [ig.tolist() for ig, _ in calls] == [hover.tolist(), level.tolist()]
+    for _, neighbors in calls:
+        assert [z.tolist() for z in neighbors] == \
+            [hover.tolist(), hover.tolist(), level.tolist()]
+
+
 def test_grid_axes_must_increase(vp):
     with pytest.raises(TrimError, match="increasing"):
         build_trim_map(vp, va_axis=np.array([1.0, 1.0]),

@@ -81,11 +81,14 @@ def test_non_finite_number_rejected(path, value, where):
 
 @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
 def test_surface_travel_must_be_finite_and_positive(value):
-    """A zero travel would divide the allocator's tail tilt by zero."""
+    """A zero travel would divide the allocator's tail tilt by zero. The
+    message gives the value in the config's degrees too."""
     raw = _set(yaml.safe_load(DEFAULT_CONFIG.read_text()),
                ("actuators", "tail_tilt_travel_deg"), value)
-    with pytest.raises(ConfigError, match="^actuators.tail_tilt_travel must be finite and > 0"):
+    with pytest.raises(ConfigError, match="^actuators.tail_tilt_travel must be finite and > 0") \
+            as info:
         vehicle_from_dict(raw)
+    assert str(info.value).endswith(f" rad ({value:g} deg)")
 
 
 def test_travel_follows_max_speed(vp):
