@@ -2,7 +2,9 @@
 
 A scenario scripts a run: initial state, wind profile, a setpoint timeline,
 and the controller mode (open_loop holds the initial actuation, attitude
-runs the attitude stack only, cruise runs the full cascade). Execution is
+runs the attitude stack only, cruise runs the full cascade).
+`scenario_from_dict` is its one reader, and the `Scenario` it returns holds
+only checked values, the initial state built once for every run. Execution is
 deterministic at fixed rates: dynamics and attitude at 250 Hz, cruise at
 50 Hz; the log holds one row per dynamics tick. `run_tick` runs one tick on a
 `LoopState`, the record of all that a tick hands the next; `run_scenario`
@@ -11,7 +13,7 @@ loops it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +48,12 @@ MODES = ("open_loop", "attitude", "cruise")
 CRUISE_FIELDS = ("vax", "vaz", "roll_deg")
 ATTITUDE_FIELDS = ("roll_deg", "pitch_deg", "yaw_rate_deg_s",
                    "wing_tilt", "main_throttle")
-# initial-state keys, and initial actuator commands by key
+# initial-state keys, and the ActuatorSet fields of each initial command
 STATE_KEYS = ("position", "velocity", "attitude_deg", "omega")
-INITIAL_COMMANDS = {"wing_tilt": "delta_w", "main_throttle": "delta_plr",
-                    "tail_throttle": "delta_pt", "aileron_left": "delta_al",
-                    "aileron_right": "delta_ar", "elevator": "delta_e",
-                    "rudder": "delta_r", "tail_tilt": "delta_tt"}
+INITIAL_COMMANDS = {"wing_tilt": ("delta_w",), "main_throttle": ("delta_pl", "delta_pr"),
+                    "tail_throttle": ("delta_pt",), "aileron_left": ("delta_al",),
+                    "aileron_right": ("delta_ar",), "elevator": ("delta_e",),
+                    "rudder": ("delta_r",), "tail_tilt": ("delta_tt",)}
 
 
 class ScenarioError(ValueError):
@@ -73,55 +75,21 @@ class WindStep:
 
 @dataclass
 class Scenario:
+    """What `scenario_from_dict` checked: every value finite, the times
+    strictly increasing, each timeline key a setpoint of the mode."""
+
     name: str
     mode: str
     duration: float
-    initial: dict
+    initial_state: RigidBodyState       # a run steps from it to new states
+    initial_commands: dict[str, float]  # by ActuatorSet field
     timeline: list[TimelineEntry]
-    wind_constant: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    wind_steps: list[WindStep] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ScenarioError(f"mode must be one of {MODES}, got {self.mode}")
-        if not 0.0 < self.duration <= MAX_DURATION:
-            raise ScenarioError(f"duration must be > 0 and at most {MAX_DURATION:g} s, "
-                                f"got {self.duration}")
-        if round(self.duration * SIM_RATE) == 0:
-            raise ScenarioError(f"duration {self.duration} s rounds to 0 ticks")
-        for what, times in (("timeline timestamps", [e.t for e in self.timeline]),
-                            ("wind step times", [s.t for s in self.wind_steps])):
-            if not all(map(math.isfinite, times)):  # a nan passes the order check
-                raise ScenarioError(f"{what} must be finite")
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ScenarioError(f"{what} must be strictly increasing")
-        unknown = set(self.initial) - {*STATE_KEYS, *INITIAL_COMMANDS}
-        if unknown:
-            raise ScenarioError(f"unknown initial keys {sorted(unknown)}")
-        fields = CRUISE_FIELDS if self.mode == "cruise" else ATTITUDE_FIELDS
-        for e in self.timeline:
-            unknown = set(e.values) - set(fields)
-            if unknown:
-                raise ScenarioError(f"timeline t={e.t}: {sorted(unknown)} are "
-                                    f"not setpoints of mode {self.mode}")
-        # its vectors and commands fail here, not at t = 0
-        self.initial = {k: _number(v, f"initial.{k}") if k in INITIAL_COMMANDS
-                        else _vec3(v, k).tolist() for k, v in self.initial.items()}
-        # a nan setpoint flies on with nan columns, a nan wind or state faults at t = 0
-        for where, value in [("wind.constant", self.wind_constant),
-                             *((f"wind.steps t={s.t} value", s.value) for s in self.wind_steps),
-                             *((f"timeline t={e.t} {k}", v) for e in self.timeline
-                               for k, v in e.values.items()),
-                             *((f"initial.{k}", v) for k, v in self.initial.items())]:
-            if not np.isfinite(np.asarray(value, dtype=float)).all():
-                raise ScenarioError(f"{where} must be finite, got {value!r}")
+    wind_constant: np.ndarray
+    wind_steps: list[WindStep]
 
     def wind_at(self, t: float) -> np.ndarray:
-        value = self.wind_constant
-        for step in self.wind_steps:
-            if t >= step.t:
-                value = step.value
-        return value
+        values = [step.value for step in self.wind_steps if t >= step.t]
+        return values[-1] if values else self.wind_constant
 
     def setpoint_at(self, t: float) -> dict[str, float]:
         """Zero-order hold with optional linear ramps between entries."""
@@ -140,63 +108,100 @@ class Scenario:
             break
         return values
 
-    def last_setpoint_change_before(self, t: float) -> float:
-        """Time of the most recent timeline activity (ramps count while active)."""
-        t_change = 0.0
-        prev_t = 0.0
-        for entry in self.timeline:
-            if entry.t <= t:
-                t_change = entry.t
-                prev_t = entry.t
-            elif entry.ramp and prev_t <= t:
-                t_change = t  # mid-ramp: the setpoint is still moving
-                break
-            else:
-                break
-        return t_change
+    def setpoint_change_times(self, t: np.ndarray) -> np.ndarray:
+        """Per time in ``t``, the time of the last timeline entry at or
+        before it (0 before the first), or the time itself while a ramp to
+        the next entry runs: the setpoint is still moving."""
+        times = np.array([0.0, *(e.t for e in self.timeline)])
+        ramps = np.array([*(e.ramp for e in self.timeline), False])
+        k = np.searchsorted(times[1:], t, side="right")
+        return np.where(ramps[k] & (times[k] <= t), t, times[k])
+
+
+def _checked(parse, value, where: str, error: type[Exception] = ScenarioError):
+    """``parse(value, where)`` (`_number` or `_vec3`), once it is finite: a nan
+    setpoint would fly on with nan columns, a nan wind or state fault at t = 0."""
+    parsed = parse(value, where)
+    if not np.isfinite(parsed).all():
+        raise error(f"{where} must be finite, got {np.asarray(parsed).tolist()!r}")
+    return parsed
+
+
+def _section(raw: dict, key: str, kind: type, where: str):
+    """``raw[key]`` if it is a ``kind``, empty if missing or null."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise ScenarioError(f"{where} must be a {'list' if kind is list else 'mapping'}")
+    return kind() if value is None else value
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    """The one reader of a scenario: each value is parsed and checked where
+    it is read. A value that is not a number, or a vector with other than 3
+    elements, raises ConfigError; every other fault raises ScenarioError."""
     if not isinstance(raw, dict):
         raise ScenarioError("a scenario must be a mapping")
-    if "mode" not in raw:
-        raise ScenarioError("missing required field: mode")
-    if "duration" not in raw:
-        raise ScenarioError("missing required field: duration")
-    for key, kind, name in (("timeline", list, "list"), ("wind", dict, "mapping"),
-                            ("initial", dict, "mapping")):
-        if raw.get(key) is not None and not isinstance(raw[key], kind):
-            raise ScenarioError(f"{key} must be a {name}")
+    for key in ("mode", "duration"):
+        if key not in raw:
+            raise ScenarioError(f"missing required field: {key}")
+    timeline_raw, wind_raw, initial_raw = (_section(raw, key, kind, key) for key, kind in
+                                           (("timeline", list), ("wind", dict), ("initial", dict)))
+    name = raw.get("name", "scenario")
+    if not isinstance(name, str) or not name.isprintable():  # it is a log comment
+        raise ScenarioError(f"name must be one line of printable text, got {name!r}")
+    mode = raw["mode"]
+    if mode not in MODES:
+        raise ScenarioError(f"mode must be one of {MODES}, got {mode}")
+    duration = _number(raw["duration"], "duration")
+    if not 0.0 < duration <= MAX_DURATION:
+        raise ScenarioError(f"duration must be > 0 and at most {MAX_DURATION:g} s, "
+                            f"got {duration}")
+    if round(duration * SIM_RATE) == 0:
+        raise ScenarioError(f"duration {duration} s rounds to 0 ticks")
+    fields = CRUISE_FIELDS if mode == "cruise" else ATTITUDE_FIELDS
     timeline = []
-    for item in raw.get("timeline", []):
+    for item in timeline_raw:
         if not isinstance(item, dict) or "t" not in item:
             raise ScenarioError(f"timeline entry {item!r} is not a mapping with t")
-        item = dict(item)
-        t = _number(item.pop("t"), "timeline t")
-        ramp = item.pop("ramp", False)
+        values = dict(item)
+        t = _number(values.pop("t"), "timeline t")
+        ramp = values.pop("ramp", False)
         if not isinstance(ramp, bool):
             raise ScenarioError(f"timeline t={t}: ramp must be true or false")
+        unknown = set(values) - set(fields)
+        if unknown:
+            raise ScenarioError(f"timeline t={t}: {sorted(map(str, unknown))} are "
+                                f"not setpoints of mode {mode}")
         timeline.append(TimelineEntry(t=t, ramp=ramp, values={
-            k: _number(v, f"timeline t={t} {k}") for k, v in item.items()}))
-    wraw = raw.get("wind", {}) or {}
-    if not isinstance(wraw.get("steps", []), list):
-        raise ScenarioError("wind.steps must be a list")
+            k: _checked(_number, v, f"timeline t={t} {k}") for k, v in values.items()}))
     steps = []
-    for item in wraw.get("steps", []):
+    for item in _section(wind_raw, "steps", list, "wind.steps"):
         if not isinstance(item, dict) or not {"t", "value"} <= item.keys():
             raise ScenarioError(f"wind step {item!r} is not a mapping with "
                                 "t and value")
-        steps.append(WindStep(_number(item["t"], "wind.steps[].t"),
-                              _vec3(item["value"], "wind.steps[].value")))
+        t = _number(item["t"], "wind.steps[].t")
+        steps.append(WindStep(t, _checked(_vec3, item["value"], f"wind.steps t={t} value")))
+    for what, times in (("timeline timestamps", [e.t for e in timeline]),
+                        ("wind step times", [s.t for s in steps])):
+        if not all(map(math.isfinite, times)):  # a nan passes the order check
+            raise ScenarioError(f"{what} must be finite")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ScenarioError(f"{what} must be strictly increasing")
+    unknown = set(initial_raw) - {*STATE_KEYS, *INITIAL_COMMANDS}
+    if unknown:
+        raise ScenarioError(f"unknown initial keys {sorted(map(str, unknown))}")
+    commands = {}
+    for key, names in INITIAL_COMMANDS.items():
+        if key in initial_raw:
+            commands.update(dict.fromkeys(
+                names, _checked(_number, initial_raw[key], f"initial.{key}")))
     return Scenario(
-        name=raw.get("name", "scenario"),
-        mode=raw["mode"],
-        duration=_number(raw["duration"], "duration"),
-        initial=raw.get("initial", {}) or {},
-        timeline=timeline,
-        wind_constant=_vec3(wraw.get("constant", [0.0, 0.0, 0.0]), "wind.constant"),
-        wind_steps=steps,
-    )
+        name=name, mode=mode, duration=duration,
+        initial_state=state_from_dict(initial_raw, "initial.", ScenarioError),
+        initial_commands=commands, timeline=timeline,
+        wind_constant=_checked(_vec3, wind_raw.get("constant", [0.0, 0.0, 0.0]),
+                               "wind.constant"),
+        wind_steps=steps)
 
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
@@ -211,27 +216,24 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     return scenario_from_dict(read_yaml_file(path, "scenario", ScenarioError))
 
 
-def state_from_dict(raw: dict) -> RigidBodyState:
+def state_from_dict(raw: dict, where: str = "",
+                    error: type[Exception] = ConfigError) -> RigidBodyState:
     """Rigid-body state from the keys ``position``, ``velocity``,
     ``attitude_deg`` (roll, pitch, yaw) and ``omega``; missing keys are 0.
-    Each must be finite: the model never reads the position, and a
-    non-finite angle has no rotation matrix."""
+    Each must be finite, else ``error`` names ``where`` and the key: the
+    model never reads the position, and a non-finite angle has no rotation
+    matrix."""
     if not isinstance(raw, dict):
         raise ConfigError(f"a state must be a mapping, got {type(raw).__name__}")
-    vecs = [_vec3(raw.get(k, [0.0, 0.0, 0.0]), k) for k in STATE_KEYS]
-    for k, vec in zip(STATE_KEYS, vecs):
-        if not np.isfinite(vec).all():
-            raise ConfigError(f"{k} must be finite, got {vec.tolist()}")
-    x, v, att, omega = vecs
+    x, v, att, omega = (_checked(_vec3, raw.get(k, [0.0, 0.0, 0.0]), where + k, error)
+                        for k in STATE_KEYS)
     return RigidBodyState(x=x, v=v, omega=omega, R_IB=euler_zyx_to_matrix(
         *(math.radians(a) for a in att)))
 
 
 def initial_state_and_actuation(sc: Scenario,
                                 vp: VehicleParams) -> tuple[RigidBodyState, ActuatorSet]:
-    act = actuation_from_commands(vp, **{cmd: sc.initial.get(key, 0.0)
-                                         for key, cmd in INITIAL_COMMANDS.items()})
-    return state_from_dict(sc.initial), act
+    return sc.initial_state, actuation_from_commands(vp, **sc.initial_commands)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +399,6 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
 # Report metrics
 # ---------------------------------------------------------------------------
 
-def _percentile(values: np.ndarray, q: float) -> float:
-    return float(np.percentile(values, q)) if values.size else math.nan
-
-
 def _settling(t: np.ndarray, err: np.ndarray, band: float) -> float:
     """Time after t[0] from which |err| stays within the band (nan if
     never)."""
@@ -433,7 +431,7 @@ def compute_metrics(log: RunLog, sc: Scenario | None = None) -> dict[str, float]
     roll_err = log.column("roll") - log.column("sp_roll")
     metrics["pitch_err_rms"] = float(np.sqrt(np.mean(pitch_err ** 2)))
     metrics["pitch_err_max"] = float(np.abs(pitch_err).max())
-    metrics["pitch_err_p90"] = _percentile(np.abs(pitch_err), 90.0)
+    metrics["pitch_err_p90"] = float(np.percentile(np.abs(pitch_err), 90.0))
     metrics["roll_err_rms"] = float(np.sqrt(np.mean(roll_err ** 2)))
     metrics["roll_err_max"] = float(np.abs(roll_err).max())
 
@@ -450,8 +448,7 @@ def compute_metrics(log: RunLog, sc: Scenario | None = None) -> dict[str, float]
         metrics["vz_err_max"] = float(np.abs(vz_err).max())
 
     if sc is not None and sc.mode != "open_loop":
-        since_change = np.array([tt - sc.last_setpoint_change_before(tt) for tt in t])
-        steady = since_change >= STEADY_AFTER
+        steady = t - sc.setpoint_change_times(t) >= STEADY_AFTER
         cmd = log.column("cmd_pl")
         trim = log.column("trim_dplr")
         mask = steady & np.isfinite(trim) & (cmd > 0.05)

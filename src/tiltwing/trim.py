@@ -473,13 +473,12 @@ def load_trim_map(path: str | Path) -> TrimMap:
         except ValueError:
             pass
 
-    va_axis = np.unique(arr[:, 0])
-    gamma_axis = np.unique(arr[:, 1])
+    # each row's cell: the indices of its va and gamma on the axes
+    va_axis, rows_i = np.unique(arr[:, 0], return_inverse=True)
+    gamma_axis, rows_j = np.unique(arr[:, 1], return_inverse=True)
     points: list[list[TrimPoint | None]] = \
         [[None] * gamma_axis.size for _ in range(va_axis.size)]
-    for row, lineno in zip(arr, row_lines):
-        i = int(np.argmin(np.abs(va_axis - row[0])))
-        j = int(np.argmin(np.abs(gamma_axis - row[1])))
+    for row, lineno, i, j in zip(arr, row_lines, rows_i.tolist(), rows_j.tolist()):
         if points[i][j] is not None:
             raise TrimError(f"{path} line {lineno}: second row for the cell "
                             f"va={float(row[0])!r}, gamma={float(row[1])!r}")
@@ -487,10 +486,10 @@ def load_trim_map(path: str | Path) -> TrimMap:
             v_a=row[0], gamma=row[1], u=row[4:9].copy(), theta=row[3],
             res_v=row[10], res_theta=row[11], cost=row[9],
             feasible=bool(row[2]))
-    for i in range(va_axis.size):
-        for j in range(gamma_axis.size):
-            if points[i][j] is None:
-                raise TrimError("trim map grid is incomplete")
+    if len(arr) < va_axis.size * gamma_axis.size:   # one row per cell, so one lacks its row
+        i, j = np.argwhere([[p is None for p in row] for row in points])[0]
+        raise TrimError(f"{path}: trim map grid is incomplete, no row for the cell "
+                        f"va={float(va_axis[i])!r}, gamma={float(gamma_axis[j])!r}")
 
     weights = TrimWeights(**{f.name: meta[f.name] for f in fields(TrimWeights)
                              if f.name in meta})

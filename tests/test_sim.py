@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -329,17 +330,18 @@ def _scenario(mode="attitude", initial=None, timeline=(), wind=None) -> dict:
             "wind": wind or {}}
 
 
-@pytest.mark.parametrize("raw", [
-    _scenario(initial={"position": [0.0, 0.0]}),
-    _scenario(initial={"velocity": [5.0, 0.0]}),
-    _scenario(initial={"attitude_deg": [0.0, 5.0, 0.0, 1.0]}),
-    _scenario(initial={"omega": 0.5}),
-    _scenario(wind={"constant": [1.0, 0.0]}),
-    _scenario(wind={"steps": [{"t": 0.05, "value": [1.0, 0.0]}]}),
+@pytest.mark.parametrize("raw, where", [
+    (_scenario(initial={"position": [0.0, 0.0]}), "initial.position"),
+    (_scenario(initial={"velocity": [5.0, 0.0]}), "initial.velocity"),
+    (_scenario(initial={"attitude_deg": [0.0, 5.0, 0.0, 1.0]}), "initial.attitude_deg"),
+    (_scenario(initial={"omega": 0.5}), "initial.omega"),
+    (_scenario(wind={"constant": [1.0, 0.0]}), "wind.constant"),
+    (_scenario(wind={"steps": [{"t": 0.05, "value": [1.0, 0.0]}]}),
+     "wind.steps t=0.05 value"),
 ], ids=["position", "velocity", "attitude_deg", "omega", "wind_constant",
         "wind_step_value"])
-def test_scenario_vectors_must_have_three_elements(raw):
-    with pytest.raises(ConfigError, match="must be a 3-element list"):
+def test_scenario_vectors_must_have_three_elements(raw, where):
+    with pytest.raises(ConfigError, match=f"^{where} must be a 3-element list"):
         scenario_from_dict(raw)
 
 
@@ -364,16 +366,39 @@ def test_scenario_numbers_must_be_finite(raw, where):
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("section", ["timeline", "wind", "initial"])
+def test_scenario_null_section_is_empty(section):
+    """A key with no value in the file (YAML null) reads as an empty section."""
+    sc = scenario_from_dict(dict(_scenario(), **{section: None}))
+    assert (sc.timeline, sc.wind_steps, sc.initial_commands) == ([], [], {})
+
+
 def test_scenario_rejects_unknown_initial_key():
     with pytest.raises(ScenarioError, match="unknown initial keys.*wingtilt"):
         scenario_from_dict(_scenario(initial={"wingtilt": 1.0}))
+
+
+def test_scenario_names_unknown_keys_of_any_type():
+    """YAML keys may be numbers; the message lists them beside strings."""
+    with pytest.raises(ScenarioError, match=re.escape("unknown initial keys ['1', 'wingtilt']")):
+        scenario_from_dict(_scenario(initial={1: 2.0, "wingtilt": 1.0}))
+
+
+@pytest.mark.parametrize("name", ["a\nb", "hover\r", 2024, ["a", "b"]],
+                         ids=["newline", "carriage_return", "number", "list"])
+def test_scenario_name_must_be_one_printable_line(name):
+    """The name is the run log's first comment: a line break in it would
+    write a log that `RunLog.load` refuses."""
+    with pytest.raises(ScenarioError, match="^name must be one line of printable text"):
+        scenario_from_dict(dict(_scenario(), name=name))
 
 
 @pytest.mark.parametrize("mode, entry", [
     ("attitude", {"t": 0.0, "rol_deg": 5.0}),
     ("cruise", {"t": 0.0, "vax": 5.0, "pitch_deg": 2.0}),
     ("attitude", {"t": 0.05, "vax": 5.0, "ramp": True}),
-], ids=["typo", "attitude_field_in_cruise", "cruise_ramp_in_attitude"])
+    ("attitude", {"t": 0.0, 5: 1.0, "rol_deg": 2.0}),
+], ids=["typo", "attitude_field_in_cruise", "cruise_ramp_in_attitude", "number_key"])
 def test_scenario_rejects_timeline_key_outside_its_mode(mode, entry):
     with pytest.raises(ScenarioError, match="not setpoints of mode " + mode):
         scenario_from_dict(_scenario(mode=mode, timeline=[entry]))
@@ -431,3 +456,50 @@ def test_scenario_timeline_timestamps_strictly_increasing(times):
 def test_shipped_scenarios_pass_the_checks(path):
     sc = load_scenario(path)
     assert sc.name == path.stem
+
+
+def _last_change_walk(sc, t: float) -> float:
+    """The per-time walk that `Scenario.setpoint_change_times` replaced."""
+    t_change = 0.0
+    prev_t = 0.0
+    for entry in sc.timeline:
+        if entry.t <= t:
+            t_change = entry.t
+            prev_t = entry.t
+        elif entry.ramp and prev_t <= t:
+            t_change = t  # mid-ramp: the setpoint is still moving
+            break
+        else:
+            break
+    return t_change
+
+
+@pytest.mark.parametrize("timeline", [
+    [],
+    [{"t": 0.0, "roll_deg": 1.0}],
+    [{"t": 0.5, "roll_deg": 1.0, "ramp": True}, {"t": 1.0, "roll_deg": 2.0}],
+    [{"t": 0.0, "roll_deg": 1.0}, {"t": 0.5, "roll_deg": 2.0},
+     {"t": 1.0, "roll_deg": -1.0, "ramp": True}, {"t": 1.5, "pitch_deg": 3.0},
+     {"t": 2.0, "ramp": True, "pitch_deg": 0.0}],
+], ids=["empty", "entry_at_0", "first_ramp_after_0", "ramp_in_the_middle"])
+def test_setpoint_change_times_match_the_walk(timeline):
+    """The vectorised lookup gives, bit for bit, the walk's change time at
+    query times on, between, before and after the entries."""
+    sc = scenario_from_dict(_scenario(timeline=timeline))
+    entries = [e.t for e in sc.timeline]
+    t = np.array(sorted({-0.25, 0.0, 0.2, 0.75, 1.25, 1.75, 2.5, 10.0, *entries,
+                         *(math.nextafter(e, -math.inf) for e in entries),
+                         *(math.nextafter(e, math.inf) for e in entries)}))
+    expected = [_last_change_walk(sc, tt) for tt in t]
+    assert sc.setpoint_change_times(t).tolist() == expected
+
+
+def test_one_scenario_runs_twice_to_the_same_log(vp, tmp_path):
+    """A loaded scenario holds the initial state that every run starts
+    from, and no run changes it: a second run logs the same bytes."""
+    sc = load_scenario("hover_steps")
+    sc.duration = 0.5
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        run_scenario(sc, vp).save(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()

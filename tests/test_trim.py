@@ -646,6 +646,31 @@ def test_load_rejects_non_finite_values_and_other_feasible_flags(
         load_trim_map(path)
 
 
+def test_load_rejects_a_second_row_for_a_cell(tmp_path, committed_map_path):
+    lines = committed_map_path.read_text().splitlines()
+    k = next(n for n, line in enumerate(lines) if line.startswith("4.0,0.0,"))
+    path = tmp_path / "map.csv"
+    path.write_text("\n".join([*lines, lines[k]]) + "\n")
+    with pytest.raises(TrimError, match=re.escape(
+            f"{path} line {len(lines) + 1}: second row for the cell va=4.0, gamma=0.0")):
+        load_trim_map(path)
+
+
+@pytest.mark.parametrize("dropped, cell", [
+    (("20.0,0.17453292519943295,",), "va=20.0, gamma=0.17453292519943295"),
+    (("8.0,0.0,", "4.0,0.08726646259971647,"), "va=4.0, gamma=0.08726646259971647"),
+], ids=["last_row", "two_rows"])
+def test_load_names_the_first_cell_without_a_row(tmp_path, committed_map_path,
+                                                 dropped, cell):
+    lines = [line for line in committed_map_path.read_text().splitlines()
+             if not line.startswith(dropped)]
+    path = tmp_path / "map.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrimError, match=re.escape(
+            f"{path}: trim map grid is incomplete, no row for the cell {cell}")):
+        load_trim_map(path)
+
+
 def test_trim_positions_use_each_main_travel(vp_uneven_mains):
     """Both mains take the same throttle command; each turns at that
     fraction of its own top speed, and the power proxy sees those speeds."""
