@@ -13,11 +13,15 @@ import numpy as np
 from . import aero, sim, trim
 from .dynamics import RigidBodyState, integrate_step
 from .rotations import euler_zyx_to_matrix
-from .vehicle import (ConfigError, VehicleParams, _number, _vec3,
+from .vehicle import (ACTUATOR_ORDER, OPTIONAL, ConfigError, VehicleParams,
                       actuation_from_commands, default_vehicle,
-                      load_vehicle_config, mirror_twin, read_yaml_file)
+                      load_vehicle_config, mirror_twin, number, read_keys,
+                      read_yaml_file, vec3)
 
 MAX_GRID_NODES = 10_000  # map size limit: LM solves take ~0.13 s/node (default grid, 2 vCPUs)
+# `model eval --actuators`: the commands by actuator (plr sets both mains) and the wind
+ACTUATOR_FILE_KEYS = {**dict.fromkeys((*ACTUATOR_ORDER, "plr"), (number, OPTIONAL)),
+                      "wind": (vec3, [0.0, 0.0, 0.0])}
 
 
 def _load_vehicle(path: str | None) -> VehicleParams:
@@ -37,15 +41,10 @@ def cmd_config_validate(args) -> int:
 
 def cmd_model_eval(args) -> int:
     vp = _load_vehicle(args.vehicle)
-    state = sim.state_from_dict(read_yaml_file(args.state, "state file", ConfigError) or {})
-    araw = read_yaml_file(args.actuators, "actuator file", ConfigError) or {}
-    if not isinstance(araw, dict):
-        raise ConfigError("actuator commands must be a mapping")
-    wind = _vec3(araw.pop("wind", [0.0, 0.0, 0.0]), "wind")
-    cmds = {k: _number(v, f"actuators.{k}") for k, v in araw.items()}
-    for k, v in cmds.items():
-        if not math.isfinite(v):  # a clamp passes nan on
-            raise ConfigError(f"actuators.{k} must be finite, got {v}")
+    state = sim.state_from_dict(read_yaml_file(args.state, "state file", ConfigError))
+    cmds = read_keys(read_yaml_file(args.actuators, "actuator file", ConfigError),
+                     ACTUATOR_FILE_KEYS, ConfigError, "actuators")
+    wind = cmds.pop("wind")
     act = actuation_from_commands(vp, **{f"delta_{k}": v for k, v in cmds.items()})
     try:
         ev = aero.total_wrench(state, act, vp, wind)
@@ -316,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, trim.TrimError, sim.ScenarioError, OSError) as exc:
+    except (ConfigError, trim.TrimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,12 @@ A scenario scripts a run: initial state, wind profile, a setpoint timeline,
 and the controller mode (open_loop holds the initial actuation, attitude
 runs the attitude stack only, cruise runs the full cascade).
 `scenario_from_dict` is its one reader, and the `Scenario` it returns holds
-only checked values, the initial state built once for every run. Execution is
+only checked values, the initial state built once for every run. It walks
+the file with `vehicle.read_keys` against `scenario_keys`, so it refuses an
+unknown key in any section, a timeline key that is not a setpoint of the
+mode, a value that is not a finite number (a YAML bool is not one) and a
+vector that is not 3 numbers, each by its path (``timeline[1].roll_deg``,
+``wind.steps[0].value``), raising ScenarioError, a ConfigError. Execution is
 deterministic at fixed rates: dynamics and attitude at 250 Hz, cruise at
 50 Hz; the log holds one row per dynamics tick. `run_tick` runs one tick on a
 `LoopState`, the record of all that a tick hands the next; `run_scenario`
@@ -27,10 +32,11 @@ from .cruise import CruiseController, CruiseOutput, CruiseSetpoint
 from .dynamics import IntegrationFault, RigidBodyState, integrate_step
 from .rotations import euler_angles, euler_zyx_to_matrix
 from .trim import TrimMap
-from .vehicle import (ACTUATOR_ORDER, ActuatorSet, ConfigError,
-                      VehicleParams, _number, _vec3, actuation_from_commands,
-                      apply_actuator_rates, nominal_actuation, read_csv_table,
-                      read_yaml_file)
+from .vehicle import (ACTUATOR_ORDER, OPTIONAL, REQUIRED, ActuatorSet,
+                      ConfigError, VehicleParams, actuation_from_commands,
+                      apply_actuator_rates, flag, nominal_actuation, number,
+                      read_csv_table, read_keys, read_yaml_file, table, tables,
+                      text, vec3)
 
 SIM_RATE = 250.0           # Hz, dynamics and attitude
 CRUISE_DIVIDER = 5         # cruise runs every 5th tick (50 Hz)
@@ -48,15 +54,20 @@ MODES = ("open_loop", "attitude", "cruise")
 CRUISE_FIELDS = ("vax", "vaz", "roll_deg")
 ATTITUDE_FIELDS = ("roll_deg", "pitch_deg", "yaw_rate_deg_s",
                    "wing_tilt", "main_throttle")
-# initial-state keys, and the ActuatorSet fields of each initial command
-STATE_KEYS = ("position", "velocity", "attitude_deg", "omega")
+# the rigid-body state's keys (attitude in degrees, roll, pitch, yaw), and
+# the ActuatorSet fields of each initial command
+STATE_KEYS = dict.fromkeys(("position", "velocity", "attitude_deg", "omega"),
+                           (vec3, [0.0, 0.0, 0.0]))
 INITIAL_COMMANDS = {"wing_tilt": ("delta_w",), "main_throttle": ("delta_pl", "delta_pr"),
                     "tail_throttle": ("delta_pt",), "aileron_left": ("delta_al",),
                     "aileron_right": ("delta_ar",), "elevator": ("delta_e",),
                     "rudder": ("delta_r",), "tail_tilt": ("delta_tt",)}
+INITIAL_KEYS = {**STATE_KEYS, **dict.fromkeys(INITIAL_COMMANDS, (number, OPTIONAL))}
+WIND_KEYS = {"constant": (vec3, [0.0, 0.0, 0.0]),
+             "steps": (tables({"t": (number, REQUIRED), "value": (vec3, REQUIRED)}), None)}
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ConfigError):
     pass
 
 
@@ -118,90 +129,40 @@ class Scenario:
         return np.where(ramps[k] & (times[k] <= t), t, times[k])
 
 
-def _checked(parse, value, where: str, error: type[Exception] = ScenarioError):
-    """``parse(value, where)`` (`_number` or `_vec3`), once it is finite: a nan
-    setpoint would fly on with nan columns, a nan wind or state fault at t = 0."""
-    parsed = parse(value, where)
-    if not np.isfinite(parsed).all():
-        raise error(f"{where} must be finite, got {np.asarray(parsed).tolist()!r}")
-    return parsed
-
-
-def _section(raw: dict, key: str, kind: type, where: str):
-    """``raw[key]`` if it is a ``kind``, empty if missing or null."""
-    value = raw.get(key)
-    if value is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{where} must be a {'list' if kind is list else 'mapping'}")
-    return kind() if value is None else value
+def scenario_keys(mode) -> dict:
+    """The key table of a scenario; its timeline takes the setpoints of
+    ``mode``, the attitude ones unless it is cruise."""
+    fields = CRUISE_FIELDS if mode == "cruise" else ATTITUDE_FIELDS
+    return {"name": (text(), "scenario"), "mode": (text(*MODES), REQUIRED),
+            "duration": (number, REQUIRED),
+            "timeline": (tables({"t": (number, REQUIRED), "ramp": (flag, False),
+                                 **dict.fromkeys(fields, (number, OPTIONAL))}), None),
+            "wind": (table(WIND_KEYS), None), "initial": (table(INITIAL_KEYS), None)}
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """The one reader of a scenario: each value is parsed and checked where
-    it is read. A value that is not a number, or a vector with other than 3
-    elements, raises ConfigError; every other fault raises ScenarioError."""
-    if not isinstance(raw, dict):
-        raise ScenarioError("a scenario must be a mapping")
-    for key in ("mode", "duration"):
-        if key not in raw:
-            raise ScenarioError(f"missing required field: {key}")
-    timeline_raw, wind_raw, initial_raw = (_section(raw, key, kind, key) for key, kind in
-                                           (("timeline", list), ("wind", dict), ("initial", dict)))
-    name = raw.get("name", "scenario")
-    if not isinstance(name, str) or not name.isprintable():  # it is a log comment
-        raise ScenarioError(f"name must be one line of printable text, got {name!r}")
-    mode = raw["mode"]
-    if mode not in MODES:
-        raise ScenarioError(f"mode must be one of {MODES}, got {mode}")
-    duration = _number(raw["duration"], "duration")
-    if not 0.0 < duration <= MAX_DURATION:
+    """The one reader of a scenario: `read_keys` parses and checks each
+    value against `scenario_keys`, and raises ScenarioError naming it; the
+    duration's range and the order of the times are checked here."""
+    r = read_keys(raw, scenario_keys(isinstance(raw, dict) and raw.get("mode")), ScenarioError)
+    if not 0.0 < (duration := r["duration"]) <= MAX_DURATION:
         raise ScenarioError(f"duration must be > 0 and at most {MAX_DURATION:g} s, "
                             f"got {duration}")
     if round(duration * SIM_RATE) == 0:
         raise ScenarioError(f"duration {duration} s rounds to 0 ticks")
-    fields = CRUISE_FIELDS if mode == "cruise" else ATTITUDE_FIELDS
-    timeline = []
-    for item in timeline_raw:
-        if not isinstance(item, dict) or "t" not in item:
-            raise ScenarioError(f"timeline entry {item!r} is not a mapping with t")
-        values = dict(item)
-        t = _number(values.pop("t"), "timeline t")
-        ramp = values.pop("ramp", False)
-        if not isinstance(ramp, bool):
-            raise ScenarioError(f"timeline t={t}: ramp must be true or false")
-        unknown = set(values) - set(fields)
-        if unknown:
-            raise ScenarioError(f"timeline t={t}: {sorted(map(str, unknown))} are "
-                                f"not setpoints of mode {mode}")
-        timeline.append(TimelineEntry(t=t, ramp=ramp, values={
-            k: _checked(_number, v, f"timeline t={t} {k}") for k, v in values.items()}))
-    steps = []
-    for item in _section(wind_raw, "steps", list, "wind.steps"):
-        if not isinstance(item, dict) or not {"t", "value"} <= item.keys():
-            raise ScenarioError(f"wind step {item!r} is not a mapping with "
-                                "t and value")
-        t = _number(item["t"], "wind.steps[].t")
-        steps.append(WindStep(t, _checked(_vec3, item["value"], f"wind.steps t={t} value")))
+    timeline = [TimelineEntry(t=e.pop("t"), ramp=e.pop("ramp"), values=e) for e in r["timeline"]]
+    steps = [WindStep(**step) for step in r["wind"]["steps"]]
     for what, times in (("timeline timestamps", [e.t for e in timeline]),
                         ("wind step times", [s.t for s in steps])):
-        if not all(map(math.isfinite, times)):  # a nan passes the order check
-            raise ScenarioError(f"{what} must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError(f"{what} must be strictly increasing")
-    unknown = set(initial_raw) - {*STATE_KEYS, *INITIAL_COMMANDS}
-    if unknown:
-        raise ScenarioError(f"unknown initial keys {sorted(map(str, unknown))}")
-    commands = {}
-    for key, names in INITIAL_COMMANDS.items():
-        if key in initial_raw:
-            commands.update(dict.fromkeys(
-                names, _checked(_number, initial_raw[key], f"initial.{key}")))
+    initial = r["initial"]
     return Scenario(
-        name=name, mode=mode, duration=duration,
-        initial_state=state_from_dict(initial_raw, "initial.", ScenarioError),
-        initial_commands=commands, timeline=timeline,
-        wind_constant=_checked(_vec3, wind_raw.get("constant", [0.0, 0.0, 0.0]),
-                               "wind.constant"),
-        wind_steps=steps)
+        name=r["name"], mode=r["mode"], duration=duration,
+        initial_state=rigid_body_state(initial),
+        initial_commands={name: initial[key] for key, names in INITIAL_COMMANDS.items()
+                          if key in initial for name in names},
+        timeline=timeline, wind_constant=r["wind"]["constant"], wind_steps=steps)
 
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
@@ -216,19 +177,16 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     return scenario_from_dict(read_yaml_file(path, "scenario", ScenarioError))
 
 
-def state_from_dict(raw: dict, where: str = "",
-                    error: type[Exception] = ConfigError) -> RigidBodyState:
-    """Rigid-body state from the keys ``position``, ``velocity``,
-    ``attitude_deg`` (roll, pitch, yaw) and ``omega``; missing keys are 0.
-    Each must be finite, else ``error`` names ``where`` and the key: the
-    model never reads the position, and a non-finite angle has no rotation
-    matrix."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"a state must be a mapping, got {type(raw).__name__}")
-    x, v, att, omega = (_checked(_vec3, raw.get(k, [0.0, 0.0, 0.0]), where + k, error)
-                        for k in STATE_KEYS)
-    return RigidBodyState(x=x, v=v, omega=omega, R_IB=euler_zyx_to_matrix(
-        *(math.radians(a) for a in att)))
+def rigid_body_state(values: dict) -> RigidBodyState:
+    """The state of the values of STATE_KEYS that `read_keys` read."""
+    return RigidBodyState(x=values["position"], v=values["velocity"], omega=values["omega"],
+                          R_IB=euler_zyx_to_matrix(*map(math.radians, values["attitude_deg"])))
+
+
+def state_from_dict(raw: dict) -> RigidBodyState:
+    """Rigid-body state from a mapping of STATE_KEYS, read by `read_keys`:
+    each value finite, missing keys 0, any other key refused."""
+    return rigid_body_state(read_keys(raw, STATE_KEYS, ConfigError))
 
 
 def initial_state_and_actuation(sc: Scenario,
@@ -255,6 +213,8 @@ LOG_COLUMNS = (
        "f_props_z", "f_segments_z", "f_fuselage_z"]
     + ["alloc_passes", "fault"]
 )
+# the start of the comment line that holds each metadata value of a run log
+LOG_META = {"scenario": "tiltwing run log scenario=", "fault": "fault="}
 
 
 @dataclass
@@ -273,9 +233,9 @@ class RunLog:
         SAVE_CHUNK_ROWS at a time, so saving needs one chunk's memory beyond
         the array, whatever the log's length."""
         with Path(path).open("w", encoding="utf-8") as f:
-            f.write(f"# tiltwing run log scenario={self.scenario}\n")
+            f.write(f"# {LOG_META['scenario']}{self.scenario}\n")
             if self.fault:
-                f.write(f"# fault={self.fault}\n")
+                f.write(f"# {LOG_META['fault']}{self.fault}\n")
             f.write(",".join(self.columns) + "\n")
             for start in range(0, len(self.rows), SAVE_CHUNK_ROWS):
                 f.writelines(",".join(map(repr, row)) + "\n" for row
@@ -284,13 +244,14 @@ class RunLog:
     @classmethod
     def load(cls, path: str | Path) -> "RunLog":
         """The log a file holds, its rows parsed into one array: loading needs
-        about the rows' memory (`read_csv_table`)."""
+        about the rows' memory (`read_csv_table`). Each metadata value is the
+        rest of the comment line that starts with its LOG_META prefix."""
         comments, columns, rows, _ = read_csv_table(path, ScenarioError)
         missing = [c for c in LOG_COLUMNS if c not in columns]
         if missing:
             raise ScenarioError(f"{path}: header lacks the run-log columns {missing}")
-        meta = {key: line.split(key + "=", 1)[1].strip() for line in comments
-                for key in ("scenario", "fault") if key + "=" in line}
+        meta = {key: line[len(prefix):].strip() for line in map(str.strip, comments)
+                for key, prefix in LOG_META.items() if line.startswith(prefix)}
         return cls(columns=columns, rows=rows, scenario=meta.get("scenario", ""),
                    fault=meta.get("fault"))
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .aero import FlowTables, body_wrench
 from .leastsq import least_squares_lm
-from .vehicle import COMMAND_HI, COMMAND_LO, ActuatorSet, VehicleParams, read_csv_table
+from .vehicle import (COMMAND_HI, COMMAND_LO, ActuatorSet, VehicleParams, number,
+                      read_csv_table, read_keys)
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +74,10 @@ class TrimWeights:
 
 
 WEIGHTS = TrimWeights()
+# a map file's title comment; its other comment lines hold the weights it was
+# built with, as name=value tokens
+TITLE = "tiltwing trim map"
+WEIGHT_KEYS = {f.name: (number, f.default) for f in fields(TrimWeights)}
 
 
 @dataclass
@@ -441,7 +446,7 @@ def lookup_trim(tmap: TrimMap, v_a: float, gamma: float) -> TrimLookup:
 def save_trim_map(tmap: TrimMap, path: str | Path) -> None:
     w = tmap.weights
     lines = [
-        "# tiltwing trim map",
+        f"# {TITLE}",
         "# " + " ".join(f"{f.name}={getattr(w, f.name)!r}" for f in fields(w)),
         CSV_HEADER,
     ]
@@ -465,13 +470,9 @@ def load_trim_map(path: str | Path) -> TrimMap:
         if not all(map(math.isfinite, row)) or row[2] not in (0.0, 1.0):
             raise TrimError(f"{path} line {lineno}: values must be finite and "
                             f"feasible 0 or 1: {row}")
-    meta: dict[str, float] = {}
-    for tok in " ".join(comments).split():
-        k, _, v = tok.partition("=")
-        try:
-            meta[k] = float(v)
-        except ValueError:
-            pass
+    weights = TrimWeights(**read_keys(
+        dict(tok.partition("=")[::2] for line in comments if line.strip() != TITLE
+             for tok in line.split()), WEIGHT_KEYS, TrimError, f"{path} weights"))
 
     # each row's cell: the indices of its va and gamma on the axes
     va_axis, rows_i = np.unique(arr[:, 0], return_inverse=True)
@@ -491,7 +492,5 @@ def load_trim_map(path: str | Path) -> TrimMap:
         raise TrimError(f"{path}: trim map grid is incomplete, no row for the cell "
                         f"va={float(va_axis[i])!r}, gamma={float(gamma_axis[j])!r}")
 
-    weights = TrimWeights(**{f.name: meta[f.name] for f in fields(TrimWeights)
-                             if f.name in meta})
     return TrimMap(va_axis=va_axis, gamma_axis=gamma_axis, points=points,
                    weights=weights)

@@ -4,6 +4,16 @@ All angles are stored in radians and all quantities in SI units internally.
 The YAML config format takes each angle key with a ``_deg`` suffix for
 readability or a ``_rad`` suffix for exact values.
 
+`read_keys` is the one reader of every input file: it walks a mapping
+against the key table that each file kind declares (``VEHICLE_KEYS`` here).
+It refuses an unknown key, a missing required one, a value that is not a
+finite number (a YAML bool is not one), a list of the wrong length, a text
+that is not one printable line and an angle given both in ``_deg`` and
+``_rad``, naming the value by its path. A vehicle's top-level keys that
+start with ``x-`` are its YAML anchor blocks and are not read. The
+parameter invariants are `validate_vehicle`'s, which also checks variants
+made with `dataclasses.replace`.
+
 The actuator state is the nine commands, each clamped to its constant
 range by `clamp_command`, plus the wing tilt angle: the wing alone lags its
 command. ``ActuatorSet.position`` derives every other physical value from
@@ -173,15 +183,10 @@ def validate_vehicle(vp: VehicleParams) -> None:
         raise ConfigError(f"mass must be > 0, got {vp.mass}")
     if not vp.rho > 0.0:
         raise ConfigError(f"air_density must be > 0, got {vp.rho}")
-    inertia = np.asarray(vp.inertia, dtype=float)
-    if inertia.shape != (3, 3):
-        raise ConfigError(f"inertia must be 3x3, got shape {inertia.shape}")
-    if not np.allclose(inertia, inertia.T, atol=1e-12):
+    if not np.allclose(vp.inertia, vp.inertia.T, atol=1e-12):
         raise ConfigError("inertia must be symmetric")
-    if np.any(np.linalg.eigvalsh(inertia) <= 0.0):
+    if np.any(np.linalg.eigvalsh(vp.inertia) <= 0.0):
         raise ConfigError("inertia must be positive definite")
-    if np.asarray(vp.gravity).shape != (3,):
-        raise ConfigError("gravity must be a 3-vector")
 
     names = [p.name for p in vp.propellers]
     if sorted(names) != sorted(PROPELLER_NAMES):
@@ -228,8 +233,6 @@ def validate_vehicle(vp: VehicleParams) -> None:
 
     if not vp.wing.tilt_up_time > 0.0 or not vp.wing.tilt_down_time > 0.0:
         raise ConfigError("wing tilt times must be > 0")
-    if np.asarray(vp.wing.pivot).shape != (3,):
-        raise ConfigError("wing.pivot must be a 3-vector")
 
     for name, key in SURFACE_TRAVEL_KEYS.items():
         if not 0.0 < (travel := vp.surface_travel.get(name, math.nan)) < math.inf:
@@ -337,55 +340,127 @@ def apply_actuator_rates(current: ActuatorSet, command: ActuatorSet, dt: float,
 DEFAULT_CONFIG = Path(__file__).parent / "data" / "vehicle_default.yaml"
 
 
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where.rstrip('.') or 'a vehicle'} must be a mapping, "
-                          f"got {value!r}")
+REQUIRED = object()   # a key-table default: the mapping must give the key
+OPTIONAL = object()   # a key-table default: an absent key is left out
+
+
+def _refuse(path: str, what: str, value):
+    raise ConfigError(f"{path} must be {what}, got {value!r}")
+
+
+def numbers(shape: tuple[int, ...], what: str, build=np.array):
+    """A parser of one number (``shape`` ``()``) or of nested lists of
+    ``shape`` numbers, each finite and none a YAML bool, that it hands to
+    ``build``."""
+    def nested(value, shape):
+        if not shape:
+            try:
+                return None if isinstance(value, bool) else float(value)
+            except OverflowError:   # an integer beyond the float range
+                return math.inf
+            except (TypeError, ValueError):
+                return None
+        if not (isinstance(value, list) and len(value) == shape[0]):
+            return None
+        out = [nested(v, shape[1:]) for v in value]
+        return None if None in out else out
+
+    def finite(xs) -> bool:
+        return all(map(finite, xs)) if isinstance(xs, list) else math.isfinite(xs)
+
+    def parse(value, path: str):
+        if (xs := nested(value, shape)) is None:
+            _refuse(path, what, value)
+        if not finite(xs):
+            _refuse(path, "finite", xs)
+        return build(xs)
+    return parse
+
+
+number = numbers((), "a number", float)
+vec3 = numbers((3,), "a 3-element list of numbers")
+matrix3 = numbers((3, 3), "a 3x3 list of numbers")
+pair = numbers((2,), "a list of 2 numbers", tuple)
+
+
+def angle(value, path: str) -> float:
+    """A finite angle in radians. `read_keys` looks the angle ``<key>`` up as
+    ``<key>_deg``, read with `math.radians`, or as ``<key>_rad``."""
+    x = number(value, path)
+    return math.radians(x) if path.endswith("_deg") else x
+
+
+def text(*choices: str):
+    """A parser of one line of printable text, one of ``choices`` if any."""
+    def parse(value, path: str) -> str:
+        if not (isinstance(value, str) and value.isprintable()):
+            _refuse(path, "one line of printable text", value)
+        if choices and value not in choices:
+            _refuse(path, f"one of {choices}", value)
+        return value
+    return parse
+
+
+def flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        _refuse(path, "true or false", value)
     return value
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in _mapping(mapping, where):
-        raise ConfigError(f"missing required field: {where}{key}")
-    return mapping[key]
+def table(keys: dict):
+    """A parser of a nested mapping, walked against ``keys``; null is empty."""
+    return lambda value, path: _walk(value, keys, path)
 
 
-def _list(mapping: dict, key: str) -> list:
-    value = _require(mapping, key, "")
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
+def tables(keys: dict):
+    """A parser of a list of mappings, each walked against ``keys`` and named
+    by its ``name`` if that is a string, else by its index; null is empty."""
+    def parse(value, path: str) -> list[dict]:
+        if not isinstance(value := [] if value is None else value, list):
+            _refuse(path, "a list", value)
+        return [_walk(item, keys, f"{path}.{item['name']}" if isinstance(item, dict)
+                      and isinstance(item.get("name"), str) else f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    return parse
 
 
-def _number(value, where: str) -> float:
-    """A config or scenario value as a float; anything else is a ConfigError."""
+def _walk(raw, keys: dict, path: str) -> dict:
+    def at(key: str) -> str:
+        return f"{path}.{key}" if path else key
+
+    if not isinstance(raw := {} if raw is None else raw, dict):
+        _refuse(path or "the top level", "a mapping", raw)
+    names = {key: (f"{key}_deg", f"{key}_rad") if parse is angle else (key,)
+             for key, (parse, _) in keys.items()}
+    if unknown := set(raw).difference(*names.values()):
+        raise ConfigError(f"unknown {path or 'top-level'} keys {sorted(map(str, unknown))}")
+    out = {}
+    for key, (parse, default) in keys.items():
+        given = [name for name in names[key] if name in raw]
+        if len(given) > 1:
+            raise ConfigError(f"{at(key)} must be given in _deg or in _rad, not both")
+        if given:
+            out[key] = parse(raw[given[0]], at(given[0]))
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required field: {' or '.join(map(at, names[key]))}")
+        elif default is not OPTIONAL:
+            out[key] = parse(default, at(key))
+    return out
+
+
+def read_keys(raw, keys: dict, error: type[Exception], path: str = "") -> dict:
+    """The checked values of a mapping read from YAML, by key.
+
+    ``keys``, the key table of a file kind, maps each key to ``(parse,
+    default)``: one of the parsers above, and REQUIRED, OPTIONAL or a value
+    that ``parse`` reads when the key is absent. A null mapping is empty. An
+    unknown key, a missing required one or a value that its parser refuses
+    raises ``error`` naming the value by its path under ``path``, as in
+    ``segments.wing_l_in.span must be a number, got 'wide'``."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
-
-
-def _field(mapping: dict, key: str, where: str) -> float:
-    return _number(_require(mapping, key, where), where + key)
-
-
-def _angle(mapping: dict, base: str, where: str) -> float:
-    """Read a required angle given either as `<base>_rad` or `<base>_deg`."""
-    if f"{base}_rad" in _mapping(mapping, where):
-        return _number(mapping[f"{base}_rad"], f"{where}{base}_rad")
-    if f"{base}_deg" in mapping:
-        return math.radians(_number(mapping[f"{base}_deg"], f"{where}{base}_deg"))
-    raise ConfigError(f"missing required field: {where}{base}_deg (or _rad)")
-
-
-def _vec3(value, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a 3-element list of numbers") from None
-    if arr.shape != (3,):
-        raise ConfigError(f"{where} must be a 3-element list")
-    return arr
+        return _walk(raw, keys, path)
+    except ConfigError as exc:
+        raise error(str(exc)) from None
 
 
 def _stripped_lines(path: str | Path):
@@ -445,97 +520,54 @@ def read_yaml_file(path: str | Path, what: str, error: type[Exception]):
         raise error(f"cannot parse {path}: {exc}") from exc
 
 
+WING_KEYS = {"pivot": (vec3, REQUIRED),
+             **dict.fromkeys(("tilt_up_time", "tilt_down_time"), (number, REQUIRED))}
+PROPELLER_KEYS = {"name": (text(), REQUIRED), "mount": (text(), REQUIRED),
+                  "hub_offset": (vec3, REQUIRED), "ct": (pair, REQUIRED), "cq": (pair, REQUIRED),
+                  **dict.fromkeys(("diameter", "normal_force_coeff", "handedness", "max_speed"),
+                                  (number, REQUIRED))}
+COEFFICIENT_KEYS = {**dict.fromkeys(("cl0", "cl_alpha", "cd0", "cd_alpha2"), (number, REQUIRED)),
+                    **dict.fromkeys(("cl_delta", "cm0", "cm_alpha", "cm_delta"), (number, 0.0))}
+SEGMENT_KEYS = {
+    "name": (text(), REQUIRED), "kind": (text(), REQUIRED), "cp": (vec3, REQUIRED),
+    **dict.fromkeys(("chord", "span"), (number, REQUIRED)),
+    "coefficients": (table(COEFFICIENT_KEYS), REQUIRED),
+    **dict.fromkeys(("alpha_stall_neg", "alpha_stall_pos", "blend_halfwidth"), (angle, REQUIRED)),
+    "flat_plate": (table(dict.fromkeys(("cl45", "cd_min", "cd90", "cm_max"), (number, REQUIRED))),
+                   REQUIRED),
+    "control": (text(), "none"), "control_gain": (number, 1.0), "slipstream": (text(), "none")}
+VEHICLE_KEYS = {
+    "mass": (number, REQUIRED), "inertia": (matrix3, REQUIRED),
+    "gravity": (vec3, [0.0, 0.0, 9.81]), "air_density": (number, REQUIRED),
+    "wing": (table(WING_KEYS), REQUIRED),
+    "actuators": (table({f"{key}_travel": (angle, REQUIRED)
+                         for key in dict.fromkeys(SURFACE_TRAVEL_KEYS.values())}), REQUIRED),
+    "propellers": (tables(PROPELLER_KEYS), REQUIRED),
+    "segments": (tables(SEGMENT_KEYS), REQUIRED),
+    "fuselage": (table(dict.fromkeys(("cd_x", "cd_y", "cd_z"), (number, REQUIRED))), REQUIRED)}
+
+
 def load_vehicle_config(path: str | Path) -> VehicleParams:
     """Load and fully validate a vehicle config file."""
-    raw = read_yaml_file(path, "config file", ConfigError)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    return vehicle_from_dict(raw)
-
-
-def _pair(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where} must be a list of 2 numbers, got {value!r}")
-    return _number(value[0], where), _number(value[1], where)
+    return vehicle_from_dict(read_yaml_file(path, "config file", ConfigError))
 
 
 def vehicle_from_dict(raw: dict) -> VehicleParams:
-    mass = _field(raw, "mass", "")
-    try:
-        inertia = np.asarray(_require(raw, "inertia", ""), dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("inertia must be a 3x3 list of numbers") from None
-    gravity = _vec3(raw.get("gravity", [0.0, 0.0, 9.81]), "gravity")
-    rho = _field(raw, "air_density", "")
-
-    wraw = _require(raw, "wing", "")
-    wing = WingParams(
-        pivot=_vec3(_require(wraw, "pivot", "wing."), "wing.pivot"),
-        tilt_up_time=_field(wraw, "tilt_up_time", "wing."),
-        tilt_down_time=_field(wraw, "tilt_down_time", "wing."),
-    )
-
-    props = []
-    for praw in _list(raw, "propellers"):
-        name = _require(praw, "name", "propellers[].")
-        where = f"propellers.{name}."
-        ct0, ct1 = _pair(_require(praw, "ct", where), where + "ct")
-        cq0, cq1 = _pair(_require(praw, "cq", where), where + "cq")
-        props.append(PropellerParams(
-            name=name,
-            mount=_require(praw, "mount", where),
-            hub_offset=_vec3(_require(praw, "hub_offset", where), where + "hub_offset"),
-            diameter=_field(praw, "diameter", where),
-            ct0=ct0, ct1=ct1, cq0=cq0, cq1=cq1,
-            normal_force_coeff=_field(praw, "normal_force_coeff", where),
-            handedness=_field(praw, "handedness", where),
-            max_speed=_field(praw, "max_speed", where),
-        ))
-
-    segs = []
-    for sraw in _list(raw, "segments"):
-        name = _require(sraw, "name", "segments[].")
-        where = f"segments.{name}."
-        coeffs = _require(sraw, "coefficients", where)
-        fp = _require(sraw, "flat_plate", where)
-        segs.append(AirfoilSegmentParams(
-            name=name,
-            kind=_require(sraw, "kind", where),
-            cp=_vec3(_require(sraw, "cp", where), where + "cp"),
-            chord=_field(sraw, "chord", where),
-            span=_field(sraw, "span", where),
-            cl0=_field(coeffs, "cl0", where + "coefficients."),
-            cl_alpha=_field(coeffs, "cl_alpha", where + "coefficients."),
-            cl_delta=_number(coeffs.get("cl_delta", 0.0), where + "coefficients.cl_delta"),
-            cd0=_field(coeffs, "cd0", where + "coefficients."),
-            cd_alpha2=_field(coeffs, "cd_alpha2", where + "coefficients."),
-            cm0=_number(coeffs.get("cm0", 0.0), where + "coefficients.cm0"),
-            cm_alpha=_number(coeffs.get("cm_alpha", 0.0), where + "coefficients.cm_alpha"),
-            cm_delta=_number(coeffs.get("cm_delta", 0.0), where + "coefficients.cm_delta"),
-            alpha_stall_neg=_angle(sraw, "alpha_stall_neg", where),
-            alpha_stall_pos=_angle(sraw, "alpha_stall_pos", where),
-            blend_halfwidth=_angle(sraw, "blend_halfwidth", where),
-            fp_cl45=_field(fp, "cl45", where + "flat_plate."),
-            fp_cd_min=_field(fp, "cd_min", where + "flat_plate."),
-            fp_cd90=_field(fp, "cd90", where + "flat_plate."),
-            fp_cm_max=_field(fp, "cm_max", where + "flat_plate."),
-            control=sraw.get("control", "none"),
-            control_gain=_number(sraw.get("control_gain", 1.0), where + "control_gain"),
-            slipstream=sraw.get("slipstream", "none"),
-        ))
-
-    fraw = _require(raw, "fuselage", "")
-    fus = FuselageParams(
-        cd_x=_field(fraw, "cd_x", "fuselage."),
-        cd_y=_field(fraw, "cd_y", "fuselage."),
-        cd_z=_field(fraw, "cd_z", "fuselage."),
-    )
-
-    araw = _require(raw, "actuators", "")
-    return VehicleParams(mass=mass, inertia=inertia, gravity=gravity, rho=rho,
-                         wing=wing, propellers=props, segments=segs, fuselage=fus,
-                         surface_travel={n: _angle(araw, f"{k}_travel", "actuators.")
-                                         for n, k in SURFACE_TRAVEL_KEYS.items()})
+    """The vehicle a config mapping describes, read against VEHICLE_KEYS
+    with its top-level ``x-`` keys (the YAML anchor blocks) left aside."""
+    if isinstance(raw, dict):
+        raw = {k: v for k, v in raw.items() if not str(k).startswith("x-")}
+    v = read_keys(raw, VEHICLE_KEYS, ConfigError)
+    for p in v["propellers"]:
+        (p["ct0"], p["ct1"]), (p["cq0"], p["cq1"]) = p.pop("ct"), p.pop("cq")
+    for s in v["segments"]:
+        s.update(s.pop("coefficients"), **{f"fp_{k}": x for k, x in s.pop("flat_plate").items()})
+    return VehicleParams(
+        mass=v["mass"], inertia=v["inertia"], gravity=v["gravity"], rho=v["air_density"],
+        wing=WingParams(**v["wing"]), fuselage=FuselageParams(**v["fuselage"]),
+        propellers=[PropellerParams(**p) for p in v["propellers"]],
+        segments=[AirfoilSegmentParams(**s) for s in v["segments"]],
+        surface_travel={n: v["actuators"][f"{k}_travel"] for n, k in SURFACE_TRAVEL_KEYS.items()})
 
 
 def mirror_twin(vp: VehicleParams) -> VehicleParams:

@@ -244,6 +244,8 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
      {"s.yaml": "position: [.inf, 0, 0]\n", "a.yaml": "w: 1\n"}),
     ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
      {"sc.yaml": "mode: open_loop\nduration: 0.1\ninitial: {attitude_deg: [.inf, 0, 0]}\n"}),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "velocit: [12, 0, 0]\n", "a.yaml": "w: 1\n"}),
 ], ids=["missing_state", "missing_map_query", "missing_map_sim", "missing_log",
         "unknown_command", "wind_2_vector", "velocity_2_vector", "state_list",
         "timeline_entry_without_t", "timeline_value_not_a_number",
@@ -256,7 +258,7 @@ def test_sim_run_fault_exits_1(capsys, tmp_path):
         "log_value_not_a_number", "log_row_short", "map_value_not_a_number",
         "query_va_nan", "query_gamma_inf", "timeline_value_nan",
         "vehicle_tail_tilt_travel_zero", "actuator_nan", "attitude_overflow",
-        "model_fault", "position", "initial_attitude_inf"])
+        "model_fault", "position", "initial_attitude_inf", "state_unknown_key"])
 def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -272,7 +274,10 @@ def test_input_errors_exit_2_without_traceback(capsys, tmp_path, argv, files):
     ("velocity: [1.0e200, 0, 0]", "w: 1",
      "the model faults at this state and actuation: non-finite aerodynamic wrench"),
     ("position: [.inf, 0, 0]", "w: 1", "position must be finite, got [inf, 0.0, 0.0]"),
-], ids=["actuator_nan", "attitude_overflow", "model_fault", "position"])
+    ("velocit: [12, 0, 0]", "w: 1", "unknown top-level keys ['velocit']"),
+    ("{}", "w: 1\nthrottle: 0.6", "unknown actuators keys ['throttle']"),
+], ids=["actuator_nan", "attitude_overflow", "model_fault", "position",
+        "state_unknown_key", "actuator_unknown_key"])
 def test_model_eval_bad_number_names_the_field_or_fault(capsys, tmp_path, state,
                                                        actuators, message):
     (tmp_path / "s.yaml").write_text(state + "\n")
@@ -280,6 +285,26 @@ def test_model_eval_bad_number_names_the_field_or_fault(capsys, tmp_path, state,
     assert cli.main(["model", "eval", "--state", str(tmp_path / "s.yaml"),
                      "--actuators", str(tmp_path / "a.yaml")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, files, status, message", [
+    ("config validate {d}/v.yaml", {"v.yaml": VEHICLE_TEXT.replace("mass: 1.9", "mass: yes")},
+     1, "INVALID: mass must be a number, got True"),
+    ("sim run --scenario {d}/sc.yaml --out {d}/log.csv",
+     {"sc.yaml": "mode: open_loop\nduration: on\n"},
+     2, "error: duration must be a number, got True"),
+    ("model eval --state {d}/s.yaml --actuators {d}/a.yaml",
+     {"s.yaml": "{}\n", "a.yaml": "w: true\n"},
+     2, "error: actuators.w must be a number, got True"),
+], ids=["vehicle_mass", "scenario_duration", "actuator_command"])
+def test_yaml_booleans_are_not_numbers(capsys, tmp_path, argv, files, status, message):
+    """YAML reads yes, on and true as booleans, which float() would take as
+    1.0."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main(argv.format(d=tmp_path).split()) == status
+    out, err = capsys.readouterr()
+    assert out + err == message + "\n"
 
 
 @pytest.mark.parametrize("command, name, text", [

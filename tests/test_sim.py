@@ -174,6 +174,20 @@ def test_header_only_log_loads_with_all_columns(tmp_path):
     assert log.fault == "t=0.000 s: boom"
 
 
+@pytest.mark.parametrize("scenario, fault", [("x fault=1", None),
+                                             ("x", "t=0.100 s: scenario=y fault=2")],
+                         ids=["fault_in_the_name", "scenario_in_the_fault"])
+def test_log_metadata_is_read_by_line_prefix(tmp_path, scenario, fault):
+    """The scenario name is the rest of the line that starts with
+    ``tiltwing run log scenario=`` and the fault the rest of the line that
+    starts with ``fault=``, so neither text is taken for the other."""
+    path = tmp_path / "log.csv"
+    RunLog(columns=list(LOG_COLUMNS), rows=np.zeros((1, len(LOG_COLUMNS))),
+           scenario=scenario, fault=fault).save(path)
+    log = RunLog.load(path)
+    assert (log.scenario, log.fault) == (scenario, fault)
+
+
 def test_saved_log_cells_are_float_reprs_and_reload_bit_for_bit(tmp_path):
     """Every cell of a saved log is the repr of its value as a Python float,
     signed zeros, nan, infinities, subnormals and 17-digit values included,
@@ -337,21 +351,21 @@ def _scenario(mode="attitude", initial=None, timeline=(), wind=None) -> dict:
     (_scenario(initial={"omega": 0.5}), "initial.omega"),
     (_scenario(wind={"constant": [1.0, 0.0]}), "wind.constant"),
     (_scenario(wind={"steps": [{"t": 0.05, "value": [1.0, 0.0]}]}),
-     "wind.steps t=0.05 value"),
+     "wind.steps[0].value"),
 ], ids=["position", "velocity", "attitude_deg", "omega", "wind_constant",
         "wind_step_value"])
 def test_scenario_vectors_must_have_three_elements(raw, where):
-    with pytest.raises(ConfigError, match=f"^{where} must be a 3-element list"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be a 3-element list"):
         scenario_from_dict(raw)
 
 
 @pytest.mark.parametrize("raw, where", [
     (_scenario(timeline=[{"t": 0.0, "roll_deg": 0.0}, {"t": 0.05, "roll_deg": math.nan}]),
-     "timeline t=0.05 roll_deg"),
-    (_scenario(timeline=[{"t": 0.0, "pitch_deg": -math.inf}]), "timeline t=0.0 pitch_deg"),
+     "timeline[1].roll_deg"),
+    (_scenario(timeline=[{"t": 0.0, "pitch_deg": -math.inf}]), "timeline[0].pitch_deg"),
     (_scenario(wind={"constant": [math.nan, 0.0, 0.0]}), "wind.constant"),
     (_scenario(wind={"steps": [{"t": 0.05, "value": [0.0, math.inf, 0.0]}]}),
-     "wind.steps t=0.05 value"),
+     "wind.steps[0].value"),
     (_scenario(initial={"velocity": [math.inf, 0.0, 0.0]}), "initial.velocity"),
     (_scenario(initial={"omega": [0.0, 0.0, math.nan]}), "initial.omega"),
     (_scenario(initial={"attitude_deg": [math.inf, 0.0, 0.0]}), "initial.attitude_deg"),
@@ -362,7 +376,7 @@ def test_scenario_numbers_must_be_finite(raw, where):
     """A nan setpoint would fly on with nan log columns, and a non-finite
     wind or initial value would fault at t = 0: both are refused when the
     scenario is built, naming the field."""
-    with pytest.raises(ScenarioError, match=f"^{where} must be finite"):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(where)} must be finite"):
         scenario_from_dict(raw)
 
 
@@ -393,14 +407,14 @@ def test_scenario_name_must_be_one_printable_line(name):
         scenario_from_dict(dict(_scenario(), name=name))
 
 
-@pytest.mark.parametrize("mode, entry", [
-    ("attitude", {"t": 0.0, "rol_deg": 5.0}),
-    ("cruise", {"t": 0.0, "vax": 5.0, "pitch_deg": 2.0}),
-    ("attitude", {"t": 0.05, "vax": 5.0, "ramp": True}),
-    ("attitude", {"t": 0.0, 5: 1.0, "rol_deg": 2.0}),
+@pytest.mark.parametrize("mode, entry, unknown", [
+    ("attitude", {"t": 0.0, "rol_deg": 5.0}, ["rol_deg"]),
+    ("cruise", {"t": 0.0, "vax": 5.0, "pitch_deg": 2.0}, ["pitch_deg"]),
+    ("attitude", {"t": 0.05, "vax": 5.0, "ramp": True}, ["vax"]),
+    ("attitude", {"t": 0.0, 5: 1.0, "rol_deg": 2.0}, ["5", "rol_deg"]),
 ], ids=["typo", "attitude_field_in_cruise", "cruise_ramp_in_attitude", "number_key"])
-def test_scenario_rejects_timeline_key_outside_its_mode(mode, entry):
-    with pytest.raises(ScenarioError, match="not setpoints of mode " + mode):
+def test_scenario_rejects_timeline_key_outside_its_mode(mode, entry, unknown):
+    with pytest.raises(ScenarioError, match=re.escape(f"unknown timeline[0] keys {unknown}")):
         scenario_from_dict(_scenario(mode=mode, timeline=[entry]))
 
 
@@ -408,9 +422,12 @@ def test_scenario_rejects_timeline_key_outside_its_mode(mode, entry):
                                       math.nextafter(sim.MAX_DURATION, math.inf)])
 def test_scenario_duration_must_be_positive_and_bounded(duration):
     """An unbounded duration is refused when the scenario is built, before a
-    run allocates its log; the bound itself is a valid duration."""
+    run allocates its log, a non-finite one as it is read; the bound itself
+    is a valid duration."""
     raw = dict(_scenario(), duration=duration)
-    with pytest.raises(ScenarioError, match="duration must be > 0 and at most"):
+    message = ("^duration must be > 0 and at most" if math.isfinite(duration)
+               else f"^duration must be finite, got {duration}$")
+    with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(raw)
     assert scenario_from_dict(dict(raw, duration=sim.MAX_DURATION)).duration == sim.MAX_DURATION
 
@@ -433,9 +450,12 @@ def test_scenario_initial_commands_must_be_numbers():
                                    (math.inf,)])
 def test_scenario_wind_steps_strictly_increasing(times):
     """Step times must be finite and increase; a step at nan passes any
-    order check and is never applied."""
+    order check and is never applied, so it is refused as it is read."""
     steps = [{"t": t, "value": [float(k), 0.0, 0.0]} for k, t in enumerate(times)]
-    with pytest.raises(ScenarioError, match="wind step times"):
+    bad = [k for k, t in enumerate(times) if not math.isfinite(t)]
+    message = (re.escape(f"wind.steps[{bad[0]}].t must be finite") if bad
+               else "^wind step times must be strictly increasing$")
+    with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(_scenario(wind={"steps": steps}))
 
 
@@ -443,9 +463,13 @@ def test_scenario_wind_steps_strictly_increasing(times):
                                    (-math.inf, 0.0)])
 def test_scenario_timeline_timestamps_strictly_increasing(times):
     """Timestamps must be finite and increase; `setpoint_at` stops at an
-    entry at nan, so no entry after it would ever apply."""
+    entry at nan, so no entry after it would ever apply: a non-finite one is
+    refused as it is read."""
     timeline = [{"t": t, "roll_deg": 10.0 * k} for k, t in enumerate(times)]
-    with pytest.raises(ScenarioError, match="timeline timestamps"):
+    bad = [k for k, t in enumerate(times) if not math.isfinite(t)]
+    message = (re.escape(f"timeline[{bad[0]}].t must be finite") if bad
+               else "^timeline timestamps must be strictly increasing$")
+    with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(_scenario(timeline=timeline))
 
 

@@ -630,6 +630,21 @@ def test_committed_map_with_old_header_loads(tmp_path, committed_map_path):
     assert _same_points(m2, m)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("w_power=0.01", "w_powr=0.01", "unknown {path} weights keys ['w_powr']"),
+    ("w_power=0.01", "w_power=nan", "{path} weights.w_power must be finite, got nan"),
+], ids=["unknown_key", "non_finite"])
+def test_load_refuses_bad_weights(tmp_path, committed_map_path, old, new, message):
+    """The weights lines are read like any other input: a misspelt weight
+    would leave its default in place, and a nan one would load."""
+    text = committed_map_path.read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "map.csv"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(TrimError, match=f"^{re.escape(message.format(path=path))}$"):
+        load_trim_map(path)
+
+
 @pytest.mark.parametrize("column, value", [
     ("theta_t", "nan"), ("va", "inf"), ("cost", "-inf"),
     ("feasible", "0.5"), ("feasible", "nan"), ("feasible", "2")])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -65,30 +66,54 @@ def _set(raw, path, value):
 @pytest.mark.parametrize("path, value, where", [
     (("mass",), math.inf, "mass"),
     (("air_density",), math.inf, "air_density"),
-    (("segments", 0, "coefficients", "cl0"), math.nan, "segments.wing_l_in.cl0"),
-    (("propellers", 0, "ct"), [0.1, math.nan], "propellers.pl.ct1"),
+    (("segments", 0, "coefficients", "cl0"), math.nan, "segments.wing_l_in.coefficients.cl0"),
+    (("propellers", 0, "ct"), [0.1, math.nan], "propellers.pl.ct"),
     (("wing", "tilt_up_time"), math.inf, "wing.tilt_up_time"),
     (("propellers", 2, "max_speed"), math.inf, "propellers.pt.max_speed"),
     (("fuselage", "cd_x"), math.nan, "fuselage.cd_x"),
-], ids=["mass", "air_density", "cl0", "ct", "tilt_up_time", "max_speed", "cd_x"])
+    (("mass",), 10 ** 400, "mass"),
+], ids=["mass", "air_density", "cl0", "ct", "tilt_up_time", "max_speed", "cd_x",
+        "integer_beyond_float_range"])
 def test_non_finite_number_rejected(path, value, where):
     """A non-finite number passes every ordering check (a nan compares
-    false, an infinite mass is > 0), so each is refused by name."""
+    false, an infinite mass is > 0), so each is refused by its path."""
     raw = _set(yaml.safe_load(DEFAULT_CONFIG.read_text()), path, value)
     with pytest.raises(ConfigError, match=f"^{where} must be finite"):
+        vehicle_from_dict(raw)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("gravty",), [0.0, 0.0, 9.81], "unknown top-level keys ['gravty']"),
+    (("segments", 0, "coefficients", "cm_alfa"), 0.1,
+     "unknown segments.wing_l_in.coefficients keys ['cm_alfa']"),
+    (("segments", 3, "slipstrem"), "pl", "unknown segments.wing_l_out2 keys ['slipstrem']"),
+    (("segments", 0, "x-note"), "a", "unknown segments.wing_l_in keys ['x-note']"),
+    (("segments", 1, "name"), ["a", "b"],
+     "segments[1].name must be one line of printable text, got ['a', 'b']"),
+], ids=["top_level", "coefficients", "segment", "x_key_in_a_segment", "segment_name_list"])
+def test_unknown_keys_and_non_text_names_rejected(path, value, message):
+    """A misspelt key would leave its default in place, so every key the
+    file does not know is refused by its path; ``x-`` keys are set aside at
+    the top level only, where they hold the YAML anchor blocks."""
+    raw = _set(yaml.safe_load(DEFAULT_CONFIG.read_text()), path, value)
+    assert {k for k in raw if k.startswith("x-")} == {"x-wing-aero", "x-tail-aero"}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         vehicle_from_dict(raw)
 
 
 @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
 def test_surface_travel_must_be_finite_and_positive(value):
     """A zero travel would divide the allocator's tail tilt by zero. The
-    message gives the value in the config's degrees too."""
+    message gives the value in the config's degrees too; a non-finite
+    value is refused as it is read, by its key."""
     raw = _set(yaml.safe_load(DEFAULT_CONFIG.read_text()),
                ("actuators", "tail_tilt_travel_deg"), value)
-    with pytest.raises(ConfigError, match="^actuators.tail_tilt_travel must be finite and > 0") \
-            as info:
+    message = ("^actuators.tail_tilt_travel must be finite and > 0" if math.isfinite(value)
+               else f"^actuators.tail_tilt_travel_deg must be finite, got {value}$")
+    with pytest.raises(ConfigError, match=message) as info:
         vehicle_from_dict(raw)
-    assert str(info.value).endswith(f" rad ({value:g} deg)")
+    if math.isfinite(value):
+        assert str(info.value).endswith(f" rad ({value:g} deg)")
 
 
 def test_travel_follows_max_speed(vp):
