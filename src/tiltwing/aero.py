@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .vehicle import (ACTUATOR_ORDER, ActuatorSet, AirfoilSegmentParams,
-                      BINDING_TO_ACTUATOR, PropellerParams, VehicleParams)
+                      BINDING_TO_ACTUATOR, TAIL_PROPELLER, PropellerParams,
+                      VehicleParams)
 
 if TYPE_CHECKING:
     from .dynamics import RigidBodyState
@@ -131,7 +132,7 @@ class _VehicleTables:
         self.pivot = tuple(float(x) for x in vp.wing.pivot)
         self.travel = tuple(vp.travel[n] for n in _COMMANDS)
         # per propeller, the fields `body_wrench` unpacks by name
-        self.props = [(p, p.mount == "wing", *(float(x) for x in p.hub_offset),
+        self.props = [(p, p.name != TAIL_PROPELLER, *(float(x) for x in p.hub_offset),
                        _COMMANDS.index(p.name), p.diameter ** 4, p.diameter ** 5,
                        p.ct0, p.ct1, p.cq0, p.cq1, p.handedness,
                        p.normal_force_coeff, p.disk_area) for p in vp.propellers]
@@ -161,7 +162,7 @@ class _VehicleTables:
         self.moves = []
         for k, name in enumerate(_COMMANDS):
             p_rows = {i for i, p in enumerate(vp.propellers)
-                      if p.name == name or (name == "tt" and p.mount != "wing")}
+                      if p.name == name or (name == "tt" and p.name == TAIL_PROPELLER)}
             self.moves.append((p_rows, {i for i, (f, c) in enumerate(
                 zip(self.seg_frames, self.seg_coeffs)) if f[-1] in p_rows or c[0] == k}))
 

@@ -196,16 +196,18 @@ def _check_allocation(vp) -> tuple[bool, str]:
 
 def _check_continuity(vp) -> tuple[bool, str]:
     # the coefficient law the model evaluates, every segment at its four
-    # blend edges
+    # blend edges and across +-180 deg, where alpha wraps
     worst = 0.0
     for seg in vp.segments:
         hw = seg.blend_halfwidth
-        for edge in (seg.alpha_stall_pos - hw, seg.alpha_stall_pos + hw,
-                     seg.alpha_stall_neg - hw, seg.alpha_stall_neg + hw):
-            lo = aero.airfoil_coefficients(seg, edge - 1e-9, 0.1)[:3]
-            hi = aero.airfoil_coefficients(seg, edge + 1e-9, 0.1)[:3]
+        sides = [(edge - 1e-9, edge + 1e-9)
+                 for edge in (seg.alpha_stall_pos - hw, seg.alpha_stall_pos + hw,
+                              seg.alpha_stall_neg - hw, seg.alpha_stall_neg + hw)]
+        for below, above in sides + [(math.pi - 1e-9, -math.pi + 1e-9)]:
+            lo = aero.airfoil_coefficients(seg, below, 0.1)[:3]
+            hi = aero.airfoil_coefficients(seg, above, 0.1)[:3]
             worst = max(worst, *(abs(a - b) for a, b in zip(lo, hi)))
-    return worst < 1e-7, f"coefficient jump across blend edges {worst:.2e}"
+    return worst < 1e-7, f"coefficient jump across blend edges and +-180 deg {worst:.2e}"
 
 
 def _check_mirror(vp) -> tuple[bool, str]:

@@ -189,11 +189,6 @@ def state_from_dict(raw: dict) -> RigidBodyState:
     return rigid_body_state(read_keys(raw, STATE_KEYS, ConfigError))
 
 
-def initial_state_and_actuation(sc: Scenario,
-                                vp: VehicleParams) -> tuple[RigidBodyState, ActuatorSet]:
-    return sc.initial_state, actuation_from_commands(vp, **sc.initial_commands)
-
-
 # ---------------------------------------------------------------------------
 # Run log
 # ---------------------------------------------------------------------------
@@ -341,8 +336,8 @@ def run_scenario(sc: Scenario, vp: VehicleParams,
     before it and a fault text with the tick time and cause."""
     if sc.mode == "cruise" and tmap is None:
         raise ScenarioError("cruise mode requires a trim map")
-    loop = LoopState(*initial_state_and_actuation(sc, vp), AttitudeController(),
-                     CruiseController(), None)
+    loop = LoopState(sc.initial_state, actuation_from_commands(vp, **sc.initial_commands),
+                     AttitudeController(), CruiseController(), None)
     rows = np.full((round(sc.duration * SIM_RATE), len(LOG_COLUMNS)), np.nan)
     fault = None
     for k, row in enumerate(rows):

@@ -2,17 +2,21 @@
 
 All angles are stored in radians and all quantities in SI units internally.
 The YAML config format takes each angle key with a ``_deg`` suffix for
-readability or a ``_rad`` suffix for exact values.
+readability or a ``_rad`` suffix for exact values. The propeller layout is
+fixed: the main rotors ``pl`` and ``pr`` ride on the wing and tilt with it,
+and ``pt`` (``TAIL_PROPELLER``) is the tail unit.
 
 `read_keys` is the one reader of every input file: it walks a mapping
 against the key table that each file kind declares (``VEHICLE_KEYS`` here).
 It refuses an unknown key, a missing required one, a value that is not a
 finite number (a YAML bool is not one), a list of the wrong length, a text
-that is not one printable line and an angle given both in ``_deg`` and
-``_rad``, naming the value by its path. A vehicle's top-level keys that
-start with ``x-`` are its YAML anchor blocks and are not read. The
-parameter invariants are `validate_vehicle`'s, which also checks variants
-made with `dataclasses.replace`.
+that is not one printable line without leading or trailing whitespace and
+an angle given both in ``_deg`` and ``_rad``, naming the value by its path.
+A vehicle's top-level keys that start with ``x-`` are its YAML anchor
+blocks and are not read. Each parameter's own bound is declared on its
+dataclass field, and `validate_vehicle` checks the bounds and the
+invariants across fields for every `VehicleParams`, variants made with
+`dataclasses.replace` included.
 
 The actuator state is the nine commands, each clamped to its constant
 range by `clamp_command`, plus the wing tilt angle: the wing alone lags its
@@ -22,7 +26,7 @@ its command and ``VehicleParams.travel``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +35,14 @@ import yaml
 WING_TILT_MAX = math.pi / 2.0
 
 PROPELLER_NAMES = ("pl", "pr", "pt")
-CONTROL_BINDINGS = ("none", "aileron-left", "aileron-right", "elevator", "rudder")
+TAIL_PROPELLER = "pt"   # the others ride on the wing
 BINDING_TO_ACTUATOR = {
     "aileron-left": "al",
     "aileron-right": "ar",
     "elevator": "e",
     "rudder": "r",
 }
+CONTROL_BINDINGS = ("none", *BINDING_TO_ACTUATOR)
 SEGMENT_KINDS = ("wing", "htail", "vtail")
 
 
@@ -45,26 +50,41 @@ class ConfigError(ValueError):
     """Unparsable config, missing field, or violated parameter invariant."""
 
 
+def _bounded(what: str, holds):
+    """A maker of dataclass fields whose value must satisfy ``holds``, named
+    ``what`` in `validate_vehicle`'s refusal; it passes a ``default`` through."""
+    return lambda **default: field(metadata={"bound": (what, holds)}, **default)
+
+
+positive = _bounded("> 0", lambda x: x > 0.0)
+nonnegative = _bounded(">= 0", lambda x: x >= 0.0)
+sign = _bounded("-1 or +1", lambda x: x in (-1.0, 1.0))
+
+
+def one_of(*choices, **default):
+    return _bounded(f"one of {choices}", lambda x: x in choices)(**default)
+
+
 @dataclass(eq=False)
 class PropellerParams:
-    """One propulsion unit.
+    """One propulsion unit, placed by its name in the fixed layout.
 
-    Wing-mounted units take ``hub_offset`` relative to the wing pivot in the
-    wing frame; they rotate with the wing tilt. The tail unit takes a
-    body-frame hub position and its axis tilts about body x by zeta_tt.
+    The wing units ``pl`` and ``pr`` take ``hub_offset`` relative to the wing
+    pivot in the wing frame; they rotate with the wing tilt. The tail unit
+    takes a body-frame hub position and its axis tilts about body x by
+    zeta_tt.
     """
 
     name: str
-    mount: str                 # "wing" | "tail"
     hub_offset: np.ndarray     # m
-    diameter: float            # m
-    ct0: float                 # C_T(J) = ct0 + ct1 * J
+    diameter: float = positive()
+    ct0: float = positive()    # C_T(J) = ct0 + ct1 * J; ct0 is the static thrust
     ct1: float
     cq0: float                 # C_Q(J) = cq0 + cq1 * J
     cq1: float
-    normal_force_coeff: float  # mu_N, N s^2 / (rev m)
-    handedness: float          # +1 right-handed about the forward axis, or -1
-    max_speed: float           # rev/s
+    normal_force_coeff: float = positive()  # mu_N, N s^2 / (rev m)
+    handedness: float = sign()  # +1 right-handed about the forward axis, or -1
+    max_speed: float = positive()           # rev/s
 
     @property
     def disk_area(self) -> float:
@@ -83,10 +103,10 @@ class AirfoilSegmentParams:
     """Span-wise airfoil strip with pre-stall and flat-plate coefficients."""
 
     name: str
-    kind: str                  # "wing" | "htail" | "vtail"
+    kind: str = one_of(*SEGMENT_KINDS)
     cp: np.ndarray             # center of pressure; wing: pivot-relative, else body [m]
-    chord: float               # m
-    span: float                # m
+    chord: float = positive()  # m
+    span: float = positive()   # m
     cl0: float
     cl_alpha: float
     cl_delta: float
@@ -97,30 +117,30 @@ class AirfoilSegmentParams:
     cm_delta: float
     alpha_stall_neg: float     # rad, < 0
     alpha_stall_pos: float     # rad, > 0
-    blend_halfwidth: float     # rad
-    fp_cl45: float             # flat-plate C_L at alpha = 45 deg
-    fp_cd_min: float
-    fp_cd90: float             # flat-plate C_D at alpha = 90 deg
-    fp_cm_max: float
-    control: str = "none"
-    control_gain: float = 1.0  # local deflection = gain * actuator deflection
-    slipstream: str = "none"   # propeller name or "none"
+    blend_halfwidth: float = positive()  # rad
+    fp_cl45: float = nonnegative()       # flat-plate C_L at alpha = 45 deg
+    fp_cd_min: float = nonnegative()
+    fp_cd90: float = nonnegative()       # flat-plate C_D at alpha = 90 deg
+    fp_cm_max: float = nonnegative()
+    control: str = one_of(*CONTROL_BINDINGS, default="none")
+    control_gain: float = sign(default=1.0)  # local deflection = gain * actuator deflection
+    slipstream: str = one_of("none", *PROPELLER_NAMES, default="none")  # a propeller or none
 
 
 @dataclass(eq=False)
 class FuselageParams:
     """Quadratic-form drag, coefficients lumped with reference area [m^2]."""
 
-    cd_x: float
-    cd_y: float
-    cd_z: float
+    cd_x: float = nonnegative()
+    cd_y: float = nonnegative()
+    cd_z: float = nonnegative()
 
 
 @dataclass(eq=False)
 class WingParams:
     pivot: np.ndarray          # tilt-axis point, body frame [m]
-    tilt_up_time: float        # s for full 0 -> 90 deg tilt
-    tilt_down_time: float      # s for full 90 -> 0 deg tilt
+    tilt_up_time: float = positive()    # s for full 0 -> 90 deg tilt
+    tilt_down_time: float = positive()  # s for full 90 -> 0 deg tilt
 
 
 ACTUATOR_ORDER = ("w", "pl", "pr", "pt", "al", "ar", "e", "r", "tt")
@@ -142,10 +162,10 @@ def clamp_command(name: str, value: float) -> float:
 class VehicleParams:
     """Complete physical description; immutable after load by convention."""
 
-    mass: float
+    mass: float = positive()
+    rho: float = positive()    # air density
     inertia: np.ndarray
     gravity: np.ndarray
-    rho: float
     wing: WingParams
     propellers: list[PropellerParams]
     segments: list[AirfoilSegmentParams]
@@ -169,20 +189,18 @@ class VehicleParams:
 
 
 def validate_vehicle(vp: VehicleParams) -> None:
-    """Check every parameter invariant; raises ConfigError naming the field."""
-    values = [("mass", vp.mass), ("air_density", vp.rho), ("inertia", vp.inertia),
-              ("gravity", vp.gravity)]
-    for where, rec in [("wing.", vp.wing), ("fuselage.", vp.fuselage),
+    """Check each field of every record (finite, then its declared bound) and
+    the invariants across fields; raises ConfigError naming the path."""
+    for where, rec in [("", vp), ("wing.", vp.wing), ("fuselage.", vp.fuselage),
                        *((f"propellers.{p.name}.", p) for p in vp.propellers),
                        *((f"segments.{s.name}.", s) for s in vp.segments)]:
-        values += [(where + f.name, getattr(rec, f.name)) for f in fields(rec)]
-    for where, value in values:
-        if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
-            raise ConfigError(f"{where} must be finite, got {value}")
-    if not vp.mass > 0.0:
-        raise ConfigError(f"mass must be > 0, got {vp.mass}")
-    if not vp.rho > 0.0:
-        raise ConfigError(f"air_density must be > 0, got {vp.rho}")
+        for f in fields(rec):
+            path = where + ("air_density" if f.name == "rho" else f.name)
+            value = getattr(rec, f.name)
+            if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+                _refuse(path, "finite", np.asarray(value).tolist())
+            if (bound := f.metadata.get("bound")) and not bound[1](value):
+                _refuse(path, bound[0], value)
     if not np.allclose(vp.inertia, vp.inertia.T, atol=1e-12):
         raise ConfigError("inertia must be symmetric")
     if np.any(np.linalg.eigvalsh(vp.inertia) <= 0.0):
@@ -191,49 +209,16 @@ def validate_vehicle(vp: VehicleParams) -> None:
     names = [p.name for p in vp.propellers]
     if sorted(names) != sorted(PROPELLER_NAMES):
         raise ConfigError(f"propellers must be exactly {PROPELLER_NAMES}, got {names}")
-    for p in vp.propellers:
-        if p.mount not in ("wing", "tail"):
-            raise ConfigError(f"propellers.{p.name}.mount must be wing|tail, got {p.mount}")
-        if not p.diameter > 0.0:
-            raise ConfigError(f"propellers.{p.name}.diameter must be > 0")
-        if not p.ct0 > 0.0:
-            raise ConfigError(f"propellers.{p.name}.ct[0] must be > 0 (static thrust)")
-        if not p.max_speed > 0.0:
-            raise ConfigError(f"propellers.{p.name}.max_speed must be > 0")
-        if not p.normal_force_coeff > 0.0:
-            raise ConfigError(f"propellers.{p.name}.normal_force_coeff must be > 0")
-        if p.handedness not in (-1, 1):
-            raise ConfigError(f"propellers.{p.name}.handedness must be -1 or +1")
-
     for s in vp.segments:
-        loc = f"segments.{s.name}"
-        if s.kind not in SEGMENT_KINDS:
-            raise ConfigError(f"{loc}.kind must be one of {SEGMENT_KINDS}")
-        if not s.chord > 0.0:
-            raise ConfigError(f"{loc}.chord must be > 0")
-        if not s.span > 0.0:
-            raise ConfigError(f"{loc}.span must be > 0")
         if not (s.alpha_stall_neg < 0.0 < s.alpha_stall_pos):
-            raise ConfigError(f"{loc}: stall angles must satisfy alpha_neg < 0 < alpha_pos")
-        if not s.blend_halfwidth > 0.0:
-            raise ConfigError(f"{loc}.blend_halfwidth must be > 0")
-        for key in ("fp_cl45", "fp_cd_min", "fp_cd90", "fp_cm_max"):
-            if getattr(s, key) < 0.0:
-                raise ConfigError(f"{loc}.{key} must be >= 0")
-        if s.control not in CONTROL_BINDINGS:
-            raise ConfigError(f"{loc}.control must be one of {CONTROL_BINDINGS}")
-        if s.control_gain not in (-1.0, 1.0):
-            raise ConfigError(f"{loc}.control_gain must be -1 or +1")
-        if s.slipstream not in ("none",) + PROPELLER_NAMES:
-            raise ConfigError(f"{loc}.slipstream must be a propeller name or none")
-
-    for key in ("cd_x", "cd_y", "cd_z"):
-        if getattr(vp.fuselage, key) < 0.0:
-            raise ConfigError(f"fuselage.{key} must be >= 0")
-
-    if not vp.wing.tilt_up_time > 0.0 or not vp.wing.tilt_down_time > 0.0:
-        raise ConfigError("wing tilt times must be > 0")
-
+            raise ConfigError(
+                f"segments.{s.name}: stall angles must satisfy alpha_neg < 0 < alpha_pos")
+        # the pre-stall weight is 0 at +-180 deg only if the blend ends inside
+        lo, hi = s.alpha_stall_neg - s.blend_halfwidth, s.alpha_stall_pos + s.blend_halfwidth
+        if lo < -math.pi or hi > math.pi:
+            raise ConfigError(f"segments.{s.name}: the stall band and its blend must lie "
+                              f"within +-180 deg, got [{math.degrees(lo):g}, "
+                              f"{math.degrees(hi):g}] deg")
     for name, key in SURFACE_TRAVEL_KEYS.items():
         if not 0.0 < (travel := vp.surface_travel.get(name, math.nan)) < math.inf:
             raise ConfigError(f"actuators.{key}_travel must be finite and > 0, "
@@ -391,10 +376,13 @@ def angle(value, path: str) -> float:
 
 
 def text(*choices: str):
-    """A parser of one line of printable text, one of ``choices`` if any."""
+    """A parser of one line of printable text without leading or trailing
+    whitespace, one of ``choices`` if any."""
     def parse(value, path: str) -> str:
         if not (isinstance(value, str) and value.isprintable()):
             _refuse(path, "one line of printable text", value)
+        if value != value.strip():
+            _refuse(path, "free of leading and trailing whitespace", value)
         if choices and value not in choices:
             _refuse(path, f"one of {choices}", value)
         return value
@@ -522,8 +510,8 @@ def read_yaml_file(path: str | Path, what: str, error: type[Exception]):
 
 WING_KEYS = {"pivot": (vec3, REQUIRED),
              **dict.fromkeys(("tilt_up_time", "tilt_down_time"), (number, REQUIRED))}
-PROPELLER_KEYS = {"name": (text(), REQUIRED), "mount": (text(), REQUIRED),
-                  "hub_offset": (vec3, REQUIRED), "ct": (pair, REQUIRED), "cq": (pair, REQUIRED),
+PROPELLER_KEYS = {"name": (text(), REQUIRED), "hub_offset": (vec3, REQUIRED),
+                  "ct": (pair, REQUIRED), "cq": (pair, REQUIRED),
                   **dict.fromkeys(("diameter", "normal_force_coeff", "handedness", "max_speed"),
                                   (number, REQUIRED))}
 COEFFICIENT_KEYS = {**dict.fromkeys(("cl0", "cl_alpha", "cd0", "cd_alpha2"), (number, REQUIRED)),
@@ -535,7 +523,9 @@ SEGMENT_KEYS = {
     **dict.fromkeys(("alpha_stall_neg", "alpha_stall_pos", "blend_halfwidth"), (angle, REQUIRED)),
     "flat_plate": (table(dict.fromkeys(("cl45", "cd_min", "cd90", "cm_max"), (number, REQUIRED))),
                    REQUIRED),
-    "control": (text(), "none"), "control_gain": (number, 1.0), "slipstream": (text(), "none")}
+    # absent, each of these three takes its field's default
+    "control": (text(), OPTIONAL), "control_gain": (number, OPTIONAL),
+    "slipstream": (text(), OPTIONAL)}
 VEHICLE_KEYS = {
     "mass": (number, REQUIRED), "inertia": (matrix3, REQUIRED),
     "gravity": (vec3, [0.0, 0.0, 9.81]), "air_density": (number, REQUIRED),

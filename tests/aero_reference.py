@@ -16,7 +16,8 @@ import numpy as np
 from rotation_reference import rot_x, rot_y
 from tiltwing.aero import ETA_MIN, advance_ratio, airfoil_coefficients
 from tiltwing.vehicle import (ActuatorSet, AirfoilSegmentParams, BINDING_TO_ACTUATOR,
-                              FuselageParams, PropellerParams, VehicleParams)
+                              FuselageParams, PropellerParams, TAIL_PROPELLER,
+                              VehicleParams)
 
 
 class Wrench(NamedTuple):
@@ -108,7 +109,7 @@ def wing_tilt_rotation(zeta_w: float) -> np.ndarray:
 def propeller_geometry(vp: VehicleParams, prop: PropellerParams,
                        act: ActuatorSet) -> tuple[np.ndarray, np.ndarray]:
     """Hub position and forward (thrust) unit axis in the body frame."""
-    if prop.mount == "wing":
+    if prop.name != TAIL_PROPELLER:
         Rw = wing_tilt_rotation(act.zeta_w)
         return vp.wing.pivot + Rw @ prop.hub_offset, Rw @ np.array([1.0, 0.0, 0.0])
     # tail rotor: thrust up, tilting about body x by the tail tilt angle

@@ -21,7 +21,7 @@ from tiltwing.vehicle import (COMMAND_HI, COMMAND_LO, AirfoilSegmentParams,
 
 
 def _test_prop(**over):
-    kw = dict(name="p", mount="tail", hub_offset=np.zeros(3), diameter=0.3,
+    kw = dict(name="p", hub_offset=np.zeros(3), diameter=0.3,
               ct0=0.09, ct1=-0.08, cq0=0.005, cq1=-0.002,
               normal_force_coeff=1e-3, handedness=1, max_speed=200.0)
     kw.update(over)

@@ -1,3 +1,7 @@
+import math
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import yaml
@@ -17,6 +21,19 @@ def test_check_all_pass(capsys):
         "rk4_order:", "rotation_orthonormality:", "allocation_accounting:",
         "coefficient_continuity:", "mirror_symmetry:"]
     assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_continuity_check_spans_the_wrap_at_180_deg(vp):
+    """A blend that ends 5 deg short of 180 deg is accepted and continuous
+    across +-180 deg; the check sees the jump of one that ends beyond, a
+    segment made here without the vehicle's checks."""
+    seg = vp.segments[1]
+    inside = replace(seg, alpha_stall_pos=math.radians(170.0))
+    replace(vp, segments=[vp.segments[0], inside, *vp.segments[2:]])   # accepted
+    assert cli._check_continuity(SimpleNamespace(segments=[inside]))[0]
+    beyond = replace(seg, alpha_stall_pos=math.radians(178.0))
+    ok, detail = cli._check_continuity(SimpleNamespace(segments=[beyond]))
+    assert not ok and float(detail.split()[-1]) > 1.0
 
 
 def _model_eval(capsys, tmp_path, actuators: str) -> dict[str, np.ndarray]:

@@ -12,11 +12,10 @@ from tiltwing.attitude import AttitudeController
 from tiltwing.cruise import CruiseController
 from tiltwing.dynamics import IntegrationFault
 from tiltwing.sim import (LOG_COLUMNS, SCENARIO_DIR, SIM_RATE, RunLog,
-                          ScenarioError, compute_metrics,
-                          initial_state_and_actuation, load_scenario,
+                          ScenarioError, compute_metrics, load_scenario,
                           run_scenario, scenario_from_dict)
 from tiltwing.trim import load_trim_map
-from tiltwing.vehicle import ACTUATOR_ORDER, ConfigError
+from tiltwing.vehicle import ACTUATOR_ORDER, ConfigError, actuation_from_commands
 
 POSITION_COLUMNS = ("zeta_w", "eta_pl", "eta_pr", "eta_pt", "zeta_al",
                     "zeta_ar", "zeta_e", "zeta_r", "zeta_tt")
@@ -53,7 +52,7 @@ def test_open_loop_holds_initial_actuation(vp):
     log = run_scenario(sc, vp)
     assert log.fault is None
     assert log.rows.shape[0] == round(sc.duration * SIM_RATE)
-    _, act0 = initial_state_and_actuation(sc, vp)
+    act0 = actuation_from_commands(vp, **sc.initial_commands)
     for name, col in zip(ACTUATOR_ORDER, POSITION_COLUMNS):
         assert np.all(log.column(f"cmd_{name}") == getattr(act0, f"delta_{name}"))
         assert np.all(log.column(col) == act0.position(name, vp))
@@ -132,8 +131,8 @@ def test_loop_state_is_explicit(vp, committed_map_path, name, k):
     tmap = load_trim_map(committed_map_path) if sc.mode == "cruise" else None
     n = k + 1 + 2 * sim.CRUISE_DIVIDER
     sc.duration = n / SIM_RATE
-    loop = sim.LoopState(*initial_state_and_actuation(sc, vp), AttitudeController(),
-                         CruiseController(), None)
+    loop = sim.LoopState(sc.initial_state, actuation_from_commands(vp, **sc.initial_commands),
+                         AttitudeController(), CruiseController(), None)
     rows = np.empty((n, len(LOG_COLUMNS)))
     for i in range(k + 1):
         sim.run_tick(loop, i, sc, vp, tmap, rows[i])
@@ -405,6 +404,24 @@ def test_scenario_name_must_be_one_printable_line(name):
     write a log that `RunLog.load` refuses."""
     with pytest.raises(ScenarioError, match="^name must be one line of printable text"):
         scenario_from_dict(dict(_scenario(), name=name))
+
+
+@pytest.mark.parametrize("name", [" hover ", "hover ", " hover"],
+                         ids=["both_ends", "trailing", "leading"])
+def test_scenario_name_with_outer_whitespace_is_refused(name):
+    """A log strips its comment lines as it reads them, so a name with
+    leading or trailing whitespace would load as another name."""
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"name must be free of leading and trailing whitespace, got {name!r}")):
+        scenario_from_dict(dict(_scenario(), name=name))
+
+
+def test_scenario_name_round_trips_through_its_log(tmp_path):
+    sc = scenario_from_dict(dict(_scenario(), name="hover  two"))
+    path = tmp_path / "log.csv"
+    RunLog(columns=list(LOG_COLUMNS), rows=np.zeros((1, len(LOG_COLUMNS))),
+           scenario=sc.name).save(path)
+    assert RunLog.load(path).scenario == "hover  two"
 
 
 @pytest.mark.parametrize("mode, entry, unknown", [

@@ -1,6 +1,7 @@
+import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from tiltwing.aero import body_wrench
-from tiltwing.vehicle import (ActuatorSet, ConfigError, DEFAULT_CONFIG,
+from tiltwing.vehicle import (ActuatorSet, AirfoilSegmentParams, ConfigError, DEFAULT_CONFIG,
+                              FuselageParams, PropellerParams, VehicleParams, WingParams,
                               actuation_from_commands, apply_actuator_rates,
                               load_vehicle_config, vehicle_from_dict)
 
@@ -90,7 +92,12 @@ def test_non_finite_number_rejected(path, value, where):
     (("segments", 0, "x-note"), "a", "unknown segments.wing_l_in keys ['x-note']"),
     (("segments", 1, "name"), ["a", "b"],
      "segments[1].name must be one line of printable text, got ['a', 'b']"),
-], ids=["top_level", "coefficients", "segment", "x_key_in_a_segment", "segment_name_list"])
+    (("segments", 1, "name"), "wing_l_mid ",
+     "segments.wing_l_mid .name must be free of leading and trailing whitespace, "
+     "got 'wing_l_mid '"),
+    (("propellers", 2, "mount"), "wing", "unknown propellers.pt keys ['mount']"),
+], ids=["top_level", "coefficients", "segment", "x_key_in_a_segment", "segment_name_list",
+        "segment_name_trailing_space", "mount"])
 def test_unknown_keys_and_non_text_names_rejected(path, value, message):
     """A misspelt key would leave its default in place, so every key the
     file does not know is refused by its path; ``x-`` keys are set aside at
@@ -99,6 +106,104 @@ def test_unknown_keys_and_non_text_names_rejected(path, value, message):
     assert {k for k in raw if k.startswith("x-")} == {"x-wing-aero", "x-tail-aero"}
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         vehicle_from_dict(raw)
+
+
+def _unshared_default() -> dict:
+    """The default config as plain nested data, its YAML anchor blocks
+    copied into each segment rather than shared among them."""
+    return json.loads(json.dumps(yaml.safe_load(DEFAULT_CONFIG.read_text())))
+
+
+def _variant(vp, record: str, name: str, value):
+    """``vp`` with field ``name`` of ``record`` (``""``, ``wing``,
+    ``fuselage``, ``propellers.<name>`` or ``segments.<name>``) set."""
+    if record in ("", "wing", "fuselage"):
+        return replace(vp, **({name: value} if not record else
+                              {record: replace(getattr(vp, record), **{name: value})}))
+    kind, which = record.split(".")
+    return replace(vp, **{kind: [replace(x, **{name: value}) if x.name == which else x
+                                 for x in getattr(vp, kind)]})
+
+
+# one case per field with a declared bound: its record, the config path and
+# value that break it, and the refusal, the same from a file and a variant
+BOUND_CASES = [
+    ("", "mass", ("mass",), -1.0, "mass must be > 0, got -1.0"),
+    ("", "rho", ("air_density",), 0.0, "air_density must be > 0, got 0.0"),
+    ("wing", "tilt_up_time", ("wing", "tilt_up_time"), 0.0,
+     "wing.tilt_up_time must be > 0, got 0.0"),
+    ("wing", "tilt_down_time", ("wing", "tilt_down_time"), -10.0,
+     "wing.tilt_down_time must be > 0, got -10.0"),
+    ("propellers.pl", "diameter", ("propellers", 0, "diameter"), -0.22,
+     "propellers.pl.diameter must be > 0, got -0.22"),
+    ("propellers.pl", "ct0", ("propellers", 0, "ct"), [0.0, -0.12],
+     "propellers.pl.ct0 must be > 0, got 0.0"),
+    ("propellers.pr", "normal_force_coeff", ("propellers", 1, "normal_force_coeff"), 0.0,
+     "propellers.pr.normal_force_coeff must be > 0, got 0.0"),
+    ("propellers.pt", "handedness", ("propellers", 2, "handedness"), 0.5,
+     "propellers.pt.handedness must be -1 or +1, got 0.5"),
+    ("propellers.pt", "max_speed", ("propellers", 2, "max_speed"), -200.0,
+     "propellers.pt.max_speed must be > 0, got -200.0"),
+    ("segments.wing_l_mid", "kind", ("segments", 1, "kind"), "wings",
+     "segments.wing_l_mid.kind must be one of ('wing', 'htail', 'vtail'), got 'wings'"),
+    ("segments.wing_l_mid", "chord", ("segments", 1, "chord"), -0.16,
+     "segments.wing_l_mid.chord must be > 0, got -0.16"),
+    ("segments.wing_l_mid", "span", ("segments", 1, "span"), 0.0,
+     "segments.wing_l_mid.span must be > 0, got 0.0"),
+    ("segments.wing_l_mid", "blend_halfwidth", ("segments", 1, "blend_halfwidth_deg"), 0.0,
+     "segments.wing_l_mid.blend_halfwidth must be > 0, got 0.0"),
+    *(("segments.wing_l_mid", f"fp_{key}", ("segments", 1, "flat_plate", key), -0.5,
+       f"segments.wing_l_mid.fp_{key} must be >= 0, got -0.5")
+      for key in ("cl45", "cd_min", "cd90", "cm_max")),
+    ("segments.wing_l_mid", "control", ("segments", 1, "control"), "flap",
+     "segments.wing_l_mid.control must be one of ('none', 'aileron-left', "
+     "'aileron-right', 'elevator', 'rudder'), got 'flap'"),
+    ("segments.wing_l_mid", "control_gain", ("segments", 1, "control_gain"), 0.5,
+     "segments.wing_l_mid.control_gain must be -1 or +1, got 0.5"),
+    ("segments.wing_l_mid", "slipstream", ("segments", 1, "slipstream"), "pq",
+     "segments.wing_l_mid.slipstream must be one of ('none', 'pl', 'pr', 'pt'), got 'pq'"),
+    *(("fuselage", key, ("fuselage", key), -0.01, f"fuselage.{key} must be >= 0, got -0.01")
+      for key in ("cd_x", "cd_y", "cd_z")),
+]
+
+
+def test_every_declared_bound_has_a_case():
+    declared = [f.name for cls in (VehicleParams, WingParams, PropellerParams,
+                                   AirfoilSegmentParams, FuselageParams)
+                for f in fields(cls) if "bound" in f.metadata]
+    assert sorted(declared) == sorted(case[1] for case in BOUND_CASES)
+
+
+@pytest.mark.parametrize("record, name, path, value, message", BOUND_CASES,
+                         ids=[case[1] for case in BOUND_CASES])
+def test_declared_bound_refused_in_a_file_and_in_a_variant(vp, tmp_path, record, name,
+                                                          path, value, message):
+    """Each bound is checked where it is declared, so a vehicle file and a
+    `dataclasses.replace` variant are refused alike, by the field's path."""
+    config = tmp_path / "vehicle.yaml"
+    config.write_text(yaml.safe_dump(_set(_unshared_default(), path, value)))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_vehicle_config(config)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _variant(vp, record, name, math.radians(value) if path[-1].endswith("_deg")
+                 else value[0] if isinstance(value, list) else value)
+
+
+@pytest.mark.parametrize("key, deg, band", [("alpha_stall_pos", 178.0, "[-17, 183]"),
+                                            ("alpha_stall_neg", -178.0, "[-183, 19]")],
+                         ids=["positive", "negative"])
+def test_stall_band_and_blend_must_lie_within_a_half_turn(vp, tmp_path, key, deg, band):
+    """The law is periodic in alpha only if the pre-stall weight is 0 at
+    +-180 deg, so the blend must end inside the half turn on both sides."""
+    message = (f"segments.wing_l_mid: the stall band and its blend must lie within "
+               f"+-180 deg, got {band} deg")
+    config = tmp_path / "vehicle.yaml"
+    config.write_text(yaml.safe_dump(_set(_unshared_default(), ("segments", 1, f"{key}_deg"),
+                                          deg)))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_vehicle_config(config)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _variant(vp, "segments.wing_l_mid", key, math.radians(deg))
 
 
 @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
